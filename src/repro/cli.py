@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.columnar import RecordBatch
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
 from repro.core.reports import (
     citywide_proportions,
@@ -71,11 +72,13 @@ def _version() -> str:
         return __version__
 
 
-def _load_store(path_str: str) -> Optional[MdtLogStore]:
-    """Load a log CSV, or print a clear error and return None.
+def _load_batch(path_str: str) -> Optional[RecordBatch]:
+    """Parse a log CSV into columns, or print a clear error and return
+    None.
 
     Subcommands taking an input CSV share this so a missing path yields
     a one-line message and a non-zero exit instead of a traceback.
+    Malformed lines are skipped and counted in ``skipped_lines``.
     """
     path = Path(path_str)
     if not path.is_file():
@@ -86,7 +89,20 @@ def _load_store(path_str: str) -> Optional[MdtLogStore]:
             file=sys.stderr,
         )
         return None
-    return MdtLogStore.from_csv(path)
+    return RecordBatch.from_csv(path, on_error="skip")
+
+
+def _report_malformed(batch: RecordBatch, engine=None, file=None) -> None:
+    """Add the skipped CSV lines to ``engine``'s cleaning report, and
+    say how many there were when there were any."""
+    report = None if engine is None else engine.last_cleaning_report
+    if report is not None:
+        report.malformed_line += batch.skipped_lines
+    if batch.skipped_lines:
+        print(
+            f"  ({batch.skipped_lines} malformed CSV lines skipped)",
+            file=file,
+        )
 
 
 def _add_sim_args(parser: argparse.ArgumentParser) -> None:
@@ -261,20 +277,30 @@ def cmd_detect(args: argparse.Namespace) -> int:
             # Stage checkpoints ride on the runner even in serial mode.
             return _detect_parallel(args, workers, tracer)
         with tracer.trace("pipeline.batch", command="detect"):
-            with tracer.span("stage.ingest", mode="csv") as span:
-                store = _load_store(args.input)
-                if store is None:
-                    return 2
-                span.set(records=len(store))
-            bbox = _bbox_from_args(args, store)
-            engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
-            detection = engine.detect_spots(store)
+            batch = _ingest(args, tracer)
+            if batch is None:
+                return 2
+            engine = _engine_for_bbox(
+                _bbox_from_args(args, batch), args.coverage, tracer=tracer
+            )
+            detection = engine.detect_spots(batch)
             with tracer.span("stage.publish", mode="stdout") as span:
                 _print_detection(detection, args.top)
+                _report_malformed(batch, engine)
                 span.set(spots=len(detection.spots))
         return 0
     finally:
         _close_tracer(trace_writer)
+
+
+def _ingest(args: argparse.Namespace, tracer) -> Optional[RecordBatch]:
+    """The traced CSV ingest of ``detect``/``analyze`` (None when the
+    input is missing)."""
+    with tracer.span("stage.ingest", mode="csv") as span:
+        batch = _load_batch(args.input)
+        if batch is not None:
+            span.set(records=len(batch), malformed=batch.skipped_lines)
+    return batch
 
 
 def _print_detection(detection, top: int) -> None:
@@ -336,23 +362,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     try:
         with tracer.trace("pipeline.batch", command="analyze"):
-            with tracer.span("stage.ingest", mode="csv") as span:
-                store = _load_store(args.input)
-                if store is None:
-                    return 2
-                span.set(records=len(store))
-            bbox = _bbox_from_args(args, store)
+            batch = _ingest(args, tracer)
+            if batch is None:
+                return 2
             engine = _wrap_workers(
-                _engine_for_bbox(bbox, args.coverage, tracer=tracer), args
+                _engine_for_bbox(
+                    _bbox_from_args(args, batch), args.coverage,
+                    tracer=tracer,
+                ),
+                args,
             )
-            detection = engine.detect_spots(store)
-            analyses = engine.disambiguate(store, detection)
+            detection = engine.detect_spots(batch)
+            analyses = engine.disambiguate(batch, detection)
             with tracer.span("stage.publish", mode="stdout") as span:
                 print(
                     format_proportions(
                         citywide_proportions(analyses.values())
                     )
                 )
+                _report_malformed(batch, engine)
                 span.set(spots=len(analyses))
     finally:
         _close_tracer(trace_writer)
@@ -362,7 +390,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if analysis is None:
             print(f"unknown spot id {args.spot!r}", file=sys.stderr)
             return 1
-        lo, _ = store.time_span
+        lo, _ = batch.time_span
         grid = TimeSlotGrid.for_day(lo - (lo % 86400.0))
         print()
         print(format_transition_report(analysis, grid))
@@ -378,14 +406,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     from repro.export.geojson import dump_geojson, labels_to_geojson, spots_to_geojson
     from repro.export.html_report import write_html_report
 
-    store = _load_store(args.input)
-    if store is None:
+    batch = _load_batch(args.input)
+    if batch is None:
         return 2
-    bbox = _bbox_from_args(args, store)
-    engine = _engine_for_bbox(bbox, args.coverage)
-    detection = engine.detect_spots(store)
-    analyses = engine.disambiguate(store, detection)
-    lo, _ = store.time_span
+    engine = _engine_for_bbox(_bbox_from_args(args, batch), args.coverage)
+    detection = engine.detect_spots(batch)
+    analyses = engine.disambiguate(batch, detection)
+    lo, _ = batch.time_span
     grid = TimeSlotGrid.for_day(lo - (lo % 86400.0))
 
     out_dir = Path(args.outdir)
@@ -404,6 +431,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         "features.csv", "report.html",
     ):
         print(f"  {name}")
+    _report_malformed(batch, engine)
     return 0
 
 
@@ -490,12 +518,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if tracer is None:
         return 2
     if args.input is not None:
-        store = _load_store(args.input)
-        if store is None:
+        batch = _load_batch(args.input)
+        if batch is None:
             _close_tracer(trace_writer)
             return 2
-        bbox = _bbox_from_args(args, store)
+        _report_malformed(batch)
+        bbox = _bbox_from_args(args, batch)
         engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
+        store = MdtLogStore.from_batch(batch)
         grid = None
         source = args.input
     else:
@@ -920,9 +950,11 @@ def _conformance_inputs(args: argparse.Namespace):
             workers=args.workers,
         )
         return cases, None, None
-    store = _load_store(args.input)
-    if store is None:
+    batch = _load_batch(args.input)
+    if batch is None:
         return None
+    _report_malformed(batch, file=sys.stderr)
+    store = MdtLogStore.from_batch(batch)
     bootstrap = None
     if args.bootstrap is not None:
         from repro.conformance.canonical import DayBootstrap
@@ -1099,16 +1131,17 @@ def cmd_conformance_report(args: argparse.Namespace) -> int:
     return 1 if any(r.get("divergent") for r in reports) else 0
 
 
-def _bbox_from_args(args: argparse.Namespace, store: MdtLogStore) -> BBox:
+def _bbox_from_args(args: argparse.Namespace, batch: RecordBatch) -> BBox:
+    """``--bbox``, else the records' extent from column min/max plus a
+    0.01-degree margin."""
     if args.bbox:
         west, south, east, north = (float(x) for x in args.bbox.split(","))
         return BBox(west, south, east, north)
-    try:
-        return BBox.from_points(
-            (r.lon, r.lat) for r in store.iter_records()
-        ).expanded(0.01)
-    except ValueError:
+    if len(batch) == 0:
         return DEFAULT_CITY_BBOX
+    return BBox(
+        min(batch.lon), min(batch.lat), max(batch.lon), max(batch.lat)
+    ).expanded(0.01)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,7 @@ from repro.states.states import STATES_BY_CODE, STATE_CODES, parse_state
 from repro.trace.record import (
     MdtRecord,
     format_timestamp,
-    parse_timestamp,
+    parse_timestamp_cached,
 )
 
 #: Column typecodes, in field order (ts, lon, lat, speed, state, taxi).
@@ -78,6 +78,7 @@ class RecordBatch:
         "taxi_table",
         "_taxi_index",
         "skipped_lines",
+        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -202,6 +203,17 @@ class RecordBatch:
             + self.taxi.itemsize * len(self.taxi)
         )
 
+    @property
+    def time_span(self) -> Tuple[float, float]:
+        """``(min_ts, max_ts)`` over all rows.
+
+        Raises:
+            ValueError: when the batch is empty.
+        """
+        if not self.ts:
+            raise ValueError("batch is empty")
+        return min(self.ts), max(self.ts)
+
     def taxi_id_at(self, i: int) -> str:
         """The taxi id of row ``i``."""
         return self.taxi_table[self.taxi[i]]
@@ -217,11 +229,14 @@ class RecordBatch:
             state=STATES_BY_CODE[self.state[i]],
         )
 
-    def iter_rows(self) -> Iterator[MdtRecord]:
-        """Yield rows one at a time (the streaming object boundary)."""
+    def iter_rows(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[MdtRecord]:
+        """Yield rows ``[start, stop)`` one at a time (the object
+        boundary: streaming replay, pickup-event segments)."""
         table = self.taxi_table
         states = STATES_BY_CODE
-        for i in range(len(self.ts)):
+        for i in range(start, len(self.ts) if stop is None else stop):
             yield MdtRecord(
                 ts=self.ts[i],
                 taxi_id=table[self.taxi[i]],
@@ -343,9 +358,11 @@ class RecordBatch:
         — arity, empty taxi id, non-numeric or non-finite values, bad
         timestamps (including finite-parse/non-finite-POSIX ones) and
         unknown states are all malformed — so the malformed-line
-        accounting is identical to the row path's.  Repeated timestamp
-        and state texts hit small memo caches, which is most of the
-        ingest speedup: ``strptime`` runs once per distinct text.
+        accounting is identical to the row path's.  Timestamps go
+        through :func:`~repro.trace.record.parse_timestamp_cached`, so
+        ``strptime`` runs about once per distinct date, and state texts
+        hit a small memo cache.  This is the one CSV parser:
+        :meth:`MdtLogStore.from_csv` builds its store from this batch.
 
         Args:
             path: the CSV file.
@@ -392,10 +409,10 @@ class RecordBatch:
             if header.strip() != MdtRecord.CSV_HEADER:
                 raise ValueError(f"unexpected CSV header: {header!r}")
             batch = cls()
-            ts_cache: Dict[str, float] = {}
+            midnights: Dict[str, float] = {}
             state_cache: Dict[str, int] = {}
             for fields in _parse_csv_lines(
-                fh, on_error, ts_cache, state_cache
+                fh, on_error, midnights, state_cache
             ):
                 if fields is None:
                     batch.skipped_lines += 1
@@ -430,17 +447,17 @@ class RecordBatch:
 def _parse_csv_lines(
     lines: Iterable[str],
     on_error: str,
-    ts_cache: Optional[Dict[str, float]] = None,
+    midnights: Optional[Dict[str, float]] = None,
     state_cache: Optional[Dict[str, int]] = None,
 ) -> Iterator[Optional[Tuple[float, str, float, float, float, int]]]:
     """Parse CSV lines into ``append_fields`` tuples, None per skip.
 
     The generator shape lets :meth:`RecordBatch.iter_csv` cut batches at
-    row boundaries while sharing one parser (and its memo caches) with
+    row boundaries while sharing one parser (and its caches) with
     :meth:`RecordBatch.from_csv`.
     """
-    if ts_cache is None:
-        ts_cache = {}
+    if midnights is None:
+        midnights = {}
     if state_cache is None:
         state_cache = {}
     for line in lines:
@@ -460,10 +477,7 @@ def _parse_csv_lines(
                 raise ValueError(f"non-finite coordinate or speed: {line!r}")
             if not taxi_id:
                 raise ValueError(f"empty taxi id: {line!r}")
-            ts = ts_cache.get(ts_text)
-            if ts is None:
-                ts = parse_timestamp(ts_text)
-                ts_cache[ts_text] = ts
+            ts = parse_timestamp_cached(ts_text, midnights)
             code = state_cache.get(state)
             if code is None:
                 code = STATE_CODES[parse_state(state)]

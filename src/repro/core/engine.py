@@ -11,7 +11,9 @@ Ties the pieces together the way the deployed system does (section 7.1):
 
 The engine is substrate-agnostic: it consumes any
 :class:`~repro.trace.log_store.MdtLogStore`, whether simulated or loaded
-from CSV.
+from CSV, or a :class:`~repro.columnar.RecordBatch` parsed straight
+from CSV.  Either way both tiers run on cleaned batch columns, and a
+tier 2 over the very input tier 1 ran on reuses tier 1's cleaned rows.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from repro.core.spots import (
     pickup_centroids,
 )
 from repro.core.thresholds import (
+    DEFAULT_STREET_JOB_RATIO,
     QcdThresholds,
     ThresholdPolicy,
     derive_thresholds,
     derive_thresholds_from_features,
-    zone_street_job_ratio,
+    zone_street_job_ratios,
 )
 from repro.core.types import QueueSpot, SlotFeatures, SlotLabel, TimeSlotGrid
 from repro.core.wte import WaitEvent, extract_wait_times
@@ -44,11 +47,7 @@ from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
 from repro.trace.cleaning import CleaningReport, clean_batch, clean_store
 from repro.trace.log_store import MdtLogStore
-
-
-#: Fallback street-job ratio when a spot's zone has no trajectories to
-#: estimate one from (the paper's citywide figure, section 6.2.1).
-DEFAULT_STREET_JOB_RATIO = 0.84
+from repro.trace.trajectory import SubTrajectory
 
 
 @dataclass
@@ -133,6 +132,24 @@ def analyze_spot(
 
 
 @dataclass
+class Tier2Setup:
+    """What every spot's tier-2 analysis shares (see
+    :meth:`QueueAnalyticEngine.tier2_setup`)."""
+
+    buckets: Dict[str, List[SubTrajectory]]
+    """W(r): each spot's pickup events, keyed by spot id."""
+
+    grid: TimeSlotGrid
+
+    zone_ratios: Dict[str, float]
+    """Street-job ratio per zone (the tau_ratio inputs)."""
+
+    def street_job_ratio(self, spot: QueueSpot) -> float:
+        """The tau_ratio input of one spot's zone."""
+        return self.zone_ratios.get(spot.zone, DEFAULT_STREET_JOB_RATIO)
+
+
+@dataclass
 class EngineConfig:
     """Engine-wide configuration."""
 
@@ -145,7 +162,8 @@ class EngineConfig:
     amplification."""
 
     clean_inputs: bool = True
-    """Run the section-6.1.1 preprocessing before each tier."""
+    """Run the section-6.1.1 preprocessing before each tier (tier 2
+    reuses tier 1's cleaned rows when it runs on the same input)."""
 
 
 class QueueAnalyticEngine:
@@ -204,42 +222,24 @@ class QueueAnalyticEngine:
 
     # -- tier 1 -----------------------------------------------------------------
 
-    def detect_spots(self, store) -> SpotDetectionResult:
-        """Run the queue spot detection tier on a (long-term) store.
+    def detect_spots(self, data) -> SpotDetectionResult:
+        """Run the queue spot detection tier on a (long-term) dataset.
 
         Accepts an :class:`MdtLogStore` or a
         :class:`~repro.columnar.RecordBatch`; either way the tier runs
         on the columnar data plane — cleaning as column masks, PEA as a
-        column cursor — with rows materialized only at the pickup-event
-        boundary.  Outputs are byte-identical to the historical
+        column cursor — with rows materialized only for the pickup
+        events.  Outputs are byte-identical to the historical
         row-at-a-time path (pinned by the conformance matrix and the
-        golden fixture).
+        golden fixture).  The result keeps the cleaned batch, so
+        :meth:`disambiguate` over the same ``data`` does not clean it
+        again.
         """
-        if isinstance(store, RecordBatch):
-            batch = store
-        else:
-            batch = RecordBatch.from_store(store)
-        if self.config.clean_inputs:
-            with self.tracer.span("stage.clean") as span:
-                cleaned, report = clean_batch(
-                    batch,
-                    city_bbox=self.city_bbox,
-                    inaccessible=self.inaccessible,
-                )
-                span.set(
-                    records=report.total_in, removed=report.total_removed
-                )
-            self.last_cleaning_report = report
-        else:
-            cleaned = batch
+        cleaned = self._clean(_as_batch(data))
         with self.tracer.span("stage.pea") as span:
-            events = extract_pickup_events_batch(
-                cleaned,
-                speed_threshold_kmh=self.config.detection.speed_threshold_kmh,
-                apply_state_filters=self.config.detection.apply_state_filters,
-            )
+            events = self._pickup_events(cleaned)
             span.set(records=len(cleaned), events=len(events))
-        return detect_from_centroids(
+        detection = detect_from_centroids(
             pickup_centroids(events),
             self.zones,
             self.projection,
@@ -247,38 +247,52 @@ class QueueAnalyticEngine:
             events=events,
             tracer=self.tracer,
         )
+        detection.keep_cleaned(data, cleaned)
+        return detection
+
+    def _clean(self, batch: RecordBatch) -> RecordBatch:
+        """Section-6.1.1 cleaning over columns, traced as ``stage.clean``
+        (the batch itself when ``clean_inputs`` is False)."""
+        if not self.config.clean_inputs:
+            return batch
+        with self.tracer.span("stage.clean") as span:
+            cleaned, report = clean_batch(
+                batch,
+                city_bbox=self.city_bbox,
+                inaccessible=self.inaccessible,
+            )
+            span.set(records=report.total_in, removed=report.total_removed)
+        self.last_cleaning_report = report
+        return cleaned
+
+    def _pickup_events(self, cleaned: RecordBatch) -> List[SubTrajectory]:
+        return extract_pickup_events_batch(
+            cleaned,
+            speed_threshold_kmh=self.config.detection.speed_threshold_kmh,
+            apply_state_filters=self.config.detection.apply_state_filters,
+        )
 
     # -- tier 2 -----------------------------------------------------------------
 
-    def disambiguate(
+    def tier2_setup(
         self,
-        store: MdtLogStore,
+        data,
         detection: SpotDetectionResult,
         grid: Optional[TimeSlotGrid] = None,
-    ) -> Dict[str, SpotAnalysis]:
-        """Run queue context disambiguation for every detected spot.
+    ) -> Tier2Setup:
+        """The inputs every spot's tier-2 analysis shares.
 
-        Args:
-            store: the short-term dataset (typically one day).
-            detection: tier-1 output (spots + pickup events).  When the
-                detection ran on a different store, events are re-extracted
-                from this one.
-            grid: time-slot grid; defaults to one day of 30-minute slots
-                aligned to the store's first midnight.
-
-        Returns:
-            ``spot_id -> SpotAnalysis``.
+        Cleans ``data`` — or reuses tier 1's cleaned rows when ``data``
+        is the object ``detection`` came from — then takes the pickup
+        events from ``detection`` (re-running PEA on the cleaned rows
+        when it carries none), builds the default grid, assigns W(r)
+        and derives the zone street-job ratios.  :meth:`disambiguate`
+        and the parallel runner's per-spot fan-out both start here.
         """
-        cleaned = self.preprocess(store)
-        events = detection.pickup_events
-        if not events:
-            from repro.core.pea import extract_all_pickup_events
-
-            events = extract_all_pickup_events(
-                cleaned,
-                speed_threshold_kmh=self.config.detection.speed_threshold_kmh,
-                apply_state_filters=self.config.detection.apply_state_filters,
-            )
+        cleaned = detection.cleaned_for(data)
+        if cleaned is None:
+            cleaned = self._clean(_as_batch(data))
+        events = detection.pickup_events or self._pickup_events(cleaned)
         if grid is None:
             lo, hi = cleaned.time_span
             day_start = lo - (lo % 86400.0)
@@ -287,58 +301,64 @@ class QueueAnalyticEngine:
                 max(hi, day_start + 86400.0),
                 self.config.slot_seconds,
             )
-
-        buckets = assign_events_to_spots(
-            events,
-            detection.spots,
-            self.projection,
-            assign_radius_m=self.config.assign_radius_m,
+        return Tier2Setup(
+            buckets=assign_events_to_spots(
+                events,
+                detection.spots,
+                self.projection,
+                assign_radius_m=self.config.assign_radius_m,
+            ),
+            grid=grid,
+            zone_ratios=zone_street_job_ratios(cleaned, self.zones),
         )
-        ratios = self._zone_ratios(cleaned)
-        amplification = self.amplification
 
+    def disambiguate(
+        self,
+        data,
+        detection: SpotDetectionResult,
+        grid: Optional[TimeSlotGrid] = None,
+    ) -> Dict[str, SpotAnalysis]:
+        """Run queue context disambiguation for every detected spot.
+
+        Args:
+            data: the short-term dataset (typically one day), as an
+                :class:`MdtLogStore` or a
+                :class:`~repro.columnar.RecordBatch`.
+            detection: tier-1 output (spots + pickup events).  When it
+                carries no events, they are re-extracted from ``data``.
+            grid: time-slot grid; defaults to one day of 30-minute slots
+                aligned to the data's first midnight.
+
+        Returns:
+            ``spot_id -> SpotAnalysis``.
+        """
+        setup = self.tier2_setup(data, detection, grid)
+        amplification = self.amplification
         analyses: Dict[str, SpotAnalysis] = {}
         with self.tracer.span(
             "stage.tier2", spots=len(detection.spots)
         ) as stage:
             for spot in detection.spots:
+                events = setup.buckets[spot.spot_id]
                 with self.tracer.span(
                     f"tier2.spot:{spot.spot_id}"
                 ) as span:
                     analyses[spot.spot_id] = analyze_spot(
                         spot,
-                        buckets[spot.spot_id],
-                        grid,
+                        events,
+                        setup.grid,
                         amplification,
                         self.config.thresholds,
                         self.config.slot_seconds,
-                        ratios.get(spot.zone, DEFAULT_STREET_JOB_RATIO),
+                        setup.street_job_ratio(spot),
                     )
-                    span.set(events=len(buckets[spot.spot_id]))
+                    span.set(events=len(events))
             stage.set(labeled=len(analyses))
         return analyses
 
-    def _zone_ratios(self, store: MdtLogStore) -> Dict[str, float]:
-        """Street-job ratio per zone (tau_ratio inputs, section 6.2.1).
 
-        A taxi is attributed to the zone where most of its records lie;
-        this keeps job segmentation whole-trajectory while still giving
-        zone-level ratios.
-        """
-        zone_stores: Dict[str, MdtLogStore] = {
-            zone.name: MdtLogStore() for zone in self.zones
-        }
-        for trajectory in store.iter_trajectories():
-            if len(trajectory) == 0:
-                continue
-            counts: Dict[str, int] = {}
-            step = max(1, len(trajectory) // 25)
-            for record in trajectory.records[::step]:
-                name = self.zones.classify_or_nearest(record.lon, record.lat)
-                counts[name] = counts.get(name, 0) + 1
-            home = max(counts, key=counts.get)
-            zone_stores[home].extend(trajectory.records)
-        return {
-            name: zone_street_job_ratio(zone_store)
-            for name, zone_store in zone_stores.items()
-        }
+def _as_batch(data) -> RecordBatch:
+    """``data`` as columns (a store is packed in its canonical order)."""
+    if isinstance(data, RecordBatch):
+        return data
+    return RecordBatch.from_store(data)

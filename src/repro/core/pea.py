@@ -164,10 +164,12 @@ def extract_pickup_events_from_columns(
     """Algorithm 1 as a cursor over one taxi's columns.
 
     The scan and the section-4.2 constraints run on the speed and
-    state-code columns alone; a :class:`Trajectory` is materialized
-    once per taxi — and only for taxis that keep at least one event —
-    so rejected candidates and event-free taxis never allocate record
-    objects.  Events and :class:`PeaStats` are identical to
+    state-code columns alone.  Record objects are materialized only for
+    the kept event spans, each event as its own one-segment
+    :class:`Trajectory` (the shape
+    :func:`repro.parallel.shards.detach_event` builds), so the rest of
+    the taxi's day never becomes rows.  Events hold the same records
+    and :class:`PeaStats` the same counts as
     :func:`extract_pickup_events` over the same rows (pinned by parity
     tests and the conformance matrix).
 
@@ -233,12 +235,10 @@ def extract_pickup_events_from_columns(
     if phi2:
         finalize(start_idx, n - 1)
 
-    events: List[SubTrajectory] = []
-    if kept:
-        # The one per-taxi object boundary: rows materialize only when
-        # the taxi actually produced events.
-        trajectory = Trajectory(taxi_id, batch.to_rows())
-        events = [trajectory.sub(s, e) for s, e in kept]
+    events = [
+        Trajectory(taxi_id, list(batch.iter_rows(s, e + 1))).sub(0, e - s)
+        for s, e in kept
+    ]
     stats = PeaStats(
         candidates=candidates,
         kept=len(events),

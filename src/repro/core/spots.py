@@ -11,6 +11,7 @@ both for locality of parameters and to cut DBSCAN's cost.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +20,7 @@ import numpy as np
 from repro.cluster.centroids import cluster_centroids
 from repro.cluster.dbscan import dbscan
 from repro.cluster.neighbors import GridNeighbors, NeighborsFactory
+from repro.columnar import RecordBatch
 from repro.core.pea import DEFAULT_SPEED_THRESHOLD_KMH, extract_all_pickup_events
 from repro.core.types import QueueSpot
 from repro.geo.point import LocalProjection
@@ -58,6 +60,36 @@ class SpotDetectionResult:
 
     per_zone_counts: Dict[str, int] = field(default_factory=dict)
     """Detected spots per zone (paper Fig. 8)."""
+
+    _cleaned: Optional[Tuple[weakref.ref, int, RecordBatch]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def keep_cleaned(self, source, cleaned: RecordBatch) -> None:
+        """Keep tier 1's cleaned rows for a tier 2 over ``source``.
+
+        ``source`` is the store or batch tier 1 ran on; it is held
+        weakly, so a detection kept around never pins its input.
+        """
+        self._cleaned = (weakref.ref(source), len(source), cleaned)
+
+    def cleaned_for(self, data) -> Optional[RecordBatch]:
+        """Tier 1's cleaned rows when ``data`` is the very object tier 1
+        ran on, at the same length; None for any other input (another
+        day must be cleaned on its own)."""
+        if self._cleaned is None:
+            return None
+        source, length, cleaned = self._cleaned
+        if data is not None and source() is data and len(data) == length:
+            return cleaned
+        return None
+
+    def __getstate__(self):
+        # A weak reference cannot be pickled, and a copy is not the
+        # object tier 1 ran on anyway.
+        state = dict(self.__dict__)
+        state["_cleaned"] = None
+        return state
 
 
 def pickup_centroids(events: Sequence[SubTrajectory]) -> np.ndarray:

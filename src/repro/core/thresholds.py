@@ -22,11 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Dict, Iterable, List
 
+from repro.columnar import RecordBatch
 from repro.core.wte import WaitEvent
+from repro.geo.zones import ZonePartition
 from repro.states.jobs import job_counts
+from repro.states.states import STATES_BY_CODE
 from repro.trace.log_store import MdtLogStore
+
+#: Street-job ratio used where a zone has no completed jobs to estimate
+#: one from (the paper's Central-zone Sunday figure, section 6.2.1).
+DEFAULT_STREET_JOB_RATIO = 0.84
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,41 @@ def zone_street_job_ratio(store: MdtLogStore) -> float:
         street, total = job_counts(trajectory.timeline())
         street_total += street
         all_total += total
-    if all_total == 0:
-        return 0.84
-    return street_total / all_total
+    return _street_ratio(street_total, all_total)
+
+
+def zone_street_job_ratios(
+    batch: RecordBatch, zones: ZonePartition
+) -> Dict[str, float]:
+    """:func:`zone_street_job_ratio` for every zone of a cleaned batch.
+
+    A taxi counts toward the zone where most of its records lie, judged
+    on about 25 evenly spaced records; this keeps job segmentation
+    whole-trajectory while still giving zone-level ratios.  Zones
+    without completed jobs get the neutral default.
+    """
+    from repro.trace.partition import partition_batch_by_taxi
+
+    counts = {zone.name: [0, 0] for zone in zones}
+    for _, sub in partition_batch_by_taxi(batch):
+        lon, lat = sub.lon, sub.lat
+        votes: Dict[str, int] = {}
+        for i in range(0, len(sub), max(1, len(sub) // 25)):
+            name = zones.classify_or_nearest(lon[i], lat[i])
+            votes[name] = votes.get(name, 0) + 1
+        street, total = job_counts(
+            list(zip(sub.ts, map(STATES_BY_CODE.__getitem__, sub.state)))
+        )
+        home = counts[max(votes, key=votes.get)]
+        home[0] += street
+        home[1] += total
+    return {
+        name: _street_ratio(street, total)
+        for name, (street, total) in counts.items()
+    }
+
+
+def _street_ratio(street: int, total: int) -> float:
+    if total == 0:
+        return DEFAULT_STREET_JOB_RATIO
+    return street / total

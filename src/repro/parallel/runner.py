@@ -47,15 +47,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import (
-    DEFAULT_STREET_JOB_RATIO,
-    QueueAnalyticEngine,
-    SpotAnalysis,
-)
+from repro.core.engine import QueueAnalyticEngine, SpotAnalysis
 from repro.core.spots import (
     SpotDetectionResult,
     assemble_spots,
-    assign_events_to_spots,
     pickup_centroids,
 )
 from repro.core.types import TimeSlotGrid
@@ -339,7 +334,9 @@ class ParallelEngineRunner:
         for task in tasks:
             task.trace = self.tracer.enabled
         results = self._run_stage("tier1", tasks, worker_mod.run_tier1_shard)
-        return self._finish_tier1(results, extra_malformed=0)
+        detection = self._finish_tier1(results, extra_malformed=0)
+        detection.keep_cleaned(store, _merge_cleaned(results))
+        return detection
 
     def detect_spots_csv(self, path, shard_dir=None) -> SpotDetectionResult:
         """Tier 1 from a log CSV with chunked ingest.
@@ -406,9 +403,10 @@ class ParallelEngineRunner:
                 self.metrics.counter("parallel.tier1.serial_shortcut").inc()
                 batch = RecordBatch.from_csv(path, on_error="skip")
                 detection = self.engine.detect_spots(batch)
+                # Both scans read the same file: count its bad lines once.
                 if self.engine.last_cleaning_report is not None:
                     self.engine.last_cleaning_report.malformed_line += (
-                        batch.skipped_lines + split.malformed_lines
+                        batch.skipped_lines
                     )
                 return detection
             tasks = [
@@ -578,41 +576,19 @@ class ParallelEngineRunner:
         if self.workers <= 1 or len(detection.spots) <= 1:
             return self.engine.disambiguate(store, detection, grid)
         cfg = self.engine.config
-        cleaned = self.engine.preprocess(store)
-        events = detection.pickup_events
-        if not events:
-            from repro.core.pea import extract_all_pickup_events
-
-            events = extract_all_pickup_events(
-                cleaned,
-                speed_threshold_kmh=cfg.detection.speed_threshold_kmh,
-                apply_state_filters=cfg.detection.apply_state_filters,
-            )
-        if grid is None:
-            lo, hi = cleaned.time_span
-            day_start = lo - (lo % 86400.0)
-            grid = TimeSlotGrid(
-                day_start, max(hi, day_start + 86400.0), cfg.slot_seconds
-            )
-        buckets = assign_events_to_spots(
-            events,
-            detection.spots,
-            self.engine.projection,
-            assign_radius_m=cfg.assign_radius_m,
-        )
-        ratios = self.engine._zone_ratios(cleaned)
+        setup = self.engine.tier2_setup(store, detection, grid)
         amplification = self.engine.amplification
         tasks = [
             SpotTask(
                 spot=spot,
-                events=[detach_event(e) for e in buckets[spot.spot_id]],
-                grid=grid,
+                events=[
+                    detach_event(e) for e in setup.buckets[spot.spot_id]
+                ],
+                grid=setup.grid,
                 amplification=amplification,
                 policy=cfg.thresholds,
                 slot_seconds=cfg.slot_seconds,
-                street_job_ratio=ratios.get(
-                    spot.zone, DEFAULT_STREET_JOB_RATIO
-                ),
+                street_job_ratio=setup.street_job_ratio(spot),
                 trace=self.tracer.enabled,
             )
             for spot in detection.spots
@@ -626,6 +602,19 @@ class ParallelEngineRunner:
             stage.set(labeled=len(results))
         self.metrics.counter("parallel.tier2.spots").inc(len(tasks))
         return {result.spot_id: result.analysis for result in results}
+
+
+def _merge_cleaned(results: List[Tier1ShardResult]) -> RecordBatch:
+    """The shards' cleaned rows in serial order: taxis by sorted id."""
+    from repro.trace.partition import partition_batch_by_taxi
+
+    parts = [
+        part
+        for result in results
+        for part in partition_batch_by_taxi(result.cleaned)
+    ]
+    parts.sort(key=lambda part: part[0])
+    return RecordBatch.concat([sub for _, sub in parts])
 
 
 class _keep_dir:

@@ -60,8 +60,12 @@ def detach_event(sub: SubTrajectory) -> SubTrajectory:
 
     A :class:`SubTrajectory` normally references its full parent
     trajectory; pickling one would ship the taxi's entire day to the
-    other process.  The detached copy owns just the segment's records.
+    other process.  The detached copy owns just the segment's records;
+    an event that already spans its whole trajectory (columnar PEA
+    builds them so) is returned as is.
     """
+    if sub.start == 0 and sub.end == len(sub.trajectory) - 1:
+        return sub
     segment = Trajectory(sub.taxi_id, list(sub))
     return segment.sub(0, len(segment) - 1)
 
@@ -136,6 +140,10 @@ class Tier1ShardResult:
     spans: List[dict] = field(default_factory=list)
     """Worker-measured span dicts (only when the task asked to trace),
     re-parented into the live trace at the result-merge boundary."""
+
+    cleaned: Optional[RecordBatch] = None
+    """The shard's cleaned rows, taxis in sorted-id order (batch shards
+    only), so a tier 2 over the same input can skip its cleaning."""
 
 
 @dataclass

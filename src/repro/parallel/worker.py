@@ -110,13 +110,18 @@ def _clean_pea_taxi_batches(
     groups: List[Tuple[str, RecordBatch]],
     task: Union[Tier1BatchShardTask, Tier1FileShardTask],
     report: CleaningReport,
-) -> Tuple[List[Tuple[str, List[SubTrajectory]]], float, float]:
+) -> Tuple[
+    List[Tuple[str, List[SubTrajectory]]], List[RecordBatch], float, float
+]:
     """Columnar :func:`_clean_pea_taxis`: mask cleaning + cursor PEA.
 
     Identical events and accounting for identical rows; record objects
-    exist only inside the detached events that ride back on the result.
+    exist only inside the events, which PEA already builds detached.
+    Returns ``(events_by_taxi, cleaned, clean_s, pea_s)``, ``cleaned``
+    holding each taxi's cleaned rows in ``groups`` order.
     """
     out: List[Tuple[str, List[SubTrajectory]]] = []
+    cleaned: List[RecordBatch] = []
     clean_s = 0.0
     pea_s = 0.0
     trace = task.trace
@@ -131,6 +136,7 @@ def _clean_pea_taxi_batches(
             )
             if trace:
                 clean_s += time.perf_counter() - t0
+        cleaned.append(sub)
         t0 = time.perf_counter() if trace else 0.0
         events, _ = extract_pickup_events_from_columns(
             taxi_id,
@@ -140,8 +146,8 @@ def _clean_pea_taxi_batches(
         )
         if trace:
             pea_s += time.perf_counter() - t0
-        out.append((taxi_id, [detach_event(event) for event in events]))
-    return out, clean_s, pea_s
+        out.append((taxi_id, events))
+    return out, cleaned, clean_s, pea_s
 
 
 def run_tier1_shard(
@@ -161,6 +167,7 @@ def run_tier1_shard(
         _maybe_inject_fault("tier1")
     report = CleaningReport()
     groups: Optional[List[Tuple[str, RecordBatch]]] = None
+    cleaned: Optional[RecordBatch] = None
     if isinstance(task, Tier1FileShardTask):
         batch = RecordBatch.from_csv(task.path, on_error="skip")
         report.malformed_line += batch.skipped_lines
@@ -173,9 +180,13 @@ def run_tier1_shard(
         taxis = task.taxis
         records_in = sum(len(records) for _, records in taxis)
     if groups is not None:
-        events_by_taxi, clean_s, pea_s = _clean_pea_taxi_batches(
+        events_by_taxi, shard_rows, clean_s, pea_s = _clean_pea_taxi_batches(
             groups, task, report
         )
+        if isinstance(task, Tier1BatchShardTask):
+            # An in-memory tier 1 precedes a tier 2 over the same rows;
+            # shipping them back saves the parent a second cleaning.
+            cleaned = RecordBatch.concat(shard_rows)
     else:
         events_by_taxi, clean_s, pea_s = _clean_pea_taxis(taxis, task, report)
     spans: List[dict] = []
@@ -203,6 +214,7 @@ def run_tier1_shard(
         records_in=records_in,
         elapsed_s=time.perf_counter() - start,
         spans=spans,
+        cleaned=cleaned,
     )
 
 

@@ -180,6 +180,10 @@ class MdtLogStore:
     def from_csv(cls, path, on_error: str = "raise") -> "MdtLogStore":
         """Load a store from a CSV file written by :meth:`to_csv`.
 
+        Parsing is :meth:`RecordBatch.from_csv
+        <repro.columnar.RecordBatch.from_csv>`, the one CSV parser; the
+        store is built from that batch.
+
         Args:
             path: the CSV file.
             on_error: ``"raise"`` (default) fails on the first malformed
@@ -191,24 +195,9 @@ class MdtLogStore:
             ValueError: on a bad header, on a malformed line in raise
                 mode, or for an unknown ``on_error`` value.
         """
-        if on_error not in ("raise", "skip"):
-            raise ValueError("on_error must be 'raise' or 'skip'")
-        store = cls()
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != MdtRecord.CSV_HEADER:
-                raise ValueError(f"unexpected CSV header: {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    store.append(MdtRecord.from_csv_row(line))
-                except ValueError:
-                    if on_error == "raise":
-                        raise
-                    store.skipped_lines += 1
-        return store
+        from repro.columnar import RecordBatch
+
+        return cls.from_batch(RecordBatch.from_csv(path, on_error=on_error))
 
     def to_jsonl(self, path) -> None:
         """Write the store as JSON Lines (one record object per line).
@@ -278,9 +267,11 @@ class MdtLogStore:
 
     @classmethod
     def from_batch(cls, batch) -> "MdtLogStore":
-        """Build a store from a :class:`~repro.columnar.RecordBatch`."""
+        """Build a store from a :class:`~repro.columnar.RecordBatch`
+        (its :attr:`skipped_lines` count carries over)."""
         store = cls()
         store.extend(batch.iter_rows())
+        store.skipped_lines = batch.skipped_lines
         return store
 
     def to_arrays(self) -> Dict[str, np.ndarray]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
-from typing import Sequence
+from typing import Dict, Sequence
 
 from repro.states.states import TaxiState, parse_state
 
@@ -39,6 +39,36 @@ def parse_timestamp(text: str) -> float:
     if not isfinite(ts):
         raise ValueError(f"non-finite POSIX timestamp from {text!r}")
     return ts
+
+
+def parse_timestamp_cached(text: str, midnights: Dict[str, float]) -> float:
+    """:func:`parse_timestamp` with a per-date cache, for bulk ingest.
+
+    A canonical ``dd/mm/yyyy HH:MM:SS`` text (ASCII digits, hour < 24,
+    minute and second < 60) whose date is already in ``midnights`` costs
+    one dict lookup and three ``int`` calls.  Every other text — a new
+    date, surrounding spaces, non-ASCII digits, a leap second — goes
+    through :func:`parse_timestamp`, so results and errors are the same.
+    A successful canonical parse caches its date's midnight: whole
+    seconds since the epoch are exact in a double, so ``midnight +
+    seconds`` is the very float ``strptime`` would give.
+
+    Args:
+        text: the timestamp field.
+        midnights: the caller's cache, ``dd/mm/yyyy`` -> POSIX midnight.
+    """
+    if len(text) == 19 and text[10:17:3] == " ::" and text.isascii():
+        hh, mm, ss = text[11:13], text[14:16], text[17:19]
+        if hh.isdigit() and mm.isdigit() and ss.isdigit():
+            seconds = int(hh) * 3600 + int(mm) * 60 + int(ss)
+            if hh < "24" and mm < "60" and ss < "60":
+                midnight = midnights.get(text[:10])
+                if midnight is not None:
+                    return midnight + seconds
+                ts = parse_timestamp(text)
+                midnights[text[:10]] = ts - seconds
+                return ts
+    return parse_timestamp(text)
 
 
 def format_timestamp(ts: float) -> str:

@@ -1,0 +1,168 @@
+"""The batch CLI's one columnar pass, checked from the outside.
+
+``detect``/``analyze``/``export``/``serve`` parse the CSV once into a
+:class:`~repro.columnar.RecordBatch`, skip and count malformed lines,
+and clean the day once.  Their output must match the engine API run on
+stores loaded from the same file, both for the golden day (taxis
+grouped, the linear partition path) and for a row-shuffled copy (taxis
+interleaved, the argsort partition path).
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.core.engine import EngineConfig, QueueAnalyticEngine
+from repro.core.reports import (
+    citywide_proportions,
+    format_proportions,
+    format_transition_report,
+)
+from repro.core.types import TimeSlotGrid
+from repro.export.csv_report import (
+    write_features_csv,
+    write_labels_csv,
+    write_spots_csv,
+)
+from repro.export.geojson import dump_geojson, labels_to_geojson, spots_to_geojson
+from repro.export.html_report import write_html_report
+from repro.geo.bbox import BBox
+from repro.geo.point import LocalProjection
+from repro.geo.zones import four_zone_partition
+from repro.obs import load_spans
+from repro.trace.log_store import MdtLogStore
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "golden_day.csv"
+
+EXPORTED = (
+    "spots.geojson", "labels.geojson", "spots.csv", "labels.csv",
+    "features.csv", "report.html",
+)
+
+SKIPPED_ONE = "(1 malformed CSV lines skipped)"
+
+
+@pytest.fixture(scope="module")
+def truncated_csv(tmp_path_factory) -> Path:
+    """The golden day with one line cut to four fields."""
+    lines = GOLDEN_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[500] = ",".join(lines[500].split(",")[:4]) + "\n"
+    path = tmp_path_factory.mktemp("ingest") / "golden_truncated.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module", params=["grouped", "shuffled"])
+def day_csv(request, tmp_path_factory) -> Path:
+    if request.param == "grouped":
+        return GOLDEN_CSV
+    header, *rows = GOLDEN_CSV.read_text(encoding="utf-8").splitlines(
+        keepends=True
+    )
+    random.Random(13).shuffle(rows)
+    path = tmp_path_factory.mktemp("ingest") / "golden_shuffled.csv"
+    path.write_text(header + "".join(rows), encoding="utf-8")
+    return path
+
+
+def _reference(path: Path):
+    """``(detection, analyses, grid)`` through the engine API, built the
+    way the CLI documents: bbox of the records plus 0.01 degrees, the
+    four-zone partition, full coverage."""
+    store = MdtLogStore.from_csv(path)
+    bbox = BBox.from_points(
+        (r.lon, r.lat) for r in store.iter_records()
+    ).expanded(0.01)
+    engine = QueueAnalyticEngine(
+        zones=four_zone_partition(bbox),
+        projection=LocalProjection(*bbox.center),
+        config=EngineConfig(observed_fraction=1.0),
+        city_bbox=bbox,
+    )
+    detection = engine.detect_spots(store)
+    # A second store object: tier 2 cleans the day itself here, where
+    # the CLI reuses tier 1's cleaned rows.
+    analyses = engine.disambiguate(MdtLogStore.from_csv(path), detection)
+    lo, _ = store.time_span
+    return detection, analyses, TimeSlotGrid.for_day(lo - (lo % 86400.0))
+
+
+class TestMalformedLine:
+    @pytest.mark.parametrize("command", ["detect", "analyze", "export"])
+    def test_batch_commands_skip_and_count(
+        self, command, truncated_csv, tmp_path, capsys
+    ):
+        argv = [command, str(truncated_csv)]
+        if command == "export":
+            argv += ["--outdir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert SKIPPED_ONE in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_serve_skips_and_counts(self, truncated_csv, capsys):
+        argv = [
+            "serve", str(truncated_csv), "--port", "0", "--speedup", "0",
+            "--max-seconds", "60",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert SKIPPED_ONE in out
+        assert "serving" in out
+
+    def test_clean_file_prints_no_count(self, capsys):
+        assert main(["detect", str(GOLDEN_CSV)]) == 0
+        assert "malformed" not in capsys.readouterr().out
+
+
+class TestCliMatchesEngineApi:
+    def test_analyze_spot_report(self, day_csv, capsys):
+        detection, analyses, grid = _reference(day_csv)
+        spot_id = detection.spots[0].spot_id
+        assert main(["analyze", str(day_csv), "--spot", spot_id]) == 0
+        expected = (
+            format_proportions(citywide_proportions(analyses.values()))
+            + "\n\n"
+            + format_transition_report(analyses[spot_id], grid)
+            + "\n"
+        )
+        assert capsys.readouterr().out == expected
+
+    def test_export_files(self, day_csv, tmp_path, capsys):
+        detection, analyses, grid = _reference(day_csv)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        dump_geojson(
+            spots_to_geojson(detection.spots), expected / "spots.geojson"
+        )
+        dump_geojson(
+            labels_to_geojson(analyses.values(), grid),
+            expected / "labels.geojson",
+        )
+        write_spots_csv(detection.spots, expected / "spots.csv")
+        write_labels_csv(analyses.values(), grid, expected / "labels.csv")
+        write_features_csv(
+            analyses.values(), grid, expected / "features.csv"
+        )
+        write_html_report(analyses.values(), grid, expected / "report.html")
+        out = tmp_path / "cli"
+        assert main(["export", str(day_csv), "--outdir", str(out)]) == 0
+        for name in EXPORTED:
+            assert (out / name).read_bytes() == (
+                expected / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_traced_analyze_cleans_once(
+        self, workers, day_csv, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["analyze", str(day_csv), "--trace-out", str(trace)]
+        assert main(argv + ["--workers", workers]) == 0
+        names = [span["name"] for span in load_spans(trace)]
+        assert names.count("stage.clean") == 1
+        assert names.count("stage.ingest") == 1

@@ -15,13 +15,15 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import gc
 import math
 import pickle
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import RecordBatch
@@ -42,7 +44,11 @@ from repro.trace.cleaning import (
 )
 from repro.trace.log_store import MdtLogStore
 from repro.trace.partition import partition_batch_by_taxi
-from repro.trace.record import MdtRecord, parse_timestamp
+from repro.trace.record import (
+    MdtRecord,
+    parse_timestamp,
+    parse_timestamp_cached,
+)
 
 from tests._golden import golden_engine, pipeline_snapshot
 
@@ -319,6 +325,67 @@ class TestConformancePin:
         }
 
 
+class TestTier2ReusesTier1Cleaning:
+    """Tier 2 reuses tier 1's cleaned rows only for the very same input
+    object at the same length; any other day is cleaned again."""
+
+    @staticmethod
+    def _run(golden_store, tier1_data, tier2_data):
+        from repro.obs.export import InMemorySink
+        from repro.obs.tracer import Tracer
+
+        sink = InMemorySink()
+        engine = golden_engine(golden_store)
+        engine.tracer = Tracer(sink)
+        with engine.tracer.trace("pipeline.batch"):
+            detection = engine.detect_spots(tier1_data)
+            analyses = engine.disambiguate(tier2_data(), detection)
+        cleans = [s for s in sink.spans if s["name"] == "stage.clean"]
+        labels = {
+            spot_id: [label.label.value for label in analysis.labels]
+            for spot_id, analysis in analyses.items()
+        }
+        return len(cleans), labels
+
+    def test_same_object_cleans_once(self, golden_store):
+        batch = RecordBatch.from_csv(GOLDEN_CSV)
+        cleans, labels = self._run(golden_store, batch, lambda: batch)
+        assert cleans == 1
+        other_cleans, other_labels = self._run(
+            golden_store, batch, lambda: RecordBatch.from_csv(GOLDEN_CSV)
+        )
+        assert other_cleans == 2
+        assert other_labels == labels
+        store_cleans, store_labels = self._run(
+            golden_store, golden_store, lambda: golden_store
+        )
+        assert store_cleans == 1
+        assert store_labels == labels
+
+    def test_grown_input_is_cleaned_again(self, golden_store):
+        batch = RecordBatch.from_csv(GOLDEN_CSV)
+
+        def grown():
+            batch.append_row(batch.row(len(batch) - 1))
+            return batch
+
+        cleans, _ = self._run(golden_store, batch, grown)
+        assert cleans == 2
+
+    def test_reuse_handle_is_weak_and_not_pickled(self, golden_store):
+        batch = RecordBatch.from_csv(GOLDEN_CSV)
+        detection = golden_engine(golden_store).detect_spots(batch)
+        assert detection.cleaned_for(batch) is not None
+        copy = pickle.loads(pickle.dumps(detection))
+        assert copy.cleaned_for(batch) is None
+        assert copy.spots == detection.spots
+        # The detection does not keep its input alive.
+        ref = weakref.ref(batch)
+        del batch
+        gc.collect()
+        assert ref() is None
+
+
 class TestCsvIngest:
     MALFORMED = [
         "01/08/2008 19:04:51,SH0001A,103.8,1.3",  # truncated
@@ -403,3 +470,85 @@ class TestParseTimestamp:
 
     def test_accepts_normal_timestamp(self):
         assert parse_timestamp("01/01/1970 00:00:00") == 0.0
+
+
+def _ts_outcome(parse, text):
+    """The parsed float, or the string "ValueError"."""
+    try:
+        return parse(text)
+    except ValueError:
+        return "ValueError"
+
+
+#: Mostly ASCII digits, plus non-ASCII ones: Arabic-Indic and fullwidth
+#: digits (``strptime``'s ``\d`` takes them in some fields) and '²' (a
+#: digit to ``str.isdigit`` but not to ``int``).
+_ts_digit = st.one_of(
+    st.sampled_from("0123456789"),
+    st.sampled_from("٠٣٩０９²"),
+)
+
+
+def _ts_digits(n):
+    return st.lists(_ts_digit, min_size=n, max_size=n).map("".join)
+
+
+_canonical_shaped = st.builds(
+    "{}{}/{}/{} {}:{}:{}{}".format,
+    st.sampled_from(["", "", " "]),
+    _ts_digits(2),
+    _ts_digits(2),
+    _ts_digits(4),
+    _ts_digits(2),
+    _ts_digits(2),
+    _ts_digits(2),
+    st.sampled_from(["", "", " "]),
+)
+
+
+#: Canonical texts from near-valid numbers, so most reach the cache.
+_near_valid = st.builds(
+    "{:02d}/{:02d}/{:04d} {:02d}:{:02d}:{:02d}".format,
+    st.integers(0, 32),
+    st.integers(0, 13),
+    st.integers(0, 9999),
+    st.integers(0, 25),
+    st.integers(0, 61),
+    st.integers(0, 61),
+)
+
+
+class TestTimestampFastPath:
+    """``parse_timestamp_cached`` must be ``parse_timestamp`` exactly:
+    the same float or a ValueError from both, cold or warm cache."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_near_valid, _canonical_shaped, st.text(max_size=24)))
+    @example("01/08/2008 24:00:00")
+    @example("01/08/2008 23:59:60")
+    @example("01/08/2008 23:59:61")
+    @example("29/02/2007 12:00:00")
+    @example("29/02/2008 12:00:00")
+    @example("00/00/0000 00:00:00")
+    @example("٠١/٠٨/٢٠٠٨ ١٩:٠٤:٥١")
+    @example("01/08/2008 19:04:5٩")
+    @example(" 01/08/2008 19:04:51 ")
+    @example(" 1/08/2008 19:04:51")
+    def test_matches_parse_timestamp(self, text):
+        expected = _ts_outcome(parse_timestamp, text)
+        cold: dict = {}
+        assert _ts_outcome(
+            lambda t: parse_timestamp_cached(t, cold), text
+        ) == expected
+        # Hit path: the same cache again, and a cache warmed by another
+        # time on the same date.
+        assert _ts_outcome(
+            lambda t: parse_timestamp_cached(t, cold), text
+        ) == expected
+        warm: dict = {}
+        _ts_outcome(
+            lambda t: parse_timestamp_cached(t, warm), text[:10] + " 00:00:00"
+        )
+        assert _ts_outcome(
+            lambda t: parse_timestamp_cached(t, warm), text
+        ) == expected

@@ -31,10 +31,37 @@ class TestCliDemo:
         assert "Queue spot QS001" in out
 
 
+def _row_zone_ratios(store, zones):
+    """Row-path reference for ``zone_street_job_ratios``: each taxi's
+    whole trajectory goes to its majority zone's store, then
+    ``zone_street_job_ratio`` runs per zone store."""
+    from repro.core.thresholds import zone_street_job_ratio
+    from repro.trace.log_store import MdtLogStore
+
+    zone_stores = {zone.name: MdtLogStore() for zone in zones}
+    for trajectory in store.iter_trajectories():
+        counts = {}
+        step = max(1, len(trajectory) // 25)
+        for record in trajectory.records[::step]:
+            name = zones.classify_or_nearest(record.lon, record.lat)
+            counts[name] = counts.get(name, 0) + 1
+        zone_stores[max(counts, key=counts.get)].extend(trajectory.records)
+    return {
+        name: zone_street_job_ratio(zone_store)
+        for name, zone_store in zone_stores.items()
+    }
+
+
 class TestEngineZoneRatios:
     def test_ratios_per_zone(self, small_engine, small_day):
+        from repro.columnar import RecordBatch
+        from repro.core.thresholds import zone_street_job_ratios
+
         cleaned = small_engine.preprocess(small_day.store)
-        ratios = small_engine._zone_ratios(cleaned)
+        ratios = zone_street_job_ratios(
+            RecordBatch.from_store(cleaned), small_engine.zones
+        )
+        assert ratios == _row_zone_ratios(cleaned, small_engine.zones)
         assert set(ratios) == {"Central", "North", "West", "East"}
         for value in ratios.values():
             assert 0.0 <= value <= 1.0

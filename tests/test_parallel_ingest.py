@@ -277,3 +277,26 @@ class TestCorruptedCsvEndToEnd:
         assert runner.last_cleaning_report.malformed_line == 4
         # One pickup event per taxi survived the garbage.
         assert len(detection.pickup_events) == 4
+
+    def test_single_zone_shortcut_counts_garbage_once(self, tmp_path):
+        # Every taxi sits in one zone, so the split has one occupied
+        # zone and the runner re-parses the file on its serial shortcut.
+        lines = [
+            row(
+                time=f"01/08/2008 08:{i // 60:02d}:{i % 60:02d}",
+                taxi=f"T{i % 5}",
+                speed=0.0 if i % 3 else 30.0,
+                state="FREE" if i % 2 else "POB",
+            )
+            for i in range(249)
+        ]
+        lines.insert(120, "01/08/2008 08:00:00,T000")  # truncated
+        path = tmp_path / "one_zone.csv"
+        write_csv(path, lines)
+        runner = ParallelEngineRunner(make_engine(), workers=2)
+        runner.detect_spots_csv(path)
+        assert (
+            runner.metrics.counter("parallel.tier1.serial_shortcut").value
+            == 1
+        )
+        assert runner.last_cleaning_report.malformed_line == 1

@@ -316,10 +316,22 @@ class TestShardPlanning:
         with pytest.raises(ValueError):
             stable_shard("x", 0)
 
-    def test_detach_event_is_self_contained(self, small_detection):
-        event = small_detection.pickup_events[0]
+    def test_detach_event_is_self_contained(
+        self, small_day, small_detection
+    ):
+        from repro.core.pea import extract_pickup_events
+
+        # Row-path PEA events reference their taxi's whole day.
+        event = next(
+            sub
+            for trajectory in small_day.store.iter_trajectories()
+            for sub in extract_pickup_events(trajectory)
+        )
         detached = detach_event(event)
         assert list(detached) == list(event)
         assert detached.taxi_id == event.taxi_id
         # The detached copy pickles without dragging the parent day.
         assert len(pickle.dumps(detached)) < len(pickle.dumps(event))
+        # Engine (columnar) events already own their segment.
+        engine_event = small_detection.pickup_events[0]
+        assert detach_event(engine_event) is engine_event
