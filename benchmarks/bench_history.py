@@ -33,6 +33,7 @@ from repro.history import (
     SegmentStore,
     compact_store,
 )
+from repro.service.metrics import nearest_rank
 from repro.stream.monitor import SlotResult
 
 N_SPOTS = 30
@@ -89,13 +90,6 @@ def make_batches(spots, rng):
     return batches
 
 
-def quantile(samples, q):
-    """Nearest-rank quantile of a non-empty sample list."""
-    ordered = sorted(samples)
-    rank = max(1, int(round(q * len(ordered))))
-    return ordered[rank - 1]
-
-
 def test_history_append_and_query_latency(tmp_path):
     rng = random.Random(1215)
     spots = make_spots()
@@ -137,10 +131,11 @@ def test_history_append_and_query_latency(tmp_path):
     )
 
     def row(name, samples):
+        ordered = sorted(samples)
         return (
-            f"{name:<22} {quantile(samples, 0.5) * 1e3:>9.2f} "
-            f"{quantile(samples, 0.95) * 1e3:>9.2f} "
-            f"{max(samples) * 1e3:>9.2f}"
+            f"{name:<22} {nearest_rank(ordered, 0.5) * 1e3:>9.2f} "
+            f"{nearest_rank(ordered, 0.95) * 1e3:>9.2f} "
+            f"{ordered[-1] * 1e3:>9.2f}"
         )
 
     lines = [

@@ -203,46 +203,6 @@ def _close_tracer(writer) -> None:
     )
 
 
-def _wrap_workers(engine: QueueAnalyticEngine, args: argparse.Namespace):
-    """Wrap the engine in a ParallelEngineRunner when --workers asks for
-    one; with the default (serial) the engine is returned untouched."""
-    workers = getattr(args, "workers", 1) or 1
-    if workers <= 1:
-        return engine
-    from repro.parallel import ParallelEngineRunner
-
-    return ParallelEngineRunner(
-        engine, workers=workers, checkpointer=_stage_checkpointer(args)
-    )
-
-
-def _stage_checkpointer(args: argparse.Namespace):
-    """A CheckpointManager for parallel stage checkpoints, when the
-    subcommand was given --checkpoint-dir."""
-    directory = getattr(args, "checkpoint_dir", None)
-    if directory is None:
-        return None
-    from repro.resilience import CheckpointManager
-
-    return CheckpointManager(directory)
-
-
-def _print_parallel_stats(engine) -> None:
-    """One line per parallel stage (no-op for a plain serial engine)."""
-    stats = getattr(engine, "last_stats", None)
-    if not stats:
-        return
-    for stage, entry in stats.items():
-        mode = "pool" if entry["pool"] else "inline"
-        line = (
-            f"  [parallel] {stage}: {entry['shards']} shards in "
-            f"{entry['seconds']:.2f}s ({mode})"
-        )
-        if entry["failed"]:
-            line += f", {entry['failed']} degraded to serial"
-        print(line)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     output = simulate_day(config)
@@ -272,10 +232,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if tracer is None:
         return 2
     try:
-        workers = args.workers or 1
-        if workers > 1 or args.checkpoint_dir is not None:
-            # Stage checkpoints ride on the runner even in serial mode.
-            return _detect_parallel(args, workers, tracer)
         with tracer.trace("pipeline.batch", command="detect"):
             batch = _ingest(args, tracer)
             if batch is None:
@@ -313,49 +269,6 @@ def _print_detection(detection, top: int) -> None:
         )
 
 
-def _detect_parallel(
-    args: argparse.Namespace, workers: int, tracer=None
-) -> int:
-    """Tier 1 with chunked CSV ingest: the full day never sits in one
-    process; workers stream their own zone shard from disk."""
-    from repro.obs.tracer import NULL_TRACER
-    from repro.parallel import ParallelEngineRunner, scan_csv
-
-    if tracer is None:
-        tracer = NULL_TRACER
-    path = Path(args.input)
-    if not path.is_file():
-        print(
-            f"error: input CSV not found: {path}\n"
-            "hint: generate one with 'taxiqueue simulate --output "
-            f"{path}'",
-            file=sys.stderr,
-        )
-        return 2
-    scan = scan_csv(path)
-    if args.bbox:
-        west, south, east, north = (float(x) for x in args.bbox.split(","))
-        bbox = BBox(west, south, east, north)
-    elif scan.bbox is not None:
-        bbox = scan.bbox.expanded(0.01)
-    else:
-        bbox = DEFAULT_CITY_BBOX
-    engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
-    runner = ParallelEngineRunner(
-        engine, workers=workers, checkpointer=_stage_checkpointer(args)
-    )
-    with tracer.trace("pipeline.batch", command="detect", workers=workers):
-        detection = runner.detect_spots_csv(path)
-        with tracer.span("stage.publish", mode="stdout") as span:
-            _print_detection(detection, args.top)
-            span.set(spots=len(detection.spots))
-    report = runner.last_cleaning_report
-    if report is not None and report.malformed_line:
-        print(f"  ({report.malformed_line} malformed CSV lines skipped)")
-    _print_parallel_stats(runner)
-    return 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     tracer, trace_writer = _build_tracer(args)
     if tracer is None:
@@ -365,12 +278,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             batch = _ingest(args, tracer)
             if batch is None:
                 return 2
-            engine = _wrap_workers(
-                _engine_for_bbox(
-                    _bbox_from_args(args, batch), args.coverage,
-                    tracer=tracer,
-                ),
-                args,
+            engine = _engine_for_bbox(
+                _bbox_from_args(args, batch), args.coverage, tracer=tracer
             )
             detection = engine.detect_spots(batch)
             analyses = engine.disambiguate(batch, detection)
@@ -384,7 +293,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 span.set(spots=len(analyses))
     finally:
         _close_tracer(trace_writer)
-    _print_parallel_stats(engine)
     if args.spot:
         analysis = analyses.get(args.spot)
         if analysis is None:
@@ -408,6 +316,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     batch = _load_batch(args.input)
     if batch is None:
+        return 2
+    if len(batch) == 0:
+        print(f"error: {args.input}: no records to export", file=sys.stderr)
         return 2
     engine = _engine_for_bbox(_bbox_from_args(args, batch), args.coverage)
     detection = engine.detect_spots(batch)
@@ -508,7 +419,7 @@ def _validate_serve_args(args: argparse.Namespace) -> Optional[str]:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import QueueService, ServiceConfig
+    from repro.service import EmptyDayError, QueueService, ServiceConfig
 
     problem = _validate_serve_args(args)
     if problem is not None:
@@ -562,13 +473,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         history_day_of_week=args.history_day,
         history_compact_interval_s=args.history_compact_interval,
     )
-    engine = _wrap_workers(engine, args)
     print(f"bootstrapping spots and thresholds from {source} ...")
-    service = QueueService.from_day(
-        store, engine, service_config, grid,
-        metrics=getattr(engine, "metrics", None),
-    )
-    _print_parallel_stats(engine)
+    try:
+        service = QueueService.from_day(store, engine, service_config, grid)
+    except EmptyDayError as exc:
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        _close_tracer(trace_writer)
+        return 2
     if service.resumed_from is not None:
         print(
             f"restored checkpoint from {args.checkpoint_dir}; resuming "
@@ -922,9 +833,6 @@ def _conformance_inputs(args: argparse.Namespace):
     after printing a usage error (exit 2 at the caller)."""
     from repro.conformance.matrix import csv_case, default_matrix
 
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return None
     if not 0.0 < args.kill_frac < 1.0:
         print("error: --kill-frac must be in (0, 1)", file=sys.stderr)
         return None
@@ -947,13 +855,15 @@ def _conformance_inputs(args: argparse.Namespace):
                 if args.seed_base is not None
                 else DEFAULT_SEED_BASE
             ),
-            workers=args.workers,
         )
         return cases, None, None
     batch = _load_batch(args.input)
     if batch is None:
         return None
     _report_malformed(batch, file=sys.stderr)
+    if len(batch) == 0:
+        print(f"error: {args.input}: no records to check", file=sys.stderr)
+        return None
     store = MdtLogStore.from_batch(batch)
     bootstrap = None
     if args.bootstrap is not None:
@@ -971,7 +881,6 @@ def _conformance_inputs(args: argparse.Namespace):
         Path(args.input).stem,
         min_pts=args.min_pts,
         coverage=args.coverage,
-        workers=args.workers if args.workers is not None else 2,
         disorder_window_s=args.disorder_window,
         kill_frac=args.kill_frac,
         checkpoint_every=args.checkpoint_every,
@@ -1160,11 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", default="mdt_logs.csv", help="CSV output path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    workers_help = (
-        "worker processes for the zone-sharded parallel pipeline "
-        "(default 1: serial, unchanged behaviour; see docs/parallel.md)"
-    )
-
     p_det = sub.add_parser("detect", help="detect queue spots from a log CSV")
     p_det.add_argument("input", help="MDT log CSV")
     p_det.add_argument("--coverage", type=float, default=1.0,
@@ -1173,12 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="city bbox 'west,south,east,north'")
     p_det.add_argument("--top", type=int, default=20,
                        help="how many spots to print")
-    p_det.add_argument("--workers", type=int, default=1, help=workers_help)
-    p_det.add_argument(
-        "--checkpoint-dir", default=None,
-        help="directory for pipeline stage checkpoints; a rerun over the "
-        "same input reuses completed stages (see docs/resilience.md)",
-    )
     _add_trace_args(p_det)
     p_det.set_defaults(func=cmd_detect)
 
@@ -1188,7 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--bbox", default=None)
     p_ana.add_argument("--spot", default=None,
                        help="print the transition report of one spot id")
-    p_ana.add_argument("--workers", type=int, default=1, help=workers_help)
     _add_trace_args(p_ana)
     p_ana.set_defaults(func=cmd_analyze)
 
@@ -1231,7 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-seconds", type=float, default=None,
         help="stop after this many seconds (default: serve until Ctrl-C)",
     )
-    p_srv.add_argument("--workers", type=int, default=1, help=workers_help)
     p_srv.add_argument(
         "--checkpoint-dir", default=None,
         help="directory for periodic service checkpoints; on restart the "
@@ -1378,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conf = sub.add_parser(
         "conformance",
-        help="differential verification of the four execution paths "
+        help="differential verification of the three execution paths "
         "(see docs/conformance.md)",
     )
     conf_sub = p_conf.add_subparsers(
@@ -1412,10 +1308,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--coverage", type=float, default=1.0,
             help="observed fleet fraction of --input days "
             "(default %(default)s)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="sharded-path worker count (default: varies per case)",
         )
         p.add_argument(
             "--disorder-window", type=float, default=120.0, metavar="S",
@@ -1457,7 +1349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr = conf_sub.add_parser(
         "run",
         help="run the seeded matrix (or one --input day) through all "
-        "four execution paths; exit 1 on any divergence",
+        "three execution paths; exit 1 on any divergence",
     )
     _add_conformance_case_args(p_cr, with_seeds=True)
     p_cr.add_argument(

@@ -12,8 +12,7 @@ columns instead of per-record objects:
 That is ~33 bytes per record plus the id table, against a few hundred
 bytes for a frozen ``MdtRecord`` dataclass, and — because the columns
 are contiguous buffers — a batch pickles as six raw buffers rather than
-O(records) Python objects, which is what makes the ``--workers N``
-shard handoff cheap (see :meth:`RecordBatch.__reduce__`).
+O(records) Python objects.
 
 Rows are materialized back into :class:`~repro.trace.record.MdtRecord`
 objects only at true object boundaries (pickup-event sub-trajectories,
@@ -42,27 +41,6 @@ from repro.trace.record import (
 _FLOAT_TYPECODE = "d"
 _STATE_TYPECODE = "b"
 _TAXI_TYPECODE = "i"
-
-
-def _rebuild_batch(
-    taxi_table: Tuple[str, ...],
-    ts: bytes,
-    lon: bytes,
-    lat: bytes,
-    speed: bytes,
-    state: bytes,
-    taxi: bytes,
-) -> "RecordBatch":
-    """Reconstruct a pickled batch from its raw column buffers."""
-    batch = RecordBatch()
-    batch.taxi_table = list(taxi_table)
-    batch.ts.frombytes(ts)
-    batch.lon.frombytes(lon)
-    batch.lat.frombytes(lat)
-    batch.speed.frombytes(speed)
-    batch.state.frombytes(state)
-    batch.taxi.frombytes(taxi)
-    return batch
 
 
 class RecordBatch:
@@ -326,28 +304,6 @@ class RecordBatch:
         """A new batch in stable timestamp order."""
         return self.take(self.argsort_ts())
 
-    # -- zero-copy pickling -------------------------------------------------
-
-    def __reduce__(self):
-        """Pickle as six raw column buffers plus the interned id table.
-
-        This is the zero-copy shard handoff: a worker-bound task ships
-        ``O(columns)`` contiguous ``bytes`` objects instead of
-        ``O(records)`` pickled dataclasses.
-        """
-        return (
-            _rebuild_batch,
-            (
-                tuple(self.taxi_table),
-                self.ts.tobytes(),
-                self.lon.tobytes(),
-                self.lat.tobytes(),
-                self.speed.tobytes(),
-                self.state.tobytes(),
-                self.taxi.tobytes(),
-            ),
-        )
-
     # -- CSV ingest ---------------------------------------------------------
 
     @classmethod
@@ -389,41 +345,6 @@ class RecordBatch:
                     batch.append_fields(*fields)
         return batch
 
-    @classmethod
-    def iter_csv(
-        cls, path, batch_rows: int = 65536, on_error: str = "skip"
-    ) -> Iterator["RecordBatch"]:
-        """Stream a log CSV as bounded batches of ``batch_rows`` rows.
-
-        Memory stays O(batch_rows); each yielded batch carries its own
-        :attr:`skipped_lines` count.  Used by the chunked ingest layer
-        (:func:`repro.parallel.ingest.iter_csv_batches`).
-        """
-        if batch_rows < 1:
-            raise ValueError("batch_rows must be >= 1")
-        if on_error not in ("raise", "skip"):
-            raise ValueError("on_error must be 'raise' or 'skip'")
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != MdtRecord.CSV_HEADER:
-                raise ValueError(f"unexpected CSV header: {header!r}")
-            batch = cls()
-            midnights: Dict[str, float] = {}
-            state_cache: Dict[str, int] = {}
-            for fields in _parse_csv_lines(
-                fh, on_error, midnights, state_cache
-            ):
-                if fields is None:
-                    batch.skipped_lines += 1
-                else:
-                    batch.append_fields(*fields)
-                if len(batch) >= batch_rows:
-                    yield batch
-                    batch = cls()
-            if len(batch) > 0 or batch.skipped_lines > 0:
-                yield batch
-
     def to_csv(self, path) -> None:
         """Write the batch as a log CSV in the paper's field order."""
         path = Path(path)
@@ -445,21 +366,11 @@ class RecordBatch:
 
 
 def _parse_csv_lines(
-    lines: Iterable[str],
-    on_error: str,
-    midnights: Optional[Dict[str, float]] = None,
-    state_cache: Optional[Dict[str, int]] = None,
+    lines: Iterable[str], on_error: str
 ) -> Iterator[Optional[Tuple[float, str, float, float, float, int]]]:
-    """Parse CSV lines into ``append_fields`` tuples, None per skip.
-
-    The generator shape lets :meth:`RecordBatch.iter_csv` cut batches at
-    row boundaries while sharing one parser (and its caches) with
-    :meth:`RecordBatch.from_csv`.
-    """
-    if midnights is None:
-        midnights = {}
-    if state_cache is None:
-        state_cache = {}
+    """Parse CSV lines into ``append_fields`` tuples, None per skip."""
+    midnights: Dict[str, float] = {}
+    state_cache: Dict[str, int] = {}
     for line in lines:
         if not line.strip():
             continue

@@ -1,14 +1,13 @@
 """Cross-engine differential conformance harness.
 
-The pipeline (PEA -> per-zone DBSCAN -> WTE -> QCD) has four execution
-paths — serial, ``--workers N`` sharded, streaming replay and
+The pipeline (PEA -> per-zone DBSCAN -> WTE -> QCD) has three execution
+paths — the serial batch engine, streaming replay and
 checkpoint-restored streaming — whose equivalence was previously pinned
 only by scattered per-feature tests.  This package checks it
 systematically:
 
 * :mod:`repro.conformance.matrix` — a seeded case matrix over the city
-  simulator (fleet sizes, zones, disorder windows, worker counts, kill
-  points);
+  simulator (fleet sizes, zones, disorder windows, kill points);
 * :mod:`repro.conformance.paths` — drives each day through every
   execution path and reduces the outputs to canonical JSON;
 * :mod:`repro.conformance.oracles` — brute-force reference

@@ -1,12 +1,10 @@
 """Canonical, comparable forms of every execution path's output.
 
-Two exact-equality classes exist (see ``docs/conformance.md``):
-
-* the **batch class** — serial and ``--workers N`` sharded runs are
-  bit-for-bit identical, reduced by :func:`batch_snapshot`;
-* the **streaming class** — ordered replay, kill/restart replay and
-  buffered disordered replay converge to the same serving state,
-  reduced by :func:`streaming_state`.
+The **streaming class** — ordered replay, kill/restart replay and
+buffered disordered replay — converges to one serving state, reduced by
+:func:`streaming_state` and compared for exact equality (see
+``docs/conformance.md``).  The batch class is the serial engine alone,
+checked against the brute-force oracles instead.
 
 Batch and streaming outputs are *not* cross-compared: the streaming
 monitor finalizes each slot with a one-slot grid and a grace period, so
@@ -48,40 +46,6 @@ def canonical_json(obj) -> str:
     text means bit-for-bit equal values.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def batch_snapshot(
-    detection: SpotDetectionResult, analyses: Dict[str, SpotAnalysis]
-) -> Dict:
-    """Reduce one batch (tier 1 + tier 2) run to a JSON-able snapshot.
-
-    Same shape as the golden-regression fixture, so equality here means
-    exactly what ``tests/test_golden_regression.py`` pins.
-    """
-    return {
-        "noise_count": detection.noise_count,
-        "per_zone_counts": dict(detection.per_zone_counts),
-        "spots": [asdict(spot) for spot in detection.spots],
-        "thresholds": {
-            spot_id: (
-                None
-                if analysis.thresholds is None
-                else asdict(analysis.thresholds)
-            )
-            for spot_id, analysis in analyses.items()
-        },
-        "labels": {
-            spot_id: [
-                {
-                    "slot": label.slot,
-                    "label": label.label.value,
-                    "routine": label.routine,
-                }
-                for label in analysis.labels
-            ]
-            for spot_id, analysis in analyses.items()
-        },
-    }
 
 
 def streaming_state(snapshot: SnapshotStore) -> Dict:

@@ -2,16 +2,16 @@
 
 One :class:`ConformanceCase` fully determines a scenario day (simulator
 seed and city shape) *and* the execution-path parameters it is driven
-through (worker count, disorder window, kill point, checkpoint
-cadence).  :func:`default_matrix` varies all of them deterministically
-with the seed index so ``--seeds 5`` exercises five genuinely different
+through (disorder window, kill point, checkpoint cadence).
+:func:`default_matrix` varies all of them deterministically with the
+seed index so ``--seeds 5`` exercises five genuinely different
 configurations, reproducible record for record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim import SimulationConfig, simulate_day
 from repro.trace.log_store import MdtLogStore
@@ -32,7 +32,6 @@ class ConformanceCase:
     day_of_week: int = 0
     coverage: float = 0.6
     min_pts: int = 20
-    workers: int = 2
     disorder_window_s: float = 120.0
     """0 disables the disorder comparison for this case."""
 
@@ -63,7 +62,6 @@ class ConformanceCase:
 def default_matrix(
     seeds: int = 5,
     seed_base: int = DEFAULT_SEED_BASE,
-    workers: Optional[int] = None,
 ) -> List[ConformanceCase]:
     """``seeds`` cases with deterministically varied shape.
 
@@ -90,7 +88,6 @@ def default_matrix(
             n_spots=spot_counts[i % len(spot_counts)],
             n_decoys=4 + i % 3,
             day_of_week=i % 7,
-            workers=workers if workers is not None else 2 + i % 2,
             disorder_window_s=windows[i % len(windows)],
             kill_frac=kill_fracs[i % len(kill_fracs)],
             checkpoint_every=cadences[i % len(cadences)],
@@ -104,7 +101,6 @@ def csv_case(
     *,
     min_pts: int = 20,
     coverage: float = 1.0,
-    workers: int = 2,
     disorder_window_s: float = 120.0,
     kill_frac: float = 0.5,
     checkpoint_every: int = 500,
@@ -116,7 +112,6 @@ def csv_case(
         name=name,
         min_pts=min_pts,
         coverage=coverage,
-        workers=workers,
         disorder_window_s=disorder_window_s,
         kill_frac=kill_frac,
         checkpoint_every=checkpoint_every,

@@ -1,9 +1,10 @@
 """Drive one day through every execution path.
 
-Each function here runs one path end to end and reduces the output to
-the canonical forms of :mod:`repro.conformance.canonical`:
+Each function here runs one path end to end; the streaming paths
+reduce their output to the canonical form of
+:mod:`repro.conformance.canonical`:
 
-* :func:`run_serial` / :func:`run_parallel` — the batch class;
+* :func:`run_serial` — the batch class (raw outputs, for the oracles);
 * :func:`run_streaming` — ordered replay, optionally through a
   :class:`~repro.resilience.reorder.ReorderBuffer` and/or against a
   disordered copy of the stream;
@@ -22,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.conformance.canonical import (
-    DayBootstrap,
-    batch_snapshot,
-    streaming_state,
-)
+from repro.conformance.canonical import DayBootstrap, streaming_state
 from repro.core.engine import QueueAnalyticEngine, SpotAnalysis
 from repro.core.spots import SpotDetectionResult
 from repro.core.types import TimeSlotGrid
@@ -55,11 +52,10 @@ def canonical_records(store_or_records) -> List[MdtRecord]:
 
 @dataclass
 class BatchRun:
-    """One batch-class run, raw outputs plus the canonical snapshot."""
+    """One batch-class run's raw outputs."""
 
     detection: SpotDetectionResult
     analyses: Dict[str, SpotAnalysis]
-    snapshot: Dict
 
 
 def run_serial(
@@ -70,23 +66,7 @@ def run_serial(
     """Both tiers on the in-process serial engine."""
     detection = engine.detect_spots(store)
     analyses = engine.disambiguate(store, detection, grid)
-    return BatchRun(detection, analyses, batch_snapshot(detection, analyses))
-
-
-def run_parallel(
-    engine: QueueAnalyticEngine,
-    store: MdtLogStore,
-    grid: TimeSlotGrid,
-    workers: int,
-    tracer=None,
-) -> BatchRun:
-    """Both tiers through the zone-sharded multiprocessing runner."""
-    from repro.parallel.runner import ParallelEngineRunner
-
-    runner = ParallelEngineRunner(engine, workers=workers, tracer=tracer)
-    detection = runner.detect_spots(store)
-    analyses = runner.disambiguate(store, detection, grid)
-    return BatchRun(detection, analyses, batch_snapshot(detection, analyses))
+    return BatchRun(detection, analyses)
 
 
 # -- streaming class --------------------------------------------------------

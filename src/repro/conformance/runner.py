@@ -2,8 +2,8 @@
 
 For each case day, :func:`run_case`
 
-1. runs the batch class (serial and sharded) and compares canonical
-   snapshots, plus the brute-force DBSCAN and direct WTE/QCD oracles;
+1. runs the batch class (the serial engine) and checks it against the
+   brute-force DBSCAN and direct WTE/QCD oracles;
 2. freezes the serial run's tier-1 context into a
    :class:`~repro.conformance.canonical.DayBootstrap` and runs the
    streaming class: plain replay, kill/restart replay (state *and*
@@ -48,7 +48,6 @@ from repro.conformance.matrix import ConformanceCase
 from repro.conformance.paths import (
     canonical_records,
     run_kill_restart,
-    run_parallel,
     run_serial,
     run_streaming,
 )
@@ -63,7 +62,6 @@ from repro.trace.record import MdtRecord
 
 #: Every check the harness knows, in execution order.
 ALL_CHECKS = (
-    "batch-parallel",
     "oracle-spots",
     "oracle-batch",
     "stream-restart",
@@ -297,7 +295,7 @@ def _execute_checks(
     report.records = len(records)
     if not records:
         report.checks.append(
-            CheckOutcome("batch-parallel", False, ["day is empty after cleaning"])
+            CheckOutcome("oracle-spots", False, ["day is empty after cleaning"])
         )
         return
     if bootstrap is not None:
@@ -309,19 +307,6 @@ def _execute_checks(
     with _span(tracer, "conformance.serial"):
         serial = run_serial(engine, cleaned, grid)
     report.spots = len(serial.detection.spots)
-
-    if "batch-parallel" in enabled:
-        with _span(tracer, "conformance.parallel", workers=case.workers):
-            parallel = run_parallel(
-                engine, cleaned, grid, case.workers, tracer=tracer
-            )
-        report.checks.append(
-            CheckOutcome(
-                "batch-parallel",
-                parallel.snapshot == serial.snapshot,
-                diff_values(serial.snapshot, parallel.snapshot),
-            )
-        )
 
     if "oracle-spots" in enabled:
         oracle_input = (
@@ -442,14 +427,9 @@ def divergence_predicate(
         sub = MdtLogStore(subset)
         records = canonical_records(subset)
         try:
-            if check in ("batch-parallel", "oracle-spots", "oracle-batch"):
+            if check in ("oracle-spots", "oracle-batch"):
                 engine = boot.build_engine()
                 serial = run_serial(engine, sub, boot.grid)
-                if check == "batch-parallel":
-                    parallel = run_parallel(
-                        engine, sub, boot.grid, case.workers
-                    )
-                    return parallel.snapshot != serial.snapshot
                 if check == "oracle-spots":
                     return bool(
                         oracles.check_bruteforce_spots(
@@ -597,7 +577,7 @@ def _write_artifacts(
         return case_dir
     MdtLogStore(minimal).to_csv(case_dir / "minimal_day.csv")
     boot.save(case_dir / "bootstrap.json")
-    check = report.shrink["check"] if report.shrink else "batch-parallel"
+    check = report.shrink["check"] if report.shrink else "oracle-spots"
     # Self-locating: the script keeps working when the artifact
     # directory is downloaded from CI and unpacked anywhere.
     command = (
@@ -605,7 +585,6 @@ def _write_artifacts(
         ' --input "$DIR"/minimal_day.csv'
         ' --bootstrap "$DIR"/bootstrap.json'
         f" --checks {check}"
-        f" --workers {case.workers}"
         f" --disorder-window {case.disorder_window_s}"
         f" --kill-frac {case.kill_frac}"
         f" --checkpoint-every {case.checkpoint_every}"

@@ -80,9 +80,7 @@ def analyze_spot(
 ) -> SpotAnalysis:
     """Tier-2 analysis of one spot: WTE -> features -> thresholds -> QCD.
 
-    The per-spot unit of work, shared by the serial engine loop and the
-    multiprocessing layer (``repro.parallel``) so both produce identical
-    labels for identical inputs.
+    The per-spot unit of work of :meth:`QueueAnalyticEngine.disambiguate`.
 
     Args:
         spot: the detected queue spot.
@@ -129,24 +127,6 @@ def analyze_spot(
         labels=labels,
         thresholds=thresholds,
     )
-
-
-@dataclass
-class Tier2Setup:
-    """What every spot's tier-2 analysis shares (see
-    :meth:`QueueAnalyticEngine.tier2_setup`)."""
-
-    buckets: Dict[str, List[SubTrajectory]]
-    """W(r): each spot's pickup events, keyed by spot id."""
-
-    grid: TimeSlotGrid
-
-    zone_ratios: Dict[str, float]
-    """Street-job ratio per zone (the tau_ratio inputs)."""
-
-    def street_job_ratio(self, spot: QueueSpot) -> float:
-        """The tau_ratio input of one spot's zone."""
-        return self.zone_ratios.get(spot.zone, DEFAULT_STREET_JOB_RATIO)
 
 
 @dataclass
@@ -274,44 +254,6 @@ class QueueAnalyticEngine:
 
     # -- tier 2 -----------------------------------------------------------------
 
-    def tier2_setup(
-        self,
-        data,
-        detection: SpotDetectionResult,
-        grid: Optional[TimeSlotGrid] = None,
-    ) -> Tier2Setup:
-        """The inputs every spot's tier-2 analysis shares.
-
-        Cleans ``data`` — or reuses tier 1's cleaned rows when ``data``
-        is the object ``detection`` came from — then takes the pickup
-        events from ``detection`` (re-running PEA on the cleaned rows
-        when it carries none), builds the default grid, assigns W(r)
-        and derives the zone street-job ratios.  :meth:`disambiguate`
-        and the parallel runner's per-spot fan-out both start here.
-        """
-        cleaned = detection.cleaned_for(data)
-        if cleaned is None:
-            cleaned = self._clean(_as_batch(data))
-        events = detection.pickup_events or self._pickup_events(cleaned)
-        if grid is None:
-            lo, hi = cleaned.time_span
-            day_start = lo - (lo % 86400.0)
-            grid = TimeSlotGrid(
-                day_start,
-                max(hi, day_start + 86400.0),
-                self.config.slot_seconds,
-            )
-        return Tier2Setup(
-            buckets=assign_events_to_spots(
-                events,
-                detection.spots,
-                self.projection,
-                assign_radius_m=self.config.assign_radius_m,
-            ),
-            grid=grid,
-            zone_ratios=zone_street_job_ratios(cleaned, self.zones),
-        )
-
     def disambiguate(
         self,
         data,
@@ -326,33 +268,56 @@ class QueueAnalyticEngine:
                 :class:`~repro.columnar.RecordBatch`.
             detection: tier-1 output (spots + pickup events).  When it
                 carries no events, they are re-extracted from ``data``.
+                When it came from ``data`` itself, tier 1's cleaned rows
+                are reused instead of cleaning ``data`` again.
             grid: time-slot grid; defaults to one day of 30-minute slots
                 aligned to the data's first midnight.
 
         Returns:
-            ``spot_id -> SpotAnalysis``.
+            ``spot_id -> SpotAnalysis``; empty, with no grid derived,
+            when tier 1 found no spots.
         """
-        setup = self.tier2_setup(data, detection, grid)
+        if not detection.spots:
+            return {}
+        cleaned = detection.cleaned_for(data)
+        if cleaned is None:
+            cleaned = self._clean(_as_batch(data))
+        events = detection.pickup_events or self._pickup_events(cleaned)
+        if grid is None:
+            lo, hi = cleaned.time_span
+            day_start = lo - (lo % 86400.0)
+            grid = TimeSlotGrid(
+                day_start,
+                max(hi, day_start + 86400.0),
+                self.config.slot_seconds,
+            )
+        buckets = assign_events_to_spots(
+            events,
+            detection.spots,
+            self.projection,
+            assign_radius_m=self.config.assign_radius_m,
+        )
+        zone_ratios = zone_street_job_ratios(cleaned, self.zones)
         amplification = self.amplification
         analyses: Dict[str, SpotAnalysis] = {}
         with self.tracer.span(
             "stage.tier2", spots=len(detection.spots)
         ) as stage:
             for spot in detection.spots:
-                events = setup.buckets[spot.spot_id]
+                spot_events = buckets[spot.spot_id]
                 with self.tracer.span(
                     f"tier2.spot:{spot.spot_id}"
                 ) as span:
                     analyses[spot.spot_id] = analyze_spot(
                         spot,
-                        events,
-                        setup.grid,
+                        spot_events,
+                        grid,
                         amplification,
                         self.config.thresholds,
                         self.config.slot_seconds,
-                        setup.street_job_ratio(spot),
+                        zone_ratios.get(spot.zone, DEFAULT_STREET_JOB_RATIO),
                     )
-                    span.set(events=len(events))
+                    span.set(events=len(spot_events))
             stage.set(labeled=len(analyses))
         return analyses
 

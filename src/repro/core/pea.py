@@ -166,12 +166,10 @@ def extract_pickup_events_from_columns(
     The scan and the section-4.2 constraints run on the speed and
     state-code columns alone.  Record objects are materialized only for
     the kept event spans, each event as its own one-segment
-    :class:`Trajectory` (the shape
-    :func:`repro.parallel.shards.detach_event` builds), so the rest of
-    the taxi's day never becomes rows.  Events hold the same records
-    and :class:`PeaStats` the same counts as
-    :func:`extract_pickup_events` over the same rows (pinned by parity
-    tests and the conformance matrix).
+    :class:`Trajectory`, so the rest of the taxi's day never becomes
+    rows.  Events hold the same records and :class:`PeaStats` the same
+    counts as :func:`extract_pickup_events` over the same rows (pinned
+    by parity tests and the conformance matrix).
 
     Args:
         taxi_id: the taxi the rows belong to.

@@ -149,11 +149,8 @@ def cluster_zone(
     params: SpotDetectionParams = SpotDetectionParams(),
     neighbors_factory: NeighborsFactory = GridNeighbors,
 ) -> Tuple[List[Tuple[float, float, int, float]], int]:
-    """DBSCAN one zone's pickup centroids.
-
-    The per-zone unit of work, shared by the serial pipeline and the
-    multiprocessing layer (``repro.parallel``) so both produce identical
-    clusters for identical inputs.
+    """DBSCAN one zone's pickup centroids (the per-zone unit of work of
+    :func:`detect_from_centroids`).
 
     Args:
         zone_lonlat: ``(n, 2)`` lon/lat of the zone's pickup centroids.
@@ -181,8 +178,7 @@ def assemble_spots(
     """Order raw ``(zone, lon, lat, size, radius)`` clusters into spots.
 
     Spots are sorted by descending pickup count (stable, so zone order
-    breaks ties) and assigned ids ``QS001, QS002, ...`` — the
-    deterministic merge both the serial and the parallel pipeline use.
+    breaks ties) and assigned ids ``QS001, QS002, ...``.
     """
     ordered = sorted(raw_spots, key=lambda item: -item[3])
     return [

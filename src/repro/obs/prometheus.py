@@ -57,7 +57,6 @@ HELP_TEXTS: Dict[str, str] = {
     "snapshot.slot_results": "Individual slot results absorbed.",
     "watchdog.staleness_seconds": "Seconds since the snapshot advanced.",
     "watchdog.stale": "1 while staleness exceeds the threshold.",
-    "parallel.workers": "Configured worker process count.",
 }
 
 

@@ -8,19 +8,9 @@ spend its time between ingest and snapshot publish?*
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Nearest-rank percentile over an ascending list (non-empty).
-
-    Classic definition: the value at rank ``ceil(q * N)`` (1-based).
-    The epsilon guards float noise like ``0.95 * 20 == 19.0000...04``
-    from bumping the rank up a slot.
-    """
-    rank = math.ceil(q * len(ordered) - 1e-9)
-    return ordered[min(len(ordered) - 1, max(0, rank - 1))]
+from repro.service.metrics import nearest_rank
 
 
 def summarize_spans(spans: Sequence[dict]) -> Dict[str, dict]:
@@ -49,8 +39,8 @@ def summarize_spans(spans: Sequence[dict]) -> Dict[str, dict]:
         stages[name] = {
             "count": len(group),
             "total_s": total,
-            "p50_s": _percentile(durations, 0.50),
-            "p95_s": _percentile(durations, 0.95),
+            "p50_s": nearest_rank(durations, 0.50),
+            "p95_s": nearest_rank(durations, 0.95),
             "max_s": durations[-1],
             "records": records if counted else None,
             "records_per_s": (

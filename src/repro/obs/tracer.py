@@ -26,17 +26,16 @@ buffer per trace and are handed to the sink only when the root span
 closes — trace-level sampling therefore keeps *complete* trees, never
 orphaned fragments.
 
-Worker processes do not share the tracer: they measure their own spans
-into plain dicts that travel back over the existing result-merge
-channel (see :mod:`repro.parallel.worker`) and are re-parented into
-the live trace with :meth:`Tracer.attach`.
+Stages timed outside the tracer (the streaming replayer aggregates its
+per-window stage times itself) are recorded as plain :func:`worker_span`
+dicts and emitted as one finished trace with :meth:`Tracer.emit_window`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 
 def worker_span(
@@ -44,23 +43,15 @@ def worker_span(
     start_ts: float,
     duration_s: float,
     attrs: Optional[Dict[str, Any]] = None,
-    children: Optional[List[dict]] = None,
 ) -> dict:
-    """A process-local span measured outside the tracer.
-
-    Workers build these (plain picklable dicts) and ship them back in
-    their result dataclasses; the parent re-parents them into the
-    active trace with :meth:`Tracer.attach`.
-    """
-    span = {
+    """A span measured outside the tracer, as a plain dict; a child
+    for :meth:`Tracer.emit_window`."""
+    return {
         "name": name,
         "start_ts": start_ts,
         "duration_s": duration_s,
         "attrs": dict(attrs or {}),
     }
-    if children:
-        span["children"] = children
-    return span
 
 
 class Span:
@@ -169,11 +160,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
-
-    def attach(
-        self, spans: Sequence[dict], parent: Optional[object] = None
-    ) -> None:
-        pass
 
     def emit_window(
         self, name: str, start_ts: float, duration_s: float,
@@ -301,48 +287,6 @@ class Tracer:
         if buffer:
             self.sink.write_trace(buffer)
 
-    # -- externally measured spans -----------------------------------------------
-
-    def attach(self, spans: Sequence[dict], parent=None) -> None:
-        """Re-parent worker-measured span dicts into the live trace.
-
-        Args:
-            spans: :func:`worker_span` dicts (possibly with nested
-                ``children``) measured in another process.
-            parent: the open :class:`Span` to hang them under; defaults
-                to the innermost open span of this thread.
-        """
-        state = self._state()
-        if state["trace_id"] is None or not state["sampled"]:
-            return
-        if parent is None:
-            if not state["stack"]:
-                return
-            parent = state["stack"][-1]
-        self._attach_under(
-            spans, state, state["trace_id"], parent.span_id
-        )
-
-    def _attach_under(
-        self, spans: Sequence[dict], state: dict, trace_id: str, parent_id: str
-    ) -> None:
-        for raw in spans:
-            span_id = self._next_span_id()
-            state["buffer"].append(
-                {
-                    "trace_id": trace_id,
-                    "span_id": span_id,
-                    "parent_id": parent_id,
-                    "name": raw["name"],
-                    "start_ts": raw["start_ts"],
-                    "duration_s": raw["duration_s"],
-                    "attrs": dict(raw.get("attrs", {})),
-                }
-            )
-            children = raw.get("children")
-            if children:
-                self._attach_under(children, state, trace_id, span_id)
-
     def emit_window(
         self,
         name: str,
@@ -373,8 +317,18 @@ class Tracer:
                 "attrs": dict(attrs or {}),
             }
         ]
-        state = {"buffer": buffer}
-        self._attach_under(children, state, trace_id, root_id)
+        for child in children:
+            buffer.append(
+                {
+                    "trace_id": trace_id,
+                    "span_id": self._next_span_id(),
+                    "parent_id": root_id,
+                    "name": child["name"],
+                    "start_ts": child["start_ts"],
+                    "duration_s": child["duration_s"],
+                    "attrs": dict(child.get("attrs", {})),
+                }
+            )
         self.sink.write_trace(buffer)
 
 

@@ -20,8 +20,7 @@ makes that state durable:
   to an uninterrupted one.
 
 The payload is a pickled dict — checkpoints are an internal durability
-format written and read by the same trusted process, exactly like the
-shard files of :mod:`repro.parallel`.
+format written and read by the same trusted process.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.service.admission import (
     AdmissionDecision,
     TokenBucket,
 )
-from repro.service.app import QueueService, ServiceConfig
+from repro.service.app import EmptyDayError, QueueService, ServiceConfig
 from repro.service.http import QueueStateServer, Response, ResponseCache
 from repro.service.metrics import (
     Counter,
@@ -45,6 +45,7 @@ __all__ = [
     "AdmissionDecision",
     "TokenBucket",
     "Counter",
+    "EmptyDayError",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -93,6 +93,10 @@ class ServiceConfig:
     history_compact_interval_s: float = 300.0
 
 
+class EmptyDayError(ValueError):
+    """The day has no records left to replay after cleaning."""
+
+
 class QueueService:
     """The assembled live service: snapshot store + replay + HTTP."""
 
@@ -137,27 +141,24 @@ class QueueService:
 
         Args:
             store: the day's MDT logs (simulated or loaded from CSV).
-            engine: a configured batch engine — or any engine-shaped
-                runner such as
-                :class:`~repro.parallel.runner.ParallelEngineRunner`;
-                runs tiers 1 and 2 once to obtain the spot set and
-                per-spot thresholds.
+            engine: a configured batch engine; runs tiers 1 and 2 once
+                to obtain the spot set and per-spot thresholds.
             config: serving knobs.
             grid: slot grid; defaults to the engine's daily default.
-            metrics: registry to record into; pass a runner's registry
-                so bootstrap parallelism stats surface at
-                ``/v1/metrics`` (one is created when omitted).
+            metrics: registry to record into (one is created when
+                omitted).
             tracer: optional :class:`repro.obs.Tracer`; the bootstrap
                 runs under one ``pipeline.bootstrap`` trace and the
                 replayer emits per-window ``stream.window`` traces.
                 Defaults to the engine's tracer.
+
+        Raises:
+            EmptyDayError: when cleaning leaves no record to replay.
         """
         config = config or ServiceConfig()
         metrics = metrics if metrics is not None else MetricsRegistry()
         if tracer is None:
-            from repro.obs.tracer import NULL_TRACER
-
-            tracer = getattr(engine, "tracer", None) or NULL_TRACER
+            tracer = engine.tracer
         else:
             # Share one tracer so the engine's stage spans nest under
             # the bootstrap root opened here.
@@ -169,6 +170,8 @@ class QueueService:
             with tracer.span("stage.ingest", mode="store") as span:
                 span.set(records=len(store))
             cleaned = engine.preprocess(store)
+            if len(cleaned) == 0:
+                raise EmptyDayError("no records left to replay after cleaning")
             detection = engine.detect_spots(cleaned)
             analyses = engine.disambiguate(cleaned, detection, grid)
             thresholds: Dict[str, QcdThresholds] = {

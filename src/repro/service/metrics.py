@@ -18,6 +18,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from bisect import bisect_left
@@ -36,11 +37,14 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
     """The ``q``-quantile of an ascending-sorted non-empty sequence by
-    the nearest-rank method (no interpolation).
+    the nearest-rank method (no interpolation): the value at rank
+    ``ceil(q * N)`` (1-based).
 
-    Shared by :class:`Histogram` and the load harness's latency
-    recorder (:mod:`repro.load.recorder`) so both report identical
-    percentile semantics.
+    The one percentile of the code base: :class:`Histogram`, the load
+    harness's latency recorder (:mod:`repro.load.recorder`) and
+    ``trace summarize`` (:mod:`repro.obs.summary`) all report through
+    it.  The epsilon guards float noise like ``0.95 * 20 ==
+    19.0000...04`` from bumping the rank up a slot.
 
     Raises:
         ValueError: for an empty sequence or a quantile outside [0, 1].
@@ -49,8 +53,8 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
         raise ValueError("nearest_rank needs at least one observation")
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[rank]
+    rank = math.ceil(q * len(ordered) - 1e-9)
+    return ordered[min(len(ordered) - 1, max(0, rank - 1))]
 
 
 class Counter:

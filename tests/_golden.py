@@ -53,15 +53,15 @@ def golden_engine(store: MdtLogStore) -> QueueAnalyticEngine:
     )
 
 
-def pipeline_snapshot(engine_like, store: MdtLogStore) -> Dict:
+def pipeline_snapshot(engine, store: MdtLogStore) -> Dict:
     """Run both tiers and reduce the output to a JSON-able snapshot.
 
     Floats are emitted verbatim (Python's shortest-roundtrip repr), so
     JSON round-trips are exact and equality means bit-for-bit identical
     spots and labels.
     """
-    detection = engine_like.detect_spots(store)
-    analyses = engine_like.disambiguate(store, detection)
+    detection = engine.detect_spots(store)
+    analyses = engine.disambiguate(store, detection)
     return {
         "noise_count": detection.noise_count,
         "per_zone_counts": dict(detection.per_zone_counts),

@@ -38,6 +38,19 @@ class TestParser:
         assert args.input == "logs.csv"
         assert args.speedup == 0.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "logs.csv", "--workers", "2"],
+            ["detect", "logs.csv", "--checkpoint-dir", "ckpt"],
+        ],
+    )
+    def test_removed_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         import repro
 
@@ -148,63 +161,6 @@ class TestEndToEnd:
         assert code == 0
 
 
-class TestWorkersFlag:
-    """The --workers flag: parsing, output parity and clean errors."""
-
-    @pytest.fixture(scope="class")
-    def log_csv(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli_par") / "logs.csv"
-        code = main(
-            [
-                "simulate",
-                "--seed", "11",
-                "--fleet", "100",
-                "--spots", "6",
-                "--output", str(path),
-            ]
-        )
-        assert code == 0
-        return path
-
-    def test_workers_defaults_to_serial(self):
-        for command in ("detect", "analyze", "serve"):
-            args = build_parser().parse_args([command, "logs.csv"])
-            assert args.workers == 1
-
-    def test_detect_parallel_output_matches_serial(self, log_csv, capsys):
-        assert main(["detect", str(log_csv), "--coverage", "0.6"]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(["detect", str(log_csv), "--coverage", "0.6",
-                  "--workers", "2"])
-            == 0
-        )
-        parallel_out = capsys.readouterr().out
-        spot_lines = [
-            line
-            for line in parallel_out.splitlines()
-            if "[parallel]" not in line and "malformed" not in line
-        ]
-        assert spot_lines == serial_out.splitlines()
-        assert "[parallel] tier1:" in parallel_out
-
-    def test_analyze_accepts_workers(self, log_csv, capsys):
-        code = main(
-            ["analyze", str(log_csv), "--coverage", "0.6", "--workers", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Queue Type" in out
-        assert "[parallel]" in out
-
-    def test_detect_parallel_missing_csv_is_clean_error(self, capsys):
-        code = main(["detect", "nope.csv", "--workers", "2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "input CSV not found" in err
-        assert "Traceback" not in err
-
-
 class TestResilienceFlags:
     """--checkpoint-dir / --disorder-window / --stale-after wiring."""
 
@@ -229,44 +185,3 @@ class TestResilienceFlags:
         assert args.checkpoint_every == 100
         assert args.disorder_window == 120.0
         assert args.stale_after == 10.0
-
-    def test_detect_checkpoint_dir_parses(self):
-        args = build_parser().parse_args(
-            ["detect", "logs.csv", "--checkpoint-dir", "/tmp/ckpt"]
-        )
-        assert args.checkpoint_dir == "/tmp/ckpt"
-
-    @pytest.fixture(scope="class")
-    def log_csv(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli_ckpt") / "logs.csv"
-        code = main(
-            [
-                "simulate",
-                "--seed", "13",
-                "--fleet", "80",
-                "--spots", "5",
-                "--output", str(path),
-            ]
-        )
-        assert code == 0
-        return path
-
-    def test_detect_rerun_reuses_checkpoint(
-        self, log_csv, tmp_path, capsys
-    ):
-        ckpt = tmp_path / "ckpt"
-        argv = [
-            "detect", str(log_csv), "--coverage", "0.6",
-            "--checkpoint-dir", str(ckpt),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert list(ckpt.glob("checkpoint-*.ckpt")), "stage checkpoint saved"
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        spot_lines = [
-            line for line in first.splitlines() if "QS" in line or "detected" in line
-        ]
-        assert spot_lines == [
-            line for line in second.splitlines() if "QS" in line or "detected" in line
-        ]

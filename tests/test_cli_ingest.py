@@ -156,13 +156,54 @@ class TestCliMatchesEngineApi:
                 expected / name
             ).read_bytes(), name
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_traced_analyze_cleans_once(
-        self, workers, day_csv, tmp_path, capsys
-    ):
+    def test_traced_analyze_cleans_once(self, day_csv, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        argv = ["analyze", str(day_csv), "--trace-out", str(trace)]
-        assert main(argv + ["--workers", workers]) == 0
+        assert main(["analyze", str(day_csv), "--trace-out", str(trace)]) == 0
         names = [span["name"] for span in load_spans(trace)]
         assert names.count("stage.clean") == 1
         assert names.count("stage.ingest") == 1
+
+
+class TestEmptyDay:
+    """A day with no records left: each command prints its empty result
+    or one ``error:`` line, never a traceback."""
+
+    @pytest.fixture(
+        scope="class", params=["header-only", "all-malformed", "bbox"]
+    )
+    def empty_input(self, request, tmp_path_factory):
+        """``(argv tail, exit code of export)``: export still grids a
+        day whose raw records all fall outside the city."""
+        if request.param == "bbox":
+            return [str(GOLDEN_CSV), "--bbox", "0,0,1,1"], 0
+        header = GOLDEN_CSV.read_text(encoding="utf-8").splitlines()[0]
+        lines = [header]
+        if request.param == "all-malformed":
+            lines += ["garbage", "01/08/2008 08:00:00,SH0001A,103.8"]
+        path = tmp_path_factory.mktemp("empty") / f"{request.param}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return [str(path)], 2
+
+    @pytest.mark.parametrize("command", ["detect", "analyze", "export", "serve"])
+    def test_exits_cleanly(self, command, empty_input, tmp_path, capsys):
+        tail, export_exit = empty_input
+        argv = [command, *tail]
+        if command == "export":
+            argv += ["--outdir", str(tmp_path / "out")]
+        if command == "serve":
+            argv += ["--port", "0", "--speedup", "0", "--max-seconds", "5"]
+        expected = {"export": export_exit, "serve": 2}.get(command, 0)
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if expected == 2:
+            errors = [
+                line for line in captured.err.splitlines()
+                if line.startswith("error:")
+            ]
+            assert len(errors) == 1
+            assert tail[0] in errors[0]
+        elif command == "detect":
+            assert "detected 0 queue spots" in captured.out
+        elif command == "analyze":
+            assert "Unidentified   0.0%" in captured.out

@@ -33,13 +33,16 @@ class TestUsageErrors:
         assert main(["conformance", "run", "--input", GOLDEN_CSV,
                      "--kill-frac", "1.5"]) == 2
 
-    def test_bad_workers_exits_2(self):
-        assert main(["conformance", "run", "--input", GOLDEN_CSV,
-                     "--workers", "0"]) == 2
-
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["conformance", "run", "--input",
                      str(tmp_path / "nope.csv")]) == 2
+
+    def test_empty_input_exits_2(self, tmp_path, capsys):
+        header = Path(GOLDEN_CSV).read_text().splitlines()[0]
+        path = tmp_path / "header_only.csv"
+        path.write_text(header + "\n")
+        assert main(["conformance", "run", "--input", str(path)]) == 2
+        assert "no records to check" in capsys.readouterr().err
 
     def test_bad_seed_count_exits_2(self):
         assert main(["conformance", "run", "--seeds", "0"]) == 2
@@ -55,20 +58,20 @@ class TestUsageErrors:
 class TestConformantRun:
     def test_golden_day_single_check_exits_0(self, capsys):
         code = main(["conformance", "run", "--input", GOLDEN_CSV,
-                     "--checks", "batch-parallel", "--no-shrink"])
+                     "--checks", "oracle-batch", "--no-shrink"])
         out = capsys.readouterr().out
         assert code == 0
         assert "conformant" in out
-        assert "batch-parallel" in out
+        assert "oracle-batch" in out
 
     def test_json_output_parses(self, capsys):
         code = main(["conformance", "run", "--input", GOLDEN_CSV,
-                     "--checks", "batch-parallel", "--no-shrink",
+                     "--checks", "oracle-batch", "--no-shrink",
                      "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["divergent"] is False
-        assert payload[0]["checks"][0]["name"] == "batch-parallel"
+        assert payload[0]["checks"][0]["name"] == "oracle-batch"
 
 
 class TestFaultLoop:
@@ -106,5 +109,5 @@ class TestFaultLoop:
     def test_shrink_subcommand_on_conformant_day_exits_1(self, capsys):
         # `shrink` demands a divergence; a clean day has none to shrink.
         code = main(["conformance", "shrink", "--input", GOLDEN_CSV,
-                     "--checks", "batch-parallel"])
+                     "--checks", "oracle-batch"])
         assert code == 1

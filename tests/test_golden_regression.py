@@ -8,9 +8,6 @@ DBSCAN, W(r) assembly, WTE, features, thresholds, QCD — and demand
 byte-for-byte identical spots and labels, so *any* semantic drift in
 *any* stage fails loudly.
 
-The parallel variants additionally pin the headline guarantee of
-``repro.parallel``: N-worker output is bit-identical to serial output.
-
 Regenerate after intentional semantic changes with::
 
     PYTHONPATH=src python scripts/make_golden_fixture.py
@@ -23,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel import ParallelEngineRunner
 from repro.trace.log_store import MdtLogStore
 from tests._golden import golden_engine, pipeline_snapshot
 
@@ -75,33 +71,3 @@ def test_fixture_detects_spots(expected):
 def test_golden_serial(golden_store, expected):
     engine = golden_engine(golden_store)
     _assert_snapshot_equal(pipeline_snapshot(engine, golden_store), expected)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_golden_parallel_matches_serial_bit_for_bit(
-    golden_store, expected, workers
-):
-    runner = ParallelEngineRunner(golden_engine(golden_store), workers=workers)
-    _assert_snapshot_equal(pipeline_snapshot(runner, golden_store), expected)
-
-
-def test_golden_parallel_csv_ingest(expected):
-    """The chunked-CSV path (what ``detect --workers`` runs) agrees too."""
-    store = MdtLogStore.from_csv(CSV_PATH, on_error="raise")
-    runner = ParallelEngineRunner(golden_engine(store), workers=2)
-    detection = runner.detect_spots_csv(CSV_PATH)
-    expected_spots = expected["spots"]
-    actual_spots = [
-        {
-            "spot_id": s.spot_id,
-            "lon": s.lon,
-            "lat": s.lat,
-            "zone": s.zone,
-            "pickup_count": s.pickup_count,
-            "radius_m": s.radius_m,
-        }
-        for s in detection.spots
-    ]
-    assert actual_spots == expected_spots
-    assert detection.noise_count == expected["noise_count"]
-    assert runner.last_cleaning_report.malformed_line == 0

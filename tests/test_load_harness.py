@@ -169,8 +169,9 @@ class TestRecorder:
         report = recorder.report(duration_s=2.0)
         assert report.requests == 100
         assert report.throughput_rps == pytest.approx(50.0)
-        # nearest-rank over 100 ordered samples: round(q * 99) + 1 ms.
-        assert report.latency_p50_s == pytest.approx(0.051)
+        # nearest-rank over 100 ordered samples: the sample at rank
+        # ceil(q * 100) is ceil(q * 100) ms.
+        assert report.latency_p50_s == pytest.approx(0.050)
         assert report.latency_p95_s == pytest.approx(0.095)
         assert report.latency_p99_s == pytest.approx(0.099)
         assert report.latency_max_s == pytest.approx(0.100)

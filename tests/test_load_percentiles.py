@@ -1,10 +1,10 @@
 """Exact-value pins of the load harness's percentile semantics.
 
-``nearest_rank`` uses banker's rounding (Python ``round``), which has
-observable edge behaviour at tiny sample counts — p50 of two samples is
-the *lower* one, and p99 equals the max until ~100 samples.  These pins
-freeze that contract so a drive-by "fix" to interpolation or rounding
-shows up as a failure here, not as a silent SLO-gate shift.
+``nearest_rank`` takes the value at rank ``ceil(q * N)`` (1-based),
+which has observable edge behaviour at tiny sample counts — p50 of two
+samples is the *lower* one, and p99 equals the max until 100 samples.
+These pins freeze that contract so a drive-by "fix" to interpolation or
+rounding shows up as a failure here, not as a silent SLO-gate shift.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class TestNearestRankExact:
 
     def test_two_samples(self):
         data = [1.0, 2.0]
-        # round(0.5 * 1) banker's-rounds to 0: p50 is the LOWER sample.
+        # ceil(0.5 * 2) = rank 1: p50 is the LOWER sample.
         assert nearest_rank(data, 0.50) == 1.0
         assert nearest_rank(data, 0.95) == 2.0
         assert nearest_rank(data, 0.99) == 2.0
@@ -30,16 +30,17 @@ class TestNearestRankExact:
         assert nearest_rank(data, 1.0) == 2.0
 
     def test_p99_equals_max_below_100_samples(self):
-        # round(0.99 * (n-1)) == n-1 for n <= 50: the tail quantile
-        # cannot resolve below the max until the sample is large.
+        # ceil(0.99 * n) == n for n < 100: the tail quantile cannot
+        # resolve below the max until the sample is large.
         for n in (2, 10, 50):
             data = [float(i) for i in range(n)]
             assert nearest_rank(data, 0.99) == data[-1]
 
-    def test_p99_first_resolves_below_max_at_99_samples(self):
-        data = [float(i) for i in range(99)]
-        # round(0.99 * 98) = round(97.02) = 97: second-from-max.
-        assert nearest_rank(data, 0.99) == 97.0
+    def test_p99_first_resolves_below_max_at_100_samples(self):
+        # ceil(0.99 * 99) = rank 99 of 99: still the max ...
+        assert nearest_rank([float(i) for i in range(99)], 0.99) == 98.0
+        # ... ceil(0.99 * 100) = rank 99 of 100: second-from-max.
+        assert nearest_rank([float(i) for i in range(100)], 0.99) == 98.0
 
     def test_median_of_odd_sample_is_the_middle(self):
         data = [float(i) for i in range(5)]

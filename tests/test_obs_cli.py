@@ -50,22 +50,6 @@ class TestTraceOut:
             "stage.cluster", "stage.publish",
         } <= names
 
-    def test_detect_parallel_writes_same_logical_stages(
-        self, tmp_path, capsys
-    ):
-        trace_path = tmp_path / "trace.jsonl"
-        code = main([
-            "detect", GOLDEN_CSV, "--workers", "2",
-            "--trace-out", str(trace_path),
-        ])
-        assert code == 0
-        validate_trace_file(trace_path)
-        names = span_names(trace_path)
-        assert {
-            "pipeline.batch", "stage.ingest", "stage.clean", "stage.pea",
-            "stage.cluster", "stage.publish",
-        } <= names
-
     def test_analyze_covers_tier2(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         code = main([

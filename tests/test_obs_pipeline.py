@@ -1,14 +1,12 @@
 """Pipeline-level tracing guarantees on the golden fixture.
 
-Four pins, matching the tracing layer's design constraints:
+Three pins, matching the tracing layer's design constraints:
 
 * **coverage** — a traced batch run emits every hot-path stage span
   (clean, PEA, per-zone DBSCAN, tier-2) under one well-formed tree,
   and a traced streaming replay emits ``stream.window`` traces;
-* **serial == parallel** — a ``--workers 2`` run yields the same
-  logical span tree as a serial run (shard-detail children aside);
 * **output neutrality** — tracing at *any* sample rate changes no
-  detection byte, serial or parallel (Hypothesis property);
+  detection byte (Hypothesis property);
 * **overhead budget** — tracing costs <5% wall clock on the golden
   day.
 """
@@ -26,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.obs.export import InMemorySink
 from repro.obs.tracer import Tracer
-from repro.parallel import ParallelEngineRunner
 from repro.service.replay import StreamReplayer
 from repro.trace.log_store import MdtLogStore
 
@@ -44,10 +41,6 @@ CSV_PATH = DATA_DIR / "golden_day.csv"
 #: The logical stages every traced batch run must cover.
 BATCH_STAGES = {"stage.clean", "stage.pea", "stage.cluster", "stage.tier2"}
 
-#: Parallel-only shard-detail span prefixes (children of the aggregate
-#: ``stage.clean`` / ``stage.pea`` spans; the serial path has no shards).
-SHARD_DETAIL = ("clean.shard:", "pea.shard:")
-
 
 @pytest.fixture(scope="module")
 def golden_store() -> MdtLogStore:
@@ -61,10 +54,10 @@ def baseline(golden_store) -> str:
     return json.dumps(snapshot, sort_keys=True)
 
 
-def traced_snapshot(engine_like, store, tracer):
+def traced_snapshot(engine, store, tracer):
     """Run both tiers under a batch root span, the way the CLI does."""
     with tracer.trace("pipeline.batch"):
-        return pipeline_snapshot(engine_like, store)
+        return pipeline_snapshot(engine, store)
 
 
 def run_serial(store, sample=1):
@@ -72,16 +65,6 @@ def run_serial(store, sample=1):
     engine = golden_engine(store)
     engine.tracer = Tracer(sink, sample=sample)
     snapshot = traced_snapshot(engine, store, engine.tracer)
-    return snapshot, sink
-
-
-def run_parallel(store, sample=1, workers=2):
-    sink = InMemorySink()
-    runner = ParallelEngineRunner(
-        golden_engine(store), workers=workers,
-        tracer=Tracer(sink, sample=sample),
-    )
-    snapshot = traced_snapshot(runner, store, runner.tracer)
     return snapshot, sink
 
 
@@ -97,15 +80,6 @@ def assert_wellformed_tree(trace):
     for span in trace:
         if span["parent_id"] is not None:
             assert span["parent_id"] in known
-
-
-def logical_names(spans):
-    """Span-name multiset minus parallel-only shard detail."""
-    return sorted(
-        span["name"]
-        for span in spans
-        if not span["name"].startswith(SHARD_DETAIL)
-    )
 
 
 class TestSpanCoverage:
@@ -176,35 +150,6 @@ class TestSpanCoverage:
         assert states[0] == states[1]
 
 
-class TestSerialParallelEquivalence:
-    def test_workers_2_yields_same_logical_tree(self, golden_store, baseline):
-        serial_snapshot, serial_sink = run_serial(golden_store)
-        parallel_snapshot, parallel_sink = run_parallel(golden_store)
-        assert json.dumps(serial_snapshot, sort_keys=True) == baseline
-        assert json.dumps(parallel_snapshot, sort_keys=True) == baseline
-        assert logical_names(serial_sink.spans) == logical_names(
-            parallel_sink.spans
-        )
-
-    def test_parallel_shard_detail_hangs_under_aggregate_stages(
-        self, golden_store
-    ):
-        _, sink = run_parallel(golden_store)
-        assert len(sink.traces) == 1
-        assert_wellformed_tree(sink.traces[0])
-        by_id = {span["span_id"]: span for span in sink.spans}
-        shard_spans = [
-            span for span in sink.spans
-            if span["name"].startswith(SHARD_DETAIL)
-        ]
-        assert shard_spans
-        for span in shard_spans:
-            stage = span["name"].split(".", 1)[0]
-            parent = by_id[span["parent_id"]]
-            assert parent["name"] == f"stage.{stage}"
-            assert parent["attrs"]["aggregated"] is True
-
-
 class TestOutputNeutrality:
     @settings(max_examples=6, deadline=None)
     @given(sample=st.integers(min_value=1, max_value=7))
@@ -212,14 +157,6 @@ class TestOutputNeutrality:
         self, golden_store, baseline, sample
     ):
         snapshot, _ = run_serial(golden_store, sample=sample)
-        assert json.dumps(snapshot, sort_keys=True) == baseline
-
-    @settings(max_examples=3, deadline=None)
-    @given(sample=st.integers(min_value=1, max_value=5))
-    def test_parallel_any_sample_rate_is_byte_identical(
-        self, golden_store, baseline, sample
-    ):
-        snapshot, _ = run_parallel(golden_store, sample=sample)
         assert json.dumps(snapshot, sort_keys=True) == baseline
 
     def test_sampling_drops_whole_traces_only(self, golden_store):

@@ -119,50 +119,6 @@ class TestTracer:
         with pytest.raises(ValueError):
             Tracer(InMemorySink(), sample=0)
 
-    def test_attach_reparents_nested_worker_spans(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink)
-        with tracer.trace("root"):
-            with tracer.span("stage") as stage:
-                tracer.attach(
-                    [
-                        worker_span(
-                            "agg", 1.0, 2.0, {"n": 3},
-                            children=[worker_span("shard:0", 1.0, 1.0)],
-                        )
-                    ],
-                    parent=stage,
-                )
-        by_name = {span["name"]: span for span in sink.traces[0]}
-        assert by_name["agg"]["parent_id"] == by_name["stage"]["span_id"]
-        assert by_name["shard:0"]["parent_id"] == by_name["agg"]["span_id"]
-        assert by_name["agg"]["duration_s"] == 2.0
-        assert by_name["agg"]["attrs"] == {"n": 3}
-
-    def test_attach_defaults_to_innermost_open_span(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink)
-        with tracer.trace("root"):
-            with tracer.span("stage"):
-                tracer.attach([worker_span("w", 0.0, 1.0)])
-        by_name = {span["name"]: span for span in sink.traces[0]}
-        assert by_name["w"]["parent_id"] == by_name["stage"]["span_id"]
-
-    def test_attach_outside_any_trace_is_noop(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink)
-        tracer.attach([worker_span("w", 0.0, 1.0)])
-        assert sink.traces == []
-
-    def test_attach_in_dropped_trace_is_noop(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink, sample=2)
-        with tracer.trace("kept"):
-            pass
-        with tracer.trace("dropped"):
-            tracer.attach([worker_span("w", 0.0, 1.0)])
-        assert len(sink.traces) == 1
-
     def test_emit_window(self):
         sink = InMemorySink()
         tracer = Tracer(sink)
@@ -221,7 +177,6 @@ class TestNullTracer:
             root.set(anything=1)
             with NULL_TRACER.span("child"):
                 pass
-        NULL_TRACER.attach([worker_span("w", 0.0, 1.0)])
         NULL_TRACER.emit_window("w", 0.0, 1.0)
 
 

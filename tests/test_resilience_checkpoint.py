@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel.runner import ParallelEngineRunner
 from repro.resilience import (
     ChaosStream,
     CheckpointManager,
@@ -180,7 +179,9 @@ class TestServiceCheckpointer:
         for record in records:
             monitor.feed(record)
         checkpointer.checkpoint(len(records))
-        # A newer, unrelated stage checkpoint in the same directory.
+        # A newer checkpoint of another kind in the same directory: the
+        # stage checkpoints older versions' `detect --checkpoint-dir`
+        # wrote.
         checkpointer.manager.save(
             {"kind": "parallel-stage", "stage": "tier1", "result": None}
         )
@@ -260,69 +261,3 @@ class TestGoldenCrashRecovery:
         assert (
             canonical(snapshot_state(snapshot2)) == golden_streaming_fixture
         )
-
-
-class TestParallelStageCheckpoints:
-    def test_tier1_rerun_reuses_checkpoint(self, tmp_path, small_day):
-        def run(manager):
-            from repro.core.engine import EngineConfig, QueueAnalyticEngine
-
-            city = small_day.city
-            engine = QueueAnalyticEngine(
-                zones=city.zones,
-                projection=city.projection,
-                config=EngineConfig(
-                    observed_fraction=small_day.config.observed_fraction
-                ),
-                city_bbox=city.bbox,
-                inaccessible=city.water,
-            )
-            runner = ParallelEngineRunner(
-                engine, workers=0, checkpointer=manager
-            )
-            detection = runner.detect_spots(small_day.store)
-            analyses = runner.disambiguate(small_day.store, detection)
-            return runner, detection, analyses
-
-        manager = CheckpointManager(tmp_path, keep=10)
-        first_runner, detection1, analyses1 = run(manager)
-        snap1 = first_runner.metrics.snapshot()["counters"]
-        assert snap1["parallel.tier1.checkpoint_saved"] == 1
-        assert snap1["parallel.tier2.checkpoint_saved"] == 1
-        assert "parallel.tier1.checkpoint_reused" not in snap1
-
-        second_runner, detection2, analyses2 = run(manager)
-        snap2 = second_runner.metrics.snapshot()["counters"]
-        assert snap2["parallel.tier1.checkpoint_reused"] == 1
-        assert snap2["parallel.tier2.checkpoint_reused"] == 1
-        assert "parallel.tier1.checkpoint_saved" not in snap2
-        assert detection2.spots == detection1.spots
-        assert detection2.noise_count == detection1.noise_count
-        assert set(analyses2) == set(analyses1)
-        for spot_id, analysis in analyses1.items():
-            assert analyses2[spot_id].thresholds == analysis.thresholds
-            assert analyses2[spot_id].labels == analysis.labels
-
-    def test_no_checkpointer_recomputes(self, small_engine, small_day):
-        runner = ParallelEngineRunner(small_engine, workers=0)
-        runner.detect_spots(small_day.store)
-        counters = runner.metrics.snapshot()["counters"]
-        assert "parallel.tier1.checkpoint_saved" not in counters
-
-    def test_changed_input_misses_checkpoint(self, tmp_path, small_engine,
-                                             small_day):
-        manager = CheckpointManager(tmp_path, keep=10)
-        runner = ParallelEngineRunner(
-            small_engine, workers=0, checkpointer=manager
-        )
-        runner.detect_spots(small_day.store)
-        # A different store must not hit the tier-1 checkpoint.
-        from repro.trace.log_store import MdtLogStore as _Store
-
-        sub = _Store(
-            list(small_day.store.iter_records())[: len(small_day.store) // 2]
-        )
-        runner.detect_spots(sub)
-        counters = runner.metrics.snapshot()["counters"]
-        assert counters["parallel.tier1.checkpoint_saved"] == 2
-        assert "parallel.tier1.checkpoint_reused" not in counters
