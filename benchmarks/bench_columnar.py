@@ -8,7 +8,8 @@ line into an ``MdtLogStore``, then ``clean_store``) by at least
 :data:`MIN_SPEEDUP` while holding a lower peak RSS — and produce
 byte-identical records and accounting while doing so.
 ``MdtLogStore.from_csv`` now parses through ``RecordBatch.from_csv``
-itself, so the row parser is pinned here as :func:`row_store_from_csv`.
+itself, so the row parser is pinned here as :func:`row_store_from_csv`;
+the row cleaner is the reference in ``tests/_row_cleaning.py``.
 
 Throughput is measured in-process (best of :data:`TIMING_RUNS` runs per
 path, interleaved).  Peak RSS is measured in fresh subprocesses via
@@ -28,9 +29,13 @@ from pathlib import Path
 import pytest
 from conftest import emit
 
-from repro.columnar import RecordBatch
-from repro.trace.cleaning import clean_batch, clean_store
-from repro.trace.log_store import MdtLogStore
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+
+from repro.columnar import RecordBatch  # noqa: E402
+from repro.trace.cleaning import clean_batch  # noqa: E402
+from repro.trace.log_store import MdtLogStore  # noqa: E402
+from tests._row_cleaning import clean_store  # noqa: E402
 
 #: The tentpole acceptance floor for ingest+clean throughput.
 MIN_SPEEDUP = 1.5
@@ -63,7 +68,7 @@ from repro.trace.log_store import MdtLogStore
 """ + inspect.getsource(row_store_from_csv) + """
 path = sys.argv[2]
 if sys.argv[1] == "row":
-    from repro.trace.cleaning import clean_store
+    from tests._row_cleaning import clean_store
     store = row_store_from_csv(path)
     cleaned, _ = clean_store(store)
 else:
@@ -80,8 +85,9 @@ print(len(cleaned), hwm.split()[1])
 def _peak_rss_kib(mode: str, csv_path: Path) -> tuple:
     """``(cleaned_records, ru_maxrss_kib)`` of one path, run standalone."""
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
+    )
     out = subprocess.run(
         [sys.executable, "-c", _RSS_SCRIPT, mode, str(csv_path)],
         capture_output=True,

@@ -11,16 +11,15 @@ down while records-per-taxi and the error fraction must hold.
 
 from conftest import emit
 
-from repro.trace.cleaning import clean_store
+from repro.trace.cleaning import clean_batch
 
 
 def test_preprocessing_stats(benchmark, bench_day):
     city = bench_day.city
+    batch = bench_day.store.to_batch()
 
     def run():
-        return clean_store(
-            bench_day.store, city_bbox=city.bbox, inaccessible=city.water
-        )
+        return clean_batch(batch, city_bbox=city.bbox, inaccessible=city.water)
 
     cleaned, report = benchmark.pedantic(run, rounds=1, iterations=1)
 

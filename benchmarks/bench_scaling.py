@@ -10,27 +10,33 @@ import pytest
 from conftest import emit
 
 from repro.core.features import compute_slot_features
-from repro.core.pea import extract_all_pickup_events
+from repro.core.pea import extract_pickup_events_batch
 from repro.core.spots import detect_from_centroids, pickup_centroids
 from repro.core.wte import extract_wait_times
-from repro.trace.cleaning import clean_store
+from repro.trace.cleaning import clean_batch
 
 
 @pytest.fixture(scope="module")
-def cleaned(bench_engine, bench_day):
-    return bench_engine.preprocess(bench_day.store)
+def batch(bench_day):
+    return bench_day.store.to_batch()
+
+
+@pytest.fixture(scope="module")
+def cleaned(bench_day, batch):
+    city = bench_day.city
+    return clean_batch(batch, city_bbox=city.bbox, inaccessible=city.water)[0]
 
 
 @pytest.fixture(scope="module")
 def events(cleaned):
-    return extract_all_pickup_events(cleaned)
+    return extract_pickup_events_batch(cleaned)
 
 
-def test_scaling_cleaning(benchmark, bench_day):
+def test_scaling_cleaning(benchmark, bench_day, batch):
     city = bench_day.city
     result = benchmark.pedantic(
-        lambda: clean_store(
-            bench_day.store, city_bbox=city.bbox, inaccessible=city.water
+        lambda: clean_batch(
+            batch, city_bbox=city.bbox, inaccessible=city.water
         ),
         rounds=3,
         iterations=1,
@@ -44,7 +50,7 @@ def test_scaling_cleaning(benchmark, bench_day):
 
 def test_scaling_pea(benchmark, cleaned):
     events = benchmark.pedantic(
-        lambda: extract_all_pickup_events(cleaned), rounds=3, iterations=1
+        lambda: extract_pickup_events_batch(cleaned), rounds=3, iterations=1
     )
     emit(
         "scaling_pea",

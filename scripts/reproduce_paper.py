@@ -38,7 +38,7 @@ from repro.analysis.validation import validate_against_monitor_and_bookings
 from repro.core.qcd import label_proportions
 from repro.core.types import QueueType
 from repro.sim.config import DAY_NAMES, SimulationConfig
-from repro.trace.cleaning import clean_store
+from repro.trace.cleaning import clean_batch
 
 SCALES = {
     "full": dict(fleet_size=1500, n_queue_spots=60, n_decoy_landmarks=40),
@@ -85,8 +85,8 @@ def main() -> int:
     # -- section 6.1.1 ------------------------------------------------------
     report.section("Section 6.1.1 — dataset and preprocessing")
     stats = monday.output.store.stats()
-    _, cleaning = clean_store(
-        monday.output.store,
+    _, cleaning = clean_batch(
+        monday.output.store.to_batch(),
         city_bbox=monday.output.city.bbox,
         inaccessible=monday.output.city.water,
     )

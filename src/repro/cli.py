@@ -436,14 +436,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _report_malformed(batch)
         bbox = _bbox_from_args(args, batch)
         engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
-        store = MdtLogStore.from_batch(batch)
+        day = batch
         grid = None
         source = args.input
     else:
         config = _build_config(args)
         print("no input CSV given; simulating a day ...")
         output = simulate_day(config)
-        store = output.store
+        day = output.store
         city = output.city
         engine = QueueAnalyticEngine(
             zones=city.zones,
@@ -475,7 +475,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"bootstrapping spots and thresholds from {source} ...")
     try:
-        service = QueueService.from_day(store, engine, service_config, grid)
+        service = QueueService.from_day(day, engine, service_config, grid)
     except EmptyDayError as exc:
         print(f"error: {source}: {exc}", file=sys.stderr)
         _close_tracer(trace_writer)

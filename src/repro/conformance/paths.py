@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.conformance.canonical import DayBootstrap, streaming_state
+from repro.columnar import RecordBatch
+from repro.conformance.canonical import DayBootstrap, day_grid, streaming_state
 from repro.core.engine import QueueAnalyticEngine, SpotAnalysis
 from repro.core.spots import SpotDetectionResult
 from repro.core.types import TimeSlotGrid
@@ -56,17 +57,30 @@ class BatchRun:
 
     detection: SpotDetectionResult
     analyses: Dict[str, SpotAnalysis]
+    cleaned: RecordBatch
+    """Tier 1's cleaned rows: the day's one cleaning pass."""
+    grid: Optional[TimeSlotGrid]
+    """The grid tier 2 ran on (None when no row survived cleaning)."""
 
 
 def run_serial(
     engine: QueueAnalyticEngine,
     store: MdtLogStore,
-    grid: TimeSlotGrid,
+    grid: Optional[TimeSlotGrid] = None,
 ) -> BatchRun:
-    """Both tiers on the in-process serial engine."""
+    """Both tiers on the in-process serial engine.
+
+    ``store`` is the raw day: tier 1 cleans it, and tier 2 reuses tier
+    1's cleaned rows.  Without a ``grid``, tier 2 runs on the day grid
+    of those rows.
+    """
     detection = engine.detect_spots(store)
+    cleaned = detection.cleaned_for(store)
+    if grid is None and len(cleaned):
+        lo, hi = cleaned.time_span
+        grid = day_grid(lo, hi, engine.config.slot_seconds)
     analyses = engine.disambiguate(store, detection, grid)
-    return BatchRun(detection, analyses)
+    return BatchRun(detection, analyses, cleaned, grid)
 
 
 # -- streaming class --------------------------------------------------------

@@ -40,7 +40,6 @@ from repro.conformance import invariants, oracles
 from repro.conformance.canonical import (
     DayBootstrap,
     canonical_json,
-    day_grid,
     make_bootstrap,
 )
 from repro.conformance.diff import diff_values
@@ -281,40 +280,34 @@ def _execute_checks(
         if bootstrap is not None
         else build_engine(store, case)
     )
+    with _span(tracer, "conformance.serial"):
+        serial = run_serial(
+            engine, store, None if bootstrap is None else bootstrap.grid
+        )
     if bootstrap is None:
-        with _span(tracer, "conformance.preprocess"):
-            cleaned = engine.preprocess(store)
+        # Tier 1 cleaned the day; every streaming path replays its rows.
+        records = canonical_records(serial.cleaned.iter_rows())
     else:
         # Repro mode: a minimal day is made of already-cleaned records;
         # re-cleaning a *subset* can drop records (the state-transition
-        # chain is trajectory-dependent), so feed it exactly the way the
-        # shrink predicate did — raw, with the engine cleaning
-        # internally for the batch tiers.
-        cleaned = store
-    records = canonical_records(cleaned)
+        # chain is trajectory-dependent), so stream it exactly the way
+        # the shrink predicate did — raw.
+        records = canonical_records(store)
     report.records = len(records)
     if not records:
         report.checks.append(
             CheckOutcome("oracle-spots", False, ["day is empty after cleaning"])
         )
         return
-    if bootstrap is not None:
-        grid = bootstrap.grid
-    else:
-        lo, hi = cleaned.time_span
-        grid = day_grid(lo, hi, engine.config.slot_seconds)
-
-    with _span(tracer, "conformance.serial"):
-        serial = run_serial(engine, cleaned, grid)
+    grid = serial.grid
     report.spots = len(serial.detection.spots)
 
     if "oracle-spots" in enabled:
-        oracle_input = (
-            cleaned if bootstrap is None else engine.preprocess(store)
-        )
         with _span(tracer, "conformance.oracle_spots"):
             problems = oracles.check_bruteforce_spots(
-                engine, oracle_input, serial.detection
+                engine,
+                MdtLogStore.from_batch(serial.cleaned),
+                serial.detection,
             )
         report.checks.append(
             CheckOutcome("oracle-spots", not problems, problems)
@@ -433,7 +426,9 @@ def divergence_predicate(
                 if check == "oracle-spots":
                     return bool(
                         oracles.check_bruteforce_spots(
-                            engine, engine.preprocess(sub), serial.detection
+                            engine,
+                            MdtLogStore.from_batch(serial.cleaned),
+                            serial.detection,
                         )
                     )
                 return bool(
@@ -506,21 +501,17 @@ def _shrink_first_divergence(
     )
     if target is None:
         return
-    engine = (
-        bootstrap.build_engine()
-        if bootstrap is not None
-        else build_engine(store, case)
-    )
-    cleaned = engine.preprocess(store) if bootstrap is None else store
-    records = canonical_records(cleaned)
     if bootstrap is not None:
         boot = bootstrap
+        records = canonical_records(store)
     else:
-        lo, hi = cleaned.time_span
-        grid = day_grid(lo, hi, engine.config.slot_seconds)
-        serial = run_serial(engine, cleaned, grid)
+        engine = build_engine(store, case)
+        serial = run_serial(engine, store)
+        records = canonical_records(serial.cleaned.iter_rows())
         boot = _with_grace(
-            make_bootstrap(engine, serial.detection, serial.analyses, grid),
+            make_bootstrap(
+                engine, serial.detection, serial.analyses, serial.grid
+            ),
             case.grace_s,
         )
     predicate = divergence_predicate(case, boot, target.name)

@@ -101,7 +101,6 @@ class DeploymentScheduler:
             slot_seconds=self.engine.config.slot_seconds,
             assign_radius_m=self.engine.config.assign_radius_m,
             observed_fraction=self.engine.config.observed_fraction,
-            clean_inputs=self.engine.config.clean_inputs,
         )
         engine = QueueAnalyticEngine(
             zones=self.engine.zones,

@@ -45,7 +45,7 @@ from repro.core.wte import WaitEvent, extract_wait_times
 from repro.geo.bbox import BBox
 from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
-from repro.trace.cleaning import CleaningReport, clean_batch, clean_store
+from repro.trace.cleaning import CleaningReport, clean_batch
 from repro.trace.log_store import MdtLogStore
 from repro.trace.trajectory import SubTrajectory
 
@@ -141,10 +141,6 @@ class EngineConfig:
     """Fraction of the fleet the logs cover; <1 turns on the section-6.2.1
     amplification."""
 
-    clean_inputs: bool = True
-    """Run the section-6.1.1 preprocessing before each tier (tier 2
-    reuses tier 1's cleaned rows when it runs on the same input)."""
-
 
 class QueueAnalyticEngine:
     """The deployable queue detection and analysis engine.
@@ -184,16 +180,16 @@ class QueueAnalyticEngine:
     # -- shared -----------------------------------------------------------------
 
     def preprocess(self, store: MdtLogStore) -> MdtLogStore:
-        """Section-6.1.1 cleaning (no-op when ``clean_inputs`` is False)."""
-        if not self.config.clean_inputs:
-            return store
-        with self.tracer.span("stage.clean") as span:
-            cleaned, report = clean_store(
-                store, city_bbox=self.city_bbox, inaccessible=self.inaccessible
-            )
-            span.set(records=report.total_in, removed=report.total_removed)
-        self.last_cleaning_report = report
-        return cleaned
+        """Section-6.1.1 cleaning of a store, for row consumers.
+
+        The same cleaning tier 1 runs (one ``stage.clean`` span), with
+        the survivors grouped by taxi in sorted-id order, time-ordered
+        within each taxi.  Both tiers clean their own input, and
+        cleaning is not idempotent, so the result must not be passed
+        back into :meth:`detect_spots` or :meth:`disambiguate`: give
+        them the raw day.
+        """
+        return MdtLogStore.from_batch(self._clean(_as_batch(store)))
 
     @property
     def amplification(self) -> AmplificationPolicy:
@@ -231,10 +227,7 @@ class QueueAnalyticEngine:
         return detection
 
     def _clean(self, batch: RecordBatch) -> RecordBatch:
-        """Section-6.1.1 cleaning over columns, traced as ``stage.clean``
-        (the batch itself when ``clean_inputs`` is False)."""
-        if not self.config.clean_inputs:
-            return batch
+        """Section-6.1.1 cleaning over columns, traced as ``stage.clean``."""
         with self.tracer.span("stage.clean") as span:
             cleaned, report = clean_batch(
                 batch,

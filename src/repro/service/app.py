@@ -4,11 +4,12 @@ One call — :meth:`QueueService.from_day` — turns a day of MDT logs plus
 a configured batch engine into the full serving stack the deployed
 system runs (paper section 7.1):
 
-1. **batch bootstrap**: tier 1 detects the spot set, tier 2 derives the
-   per-spot QCD thresholds (the monitor needs both up front, exactly as
-   the production deployment bootstraps from historical days);
-2. **live path**: a :class:`StreamingQueueMonitor` re-labels the day
-   record by record, publishing finalized slots into a
+1. **batch bootstrap**: tier 1 cleans the day and detects the spot
+   set, tier 2 derives the per-spot QCD thresholds (the monitor needs
+   both up front, exactly as the production deployment bootstraps from
+   historical days);
+2. **live path**: a :class:`StreamingQueueMonitor` re-labels tier 1's
+   cleaned rows record by record, publishing finalized slots into a
    :class:`SnapshotStore` through a subscription callback;
 3. **serving path**: a :class:`QueueStateServer` exposes the snapshot
    over HTTP with ETag revalidation and TTL response caching, while a
@@ -18,8 +19,9 @@ system runs (paper section 7.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
+from repro.columnar import RecordBatch
 from repro.core.engine import QueueAnalyticEngine
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import TimeSlotGrid
@@ -130,7 +132,7 @@ class QueueService:
     @classmethod
     def from_day(
         cls,
-        store: MdtLogStore,
+        data: Union[RecordBatch, MdtLogStore],
         engine: QueueAnalyticEngine,
         config: Optional[ServiceConfig] = None,
         grid: Optional[TimeSlotGrid] = None,
@@ -140,7 +142,11 @@ class QueueService:
         """Bootstrap the full stack from one day of logs.
 
         Args:
-            store: the day's MDT logs (simulated or loaded from CSV).
+            data: the day's raw MDT logs, as a
+                :class:`~repro.columnar.RecordBatch` (parsed from CSV)
+                or an :class:`MdtLogStore` (simulated).  Pass them
+                uncleaned: tier 1 cleans the day once, and the replay
+                feeds tier 1's cleaned rows in timestamp order.
             engine: a configured batch engine; runs tiers 1 and 2 once
                 to obtain the spot set and per-spot thresholds.
             config: serving knobs.
@@ -168,12 +174,12 @@ class QueueService:
             "pipeline.bootstrap"
         ) as root:
             with tracer.span("stage.ingest", mode="store") as span:
-                span.set(records=len(store))
-            cleaned = engine.preprocess(store)
+                span.set(records=len(data))
+            detection = engine.detect_spots(data)
+            cleaned = detection.cleaned_for(data)
             if len(cleaned) == 0:
                 raise EmptyDayError("no records left to replay after cleaning")
-            detection = engine.detect_spots(cleaned)
-            analyses = engine.disambiguate(cleaned, detection, grid)
+            analyses = engine.disambiguate(data, detection, grid)
             thresholds: Dict[str, QcdThresholds] = {
                 spot_id: analysis.thresholds
                 for spot_id, analysis in analyses.items()
@@ -187,7 +193,7 @@ class QueueService:
                     max(hi, day_start + 86400.0),
                     engine.config.slot_seconds,
                 )
-            records = sorted(cleaned.iter_records(), key=lambda r: r.ts)
+            records = sorted(cleaned.iter_rows(), key=lambda r: r.ts)
             root.set(spots=len(detection.spots), records=len(records))
 
         metrics.gauge("bootstrap.spots").set(len(detection.spots))

@@ -14,7 +14,7 @@ from repro.trace.record import (
 )
 from repro.trace.trajectory import Trajectory, SubTrajectory
 from repro.trace.log_store import MdtLogStore
-from repro.trace.cleaning import CleaningReport, clean_store, clean_records
+from repro.trace.cleaning import CleaningReport, clean_batch
 
 __all__ = [
     "MdtRecord",
@@ -25,6 +25,5 @@ __all__ = [
     "SubTrajectory",
     "MdtLogStore",
     "CleaningReport",
-    "clean_store",
-    "clean_records",
+    "clean_batch",
 ]

@@ -12,20 +12,21 @@ all records, and removes them before analysis:
 3. *GPS coordinate errors* — points outside the city or inside inaccessible
    zones (urban-canyon multipath).
 
-:func:`clean_records` applies the three filters to one taxi's ordered
-records; :func:`clean_store` runs it store-wide and returns both the cleaned
-store and a :class:`CleaningReport` with per-class counts.
+:func:`clean_taxi_batch` applies the three filters to one taxi's ordered
+rows; :func:`clean_batch` runs it day-wide and returns both the cleaned
+batch and a :class:`CleaningReport` with per-class counts.  Cleaning is
+not idempotent (see :func:`clean_taxi_batch`), so a day is cleaned once:
+the engine's tier 1 cleans its raw input, and tier 2 and the ``serve``
+replay reuse tier 1's cleaned rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.geo.bbox import BBox
-from repro.states.machine import TRANSITION_CODE_MATRIX, is_valid_transition
-from repro.trace.log_store import MdtLogStore
-from repro.trace.record import MdtRecord
+from repro.states.machine import TRANSITION_CODE_MATRIX
 
 if TYPE_CHECKING:  # cycle-free: columnar.batch imports trace.record
     from repro.columnar import RecordBatch
@@ -65,31 +66,17 @@ class CleaningReport:
         self.malformed_line += other.malformed_line
 
 
-def _is_duplicate(a: MdtRecord, b: MdtRecord) -> bool:
-    """True when ``b`` is a GPRS re-transmission of ``a``.
-
-    Re-transmissions repeat the full payload: same timestamp, state,
-    coordinates and speed.
-    """
-    return (
-        a.ts == b.ts
-        and a.state is b.state
-        and a.lon == b.lon
-        and a.lat == b.lat
-        and a.speed == b.speed
-    )
-
-
-def clean_records(
-    records: Sequence[MdtRecord],
+def clean_taxi_batch(
+    batch: RecordBatch,
     city_bbox: Optional[BBox] = None,
     inaccessible: Iterable[BBox] = (),
     report: Optional[CleaningReport] = None,
-) -> List[MdtRecord]:
-    """Clean one taxi's time-ordered records.
+) -> RecordBatch:
+    """Clean one taxi's time-ordered rows.
 
-    The filters run in the order duplicates -> GPS -> state validity, so a
-    duplicated erroneous record is counted once (as a duplicate).
+    The filters run in the order duplicates -> state validity -> GPS,
+    as a cursor over the batch's columns building a keep mask, with no
+    record objects.
 
     State validity is checked against the *state chain*, not the kept
     records: a record removed for a GPS error still carries a genuine
@@ -97,64 +84,20 @@ def clean_records(
     states leave the chain untouched.  Without this, one GPS outlier on a
     state-change record (say the BREAK of a power-up sequence) would make
     every subsequent record look mis-ordered and cascade-delete the rest
-    of the taxi's day.
+    of the taxi's day.  The same rule makes cleaning not idempotent: a
+    second pass no longer sees the removed record, so the records it
+    bridged look mis-ordered again.
 
     Args:
-        records: one taxi's records, time-ordered.
-        city_bbox: if given, records outside it are GPS errors.
+        batch: one taxi's rows, time-ordered.
+        city_bbox: if given, rows outside it are GPS errors.
         inaccessible: bboxes (e.g. water bodies) whose interior points are
             GPS errors.
         report: optional report to accumulate counts into.
 
     Returns:
-        The surviving records, still time-ordered.
-    """
-    if report is None:
-        report = CleaningReport()
-    report.total_in += len(records)
-    inaccessible = list(inaccessible)
-
-    kept: List[MdtRecord] = []
-    prev_raw: Optional[MdtRecord] = None
-    chain_state = None  # last state not removed as improper
-    for record in records:
-        if prev_raw is not None and _is_duplicate(prev_raw, record):
-            report.duplicate += 1
-            continue
-        prev_raw = record
-
-        if chain_state is not None and not is_valid_transition(
-            chain_state, record.state
-        ):
-            report.improper_state += 1
-            continue
-        chain_state = record.state
-
-        if city_bbox is not None and not city_bbox.contains(
-            record.lon, record.lat
-        ):
-            report.gps_error += 1
-            continue
-        if any(zone.contains(record.lon, record.lat) for zone in inaccessible):
-            report.gps_error += 1
-            continue
-        kept.append(record)
-    return kept
-
-
-def clean_taxi_batch(
-    batch: RecordBatch,
-    city_bbox: Optional[BBox] = None,
-    inaccessible: Iterable[BBox] = (),
-    report: Optional[CleaningReport] = None,
-) -> RecordBatch:
-    """Columnar :func:`clean_records` for one taxi's time-ordered rows.
-
-    Same three filters, same order, same chain-state semantics, same
-    :class:`CleaningReport` accounting — but as a cursor over the
-    batch's columns building a keep mask, with no record objects.  The
-    row/column equivalence is pinned by parity tests and the
-    conformance matrix.
+        The surviving rows, still time-ordered (``batch`` itself when
+        nothing is removed).
     """
     if report is None:
         report = CleaningReport()
@@ -165,7 +108,7 @@ def clean_taxi_batch(
     speed, state = batch.speed, batch.state
     kept: List[int] = []
     prev = -1  # row index of the last non-duplicate record
-    chain = -1  # state code of the chain (see clean_records), -1 = none
+    chain = -1  # state code of the chain, -1 = none
     for i in range(len(batch)):
         if (
             prev >= 0
@@ -201,16 +144,16 @@ def clean_batch(
     city_bbox: Optional[BBox] = None,
     inaccessible: Iterable[BBox] = (),
 ) -> Tuple[RecordBatch, CleaningReport]:
-    """Clean a whole batch (columnar sibling of :func:`clean_store`).
+    """Clean a whole batch (one day, any row order).
 
     Rows are partitioned per taxi (stable argsort, or a linear pass for
     already-grouped batches), each taxi's columns are mask-cleaned, and
     the survivors are re-packed grouped by taxi in sorted-id order —
-    exactly the record order :func:`clean_store`'s output store yields.
+    the canonical order ``MdtLogStore.iter_records`` scans.
 
     Returns:
-        ``(cleaned_batch, report)`` with counts identical to the row
-        path's for the same rows.
+        ``(cleaned_batch, report)`` with counts aggregated over all
+        taxis.
     """
     from repro.columnar import RecordBatch
     from repro.trace.partition import partition_batch_by_taxi
@@ -228,28 +171,3 @@ def clean_batch(
             )
         )
     return RecordBatch.concat(parts), report
-
-
-def clean_store(
-    store: MdtLogStore,
-    city_bbox: Optional[BBox] = None,
-    inaccessible: Iterable[BBox] = (),
-) -> Tuple[MdtLogStore, CleaningReport]:
-    """Clean every taxi's records in a store.
-
-    Returns:
-        ``(cleaned_store, report)`` where the report aggregates counts over
-        all taxis.
-    """
-    report = CleaningReport()
-    cleaned = MdtLogStore()
-    inaccessible = list(inaccessible)
-    for taxi_id in store.taxi_ids:
-        survivors = clean_records(
-            store.records_of(taxi_id),
-            city_bbox=city_bbox,
-            inaccessible=inaccessible,
-            report=report,
-        )
-        cleaned.extend(survivors)
-    return cleaned, report

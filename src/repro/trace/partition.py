@@ -2,9 +2,11 @@
 
 The deployed system (section 7.1) works in daily units: detection pools
 "the most recent 5 week days' dataset and 2 weekend days' dataset", and
-context runs on single days.  These helpers split a multi-day store along
-midnight boundaries and tag each day with its day of week, producing
-exactly what :class:`repro.core.deployment.DeploymentScheduler` ingests.
+context runs on single days.  :func:`split_by_day` splits a multi-day
+store along midnight boundaries and tags each day with its day of week;
+each :class:`DayPartition` becomes one
+:class:`repro.core.deployment.DailyLog` for
+:class:`repro.core.deployment.DeploymentScheduler` to ingest.
 
 The columnar data plane partitions per taxi here too:
 :func:`partition_batch_by_taxi` turns a :class:`~repro.columnar.
@@ -152,57 +154,3 @@ def partition_batch_by_taxi(
             groups.append((taxi_id, batch.take(order[start:i])))
             start = i
     return groups
-
-
-def group_batch_by_taxi(batch: RecordBatch) -> RecordBatch:
-    """The batch re-ordered into canonical grouped form.
-
-    Canonical form — taxis contiguous in sorted-id order, stable ts
-    order within each taxi — is the order the whole columnar pipeline
-    assumes and produces; after this, per-taxi partitioning is linear.
-    """
-    from repro.columnar import RecordBatch
-
-    runs = _grouped_runs(batch) if len(batch) else []
-    if runs is not None:
-        return batch
-    return RecordBatch.concat(
-        [sub for _, sub in partition_batch_by_taxi(batch)]
-    )
-
-
-@dataclass(frozen=True)
-class DayBatchPartition:
-    """One calendar day's slice of a batch (columnar sibling of
-    :class:`DayPartition`)."""
-
-    day_start_ts: float
-    day_of_week: int
-    batch: RecordBatch
-
-    @property
-    def day_end_ts(self) -> float:
-        return self.day_start_ts + 86400.0
-
-
-def split_batch_by_day(batch: RecordBatch) -> List[DayBatchPartition]:
-    """Split a batch along UTC midnight boundaries (column-mask scan)."""
-    if len(batch) == 0:
-        return []
-    ts = batch.ts
-    lo, hi = min(ts), max(ts)
-    day_start = lo - (lo % 86400.0)
-    partitions: List[DayBatchPartition] = []
-    while day_start <= hi:
-        day_end = day_start + 86400.0
-        indices = [i for i, t in enumerate(ts) if day_start <= t < day_end]
-        if indices:
-            partitions.append(
-                DayBatchPartition(
-                    day_start_ts=day_start,
-                    day_of_week=day_of_week_of(day_start),
-                    batch=batch.take(indices),
-                )
-            )
-        day_start = day_end
-    return partitions

@@ -93,13 +93,13 @@ def streaming_bootstrap(
 
     Runs tiers 1 and 2 exactly the way :meth:`QueueService.from_day`
     does (the spot set, the per-spot thresholds, a day-spanning slot
-    grid, the time-ordered records).  The batch tiers dominate the
-    cost, so tests bootstrap once and build many fresh stacks from the
-    result via :func:`streaming_stack`.
+    grid, tier 1's cleaned rows in time order).  The batch tiers
+    dominate the cost, so tests bootstrap once and build many fresh
+    stacks from the result via :func:`streaming_stack`.
     """
-    cleaned = engine.preprocess(store)
-    detection = engine.detect_spots(cleaned)
-    analyses = engine.disambiguate(cleaned, detection)
+    detection = engine.detect_spots(store)
+    analyses = engine.disambiguate(store, detection)
+    cleaned = detection.cleaned_for(store)
     thresholds = {
         spot_id: analysis.thresholds
         for spot_id, analysis in analyses.items()
@@ -115,7 +115,7 @@ def streaming_bootstrap(
         "detection": detection,
         "thresholds": thresholds,
         "grid": grid,
-        "records": sorted(cleaned.iter_records(), key=lambda r: r.ts),
+        "records": sorted(cleaned.iter_rows(), key=lambda r: r.ts),
     }
 
 

@@ -7,7 +7,8 @@ Three layers of guarantees:
    (``array('d')`` stores exact IEEE doubles), plus pickle and store
    adapters round-tripping.
 2. **Row/column parity** — cleaning and PEA over columns produce the
-   same records, events and accounting as the historical row path.
+   same records, events and accounting as the historical row path
+   (the row cleaner is the reference in ``tests/_row_cleaning.py``).
 3. **Conformance pin** — the engine's columnar tier 1 is compared
    byte-for-byte against the pre-refactor row path
    (``clean_store`` + ``detect_queue_spots``) on the golden day.
@@ -35,13 +36,7 @@ from repro.core.pea import (
 )
 from repro.core.spots import detect_queue_spots
 from repro.states.states import STATES_BY_CODE, TaxiState
-from repro.trace.cleaning import (
-    CleaningReport,
-    clean_batch,
-    clean_records,
-    clean_store,
-    clean_taxi_batch,
-)
+from repro.trace.cleaning import CleaningReport, clean_batch, clean_taxi_batch
 from repro.trace.log_store import MdtLogStore
 from repro.trace.partition import partition_batch_by_taxi
 from repro.trace.record import (
@@ -51,6 +46,7 @@ from repro.trace.record import (
 )
 
 from tests._golden import golden_engine, pipeline_snapshot
+from tests._row_cleaning import clean_records, clean_store
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_day.csv"
 
@@ -193,6 +189,28 @@ class TestParity:
         assert row_report.gps_error > 0
         assert col_cleaned.to_rows() == list(row_cleaned.iter_records())
         assert col_report == row_report
+
+    def test_preprocess_matches_row_reference(self, small_day):
+        """``preprocess`` keeps the row cleaner's records, order and
+        report, on a day with GPS errors (city bbox and water)."""
+        from repro.core.engine import QueueAnalyticEngine
+
+        city = small_day.city
+        engine = QueueAnalyticEngine(
+            zones=city.zones,
+            projection=city.projection,
+            city_bbox=city.bbox,
+            inaccessible=city.water,
+        )
+        cleaned = engine.preprocess(small_day.store)
+        row_cleaned, row_report = clean_store(
+            small_day.store, city_bbox=city.bbox, inaccessible=city.water
+        )
+        assert row_report.gps_error > 0
+        assert list(cleaned.iter_records()) == list(
+            row_cleaned.iter_records()
+        )
+        assert engine.last_cleaning_report == row_report
 
     def test_per_taxi_clean_parity(self, golden_store):
         for taxi_id in golden_store.taxi_ids:

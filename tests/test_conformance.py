@@ -27,8 +27,9 @@ from repro.conformance.invariants import (
     check_version_monotonic,
     check_wait_events,
 )
-from repro.conformance.canonical import day_grid, make_bootstrap
+from repro.conformance.canonical import make_bootstrap
 from repro.conformance.matrix import csv_case
+from repro.conformance.paths import run_serial
 from repro.conformance.runner import (
     ALL_CHECKS,
     SHRINKABLE_CHECKS,
@@ -149,12 +150,10 @@ class TestInvariantChecks:
 class TestBootstrapRoundTrip:
     def test_json_round_trip_is_lossless(self, golden_store, tmp_path):
         engine = build_engine(golden_store, csv_case("golden_day"))
-        cleaned = engine.preprocess(golden_store)
-        detection = engine.detect_spots(cleaned)
-        analyses = engine.disambiguate(cleaned, detection)
-        lo, hi = cleaned.time_span
-        grid = day_grid(lo, hi, engine.config.slot_seconds)
-        boot = make_bootstrap(engine, detection, analyses, grid)
+        serial = run_serial(engine, golden_store)
+        boot = make_bootstrap(
+            engine, serial.detection, serial.analyses, serial.grid
+        )
         path = tmp_path / "bootstrap.json"
         boot.save(path)
         loaded = DayBootstrap.load(path)

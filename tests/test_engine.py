@@ -106,17 +106,6 @@ class TestTier2:
 
 
 class TestEngineConfigPaths:
-    def test_no_cleaning_path(self, small_day):
-        city = small_day.city
-        engine = QueueAnalyticEngine(
-            zones=city.zones,
-            projection=city.projection,
-            config=EngineConfig(clean_inputs=False),
-        )
-        detection = engine.detect_spots(small_day.store)
-        assert engine.last_cleaning_report is None
-        assert len(detection.spots) >= 3
-
     def test_disambiguate_without_carried_events(self, small_day, small_detection):
         """Tier 2 re-extracts pickup events when detection carries none."""
         from dataclasses import replace as _  # noqa: F401

@@ -47,11 +47,10 @@ def golden_pipeline():
     """Spots, analyses and grid from the committed golden day."""
     store = MdtLogStore.from_csv(DATA_DIR / "golden_day.csv")
     engine = golden_engine(store)
-    cleaned = engine.preprocess(store)
-    detection = engine.detect_spots(cleaned)
-    lo, hi = cleaned.time_span
+    detection = engine.detect_spots(store)
+    lo, hi = detection.cleaned_for(store).time_span
     grid = day_grid(lo, hi, engine.config.slot_seconds)
-    analyses = engine.disambiguate(cleaned, detection, grid)
+    analyses = engine.disambiguate(store, detection, grid)
     return detection.spots, list(analyses.values()), grid
 
 

@@ -57,7 +57,7 @@ class TestPristineEndToEnd:
         from dataclasses import replace
 
         from repro.sim.fleet import simulate_day
-        from repro.trace.cleaning import clean_store
+        from repro.trace.cleaning import clean_batch
 
         config = replace(
             build_scenario("pristine", seed=5),
@@ -66,8 +66,8 @@ class TestPristineEndToEnd:
             n_decoy_landmarks=2,
         )
         output = simulate_day(config)
-        _, report = clean_store(
-            output.store,
+        _, report = clean_batch(
+            output.store.to_batch(),
             city_bbox=output.city.bbox,
             inaccessible=output.city.water,
         )

@@ -391,3 +391,54 @@ class TestReplayerDisorder:
     def test_negative_skip_rejected(self):
         with pytest.raises(ValueError):
             StreamReplayer(self._monitor(), [], skip_records=-1)
+
+
+class TestFromDayCleansOnce:
+    """``QueueService.from_day`` bootstraps on tier 1's one cleaning pass.
+
+    The small day has the city bbox and water, so it carries GPS errors;
+    a second cleaning pass over tier 1's output would drop the records a
+    GPS-removed record bridged, and change spots and thresholds.
+    """
+
+    def test_bootstrap_matches_the_batch_tiers(
+        self, small_day, small_engine, small_detection, small_analyses
+    ):
+        import copy
+
+        from repro.obs import InMemorySink, Tracer
+        from repro.service import QueueService, ServiceConfig
+
+        store = small_day.store
+        sink = InMemorySink()
+        # A copy, so the traced bootstrap leaves the shared engine's
+        # tracer alone.
+        engine = copy.copy(small_engine)
+        service = QueueService.from_day(
+            store,
+            engine,
+            ServiceConfig(speedup=None),
+            small_day.ground_truth.grid,
+            tracer=Tracer(sink),
+        )
+        try:
+            assert service.store.spot_ids == [
+                spot.spot_id for spot in small_detection.spots
+            ]
+            assert service.monitor.spots == small_detection.spots
+            assert service.monitor.thresholds == {
+                spot_id: analysis.thresholds
+                for spot_id, analysis in small_analyses.items()
+                if analysis.thresholds is not None
+            }
+            cleaned = small_detection.cleaned_for(store)
+            assert service.replayer.records == sorted(
+                cleaned.iter_rows(), key=lambda r: r.ts
+            )
+            (bootstrap,) = sink.traces
+            names = [span["name"] for span in bootstrap]
+            assert names.count("pipeline.bootstrap") == 1
+            assert names.count("stage.clean") == 1
+        finally:
+            # The HTTP listener was bound but never started; release it.
+            service.server._httpd.server_close()

@@ -268,7 +268,7 @@ class TestStreamAgainstBatchOnSimData:
     def test_stream_reproduces_batch_wait_counts(self, small_day, small_engine, small_detection):
         """Feeding the whole day through the monitor matches the batch
         engine's per-spot wait-event totals."""
-        cleaned = small_engine.preprocess(small_day.store)
+        cleaned = small_detection.cleaned_for(small_day.store)
         grid = small_day.ground_truth.grid
         monitor = StreamingQueueMonitor(
             spots=small_detection.spots,
@@ -277,7 +277,7 @@ class TestStreamAgainstBatchOnSimData:
             projection=small_day.city.projection,
             assign_radius_m=30.0,
         )
-        all_records = sorted(cleaned.iter_records(), key=lambda r: r.ts)
+        all_records = sorted(cleaned.iter_rows(), key=lambda r: r.ts)
         results = []
         for r in all_records:
             results.extend(monitor.feed(r))
@@ -286,7 +286,9 @@ class TestStreamAgainstBatchOnSimData:
         stream_total = sum(
             r.features.n_arrivals + 0 for r in results
         )
-        batch = small_engine.disambiguate(cleaned, small_detection, grid)
+        batch = small_engine.disambiguate(
+            small_day.store, small_detection, grid
+        )
         batch_total = sum(
             f.n_arrivals / small_engine.amplification.factor
             for a in batch.values()
