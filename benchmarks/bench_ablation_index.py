@@ -10,7 +10,7 @@ import time
 
 from conftest import emit
 
-from repro.core.pea import extract_all_pickup_events
+from repro.core.pea import extract_pickup_events_batch
 from repro.core.spots import detect_from_centroids, pickup_centroids
 from repro.cluster.neighbors import (
     BruteForceNeighbors,
@@ -28,7 +28,7 @@ BACKENDS = [
 def test_ablation_neighbor_backends(benchmark, bench_day, bench_engine):
     city = bench_day.city
     cleaned = bench_engine.preprocess(bench_day.store)
-    events = extract_all_pickup_events(cleaned)
+    events = extract_pickup_events_batch(cleaned.to_batch())
     lonlat = pickup_centroids(events)
 
     timings = {}

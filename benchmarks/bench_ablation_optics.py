@@ -14,7 +14,7 @@ from conftest import emit
 
 from repro.cluster.dbscan import dbscan
 from repro.cluster.optics import optics
-from repro.core.pea import extract_all_pickup_events
+from repro.core.pea import extract_pickup_events_batch
 from repro.core.spots import pickup_centroids
 
 EPS_SWEEP = (5.0, 10.0, 15.0, 20.0)
@@ -24,7 +24,7 @@ MIN_PTS = 50
 def test_ablation_optics_vs_dbscan(benchmark, bench_day, bench_engine):
     city = bench_day.city
     cleaned = bench_engine.preprocess(bench_day.store)
-    events = extract_all_pickup_events(cleaned)
+    events = extract_pickup_events_batch(cleaned.to_batch())
     lonlat = pickup_centroids(events)
     projection = city.projection
 

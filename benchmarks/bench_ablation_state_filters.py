@@ -10,20 +10,35 @@ degraded precision against ground truth.
 from conftest import emit
 
 from repro.analysis.accuracy import spot_detection_accuracy
-from repro.core.pea import extract_pickup_events_with_stats
-from repro.core.spots import SpotDetectionParams, detect_queue_spots
+from repro.core.pea import (
+    extract_pickup_events_batch,
+    extract_pickup_events_from_columns,
+)
+from repro.core.spots import (
+    SpotDetectionParams,
+    detect_from_centroids,
+    pickup_centroids,
+)
+from repro.trace.partition import partition_batch_by_taxi
 
 
 def test_ablation_pea_state_filters(benchmark, bench_day, bench_engine):
     city = bench_day.city
-    cleaned = bench_engine.preprocess(bench_day.store)
+    cleaned = bench_engine.preprocess(bench_day.store).to_batch()
 
     def run(apply_filters):
-        return detect_queue_spots(
+        params = SpotDetectionParams(apply_state_filters=apply_filters)
+        events = extract_pickup_events_batch(
             cleaned,
-            zones=city.zones,
-            projection=city.projection,
-            params=SpotDetectionParams(apply_state_filters=apply_filters),
+            speed_threshold_kmh=params.speed_threshold_kmh,
+            apply_state_filters=apply_filters,
+        )
+        return detect_from_centroids(
+            pickup_centroids(events),
+            city.zones,
+            city.projection,
+            params,
+            events=events,
         )
 
     with_filters = benchmark.pedantic(
@@ -32,8 +47,8 @@ def test_ablation_pea_state_filters(benchmark, bench_day, bench_engine):
     without_filters = run(False)
 
     stats_sum = {"alight": 0, "oncall": 0, "jam": 0}
-    for trajectory in cleaned.iter_trajectories():
-        _, stats = extract_pickup_events_with_stats(trajectory)
+    for taxi_id, taxi_rows in partition_batch_by_taxi(cleaned):
+        _, stats = extract_pickup_events_from_columns(taxi_id, taxi_rows)
         stats_sum["alight"] += stats.rejected_alight
         stats_sum["oncall"] += stats.rejected_oncall_leave
         stats_sum["jam"] += stats.rejected_no_transition

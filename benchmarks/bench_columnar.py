@@ -4,12 +4,13 @@ paper).
 The columnar data plane's acceptance gate: parsing a day's CSV into a
 :class:`~repro.columnar.RecordBatch` and cleaning it as column masks
 must beat the historical row path (one ``MdtRecord.from_csv_row`` per
-line into an ``MdtLogStore``, then ``clean_store``) by at least
-:data:`MIN_SPEEDUP` while holding a lower peak RSS — and produce
-byte-identical records and accounting while doing so.
-``MdtLogStore.from_csv`` now parses through ``RecordBatch.from_csv``
-itself, so the row parser is pinned here as :func:`row_store_from_csv`;
-the row cleaner is the reference in ``tests/_row_cleaning.py``.
+line into per-taxi lists, each cleaned by ``clean_records``) by at
+least :data:`MIN_SPEEDUP` while holding a lower peak RSS — and produce
+byte-identical records and accounting while doing so.  The row side
+stays in rows end to end: it builds no ``RecordBatch`` and no
+``MdtLogStore`` (the store is a view over a batch).  The row parser is
+pinned here as :func:`row_store_from_csv`; the row cleaner is the
+reference in ``tests/_row_cleaning.py``.
 
 Throughput is measured in-process (best of :data:`TIMING_RUNS` runs per
 path, interleaved).  Peak RSS is measured in fresh subprocesses via
@@ -34,8 +35,6 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from repro.columnar import RecordBatch  # noqa: E402
 from repro.trace.cleaning import clean_batch  # noqa: E402
-from repro.trace.log_store import MdtLogStore  # noqa: E402
-from tests._row_cleaning import clean_store  # noqa: E402
 
 #: The tentpole acceptance floor for ingest+clean throughput.
 MIN_SPEEDUP = 1.5
@@ -44,10 +43,12 @@ TIMING_RUNS = 3
 
 
 def row_store_from_csv(path):
-    """The historical row ingest: one record object per CSV line."""
+    """The historical row ingest: one record object per CSV line,
+    grouped into per-taxi lists in sorted-id order, each stably sorted
+    by timestamp (the store's canonical order)."""
     from repro.trace.record import MdtRecord
 
-    store = MdtLogStore()
+    by_taxi = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != MdtRecord.CSV_HEADER:
@@ -56,21 +57,37 @@ def row_store_from_csv(path):
             if not line.strip():
                 continue
             try:
-                store.append(MdtRecord.from_csv_row(line))
+                record = MdtRecord.from_csv_row(line)
             except ValueError:
-                store.skipped_lines += 1
-    return store
+                continue
+            by_taxi.setdefault(record.taxi_id, []).append(record)
+    return {
+        taxi_id: sorted(by_taxi[taxi_id], key=lambda r: r.ts)
+        for taxi_id in sorted(by_taxi)
+    }
+
+
+def clean_row_store(by_taxi):
+    """``(cleaned records, report)``: the row cleaner over each taxi."""
+    from repro.trace.cleaning import CleaningReport
+    from tests._row_cleaning import clean_records
+
+    report = CleaningReport()
+    cleaned = []
+    for records in by_taxi.values():
+        cleaned.extend(clean_records(records, report=report))
+    return cleaned, report
 
 
 _RSS_SCRIPT = """
 import sys
-from repro.trace.log_store import MdtLogStore
-""" + inspect.getsource(row_store_from_csv) + """
+""" + inspect.getsource(row_store_from_csv) + inspect.getsource(
+    clean_row_store
+) + """
 path = sys.argv[2]
 if sys.argv[1] == "row":
-    from tests._row_cleaning import clean_store
     store = row_store_from_csv(path)
-    cleaned, _ = clean_store(store)
+    cleaned, _ = clean_row_store(store)
 else:
     from repro.columnar import RecordBatch
     from repro.trace.cleaning import clean_batch
@@ -111,7 +128,7 @@ def test_ingest_clean_throughput_and_rss(bench_day, bench_csv):
     for _ in range(TIMING_RUNS):
         start = time.perf_counter()
         store = row_store_from_csv(bench_csv)
-        row_cleaned, row_report = clean_store(store)
+        row_cleaned, row_report = clean_row_store(store)
         row_s = min(row_s, time.perf_counter() - start)
 
         start = time.perf_counter()
@@ -120,10 +137,10 @@ def test_ingest_clean_throughput_and_rss(bench_day, bench_csv):
         col_s = min(col_s, time.perf_counter() - start)
 
     # Identical outputs first — a fast wrong answer is no answer.
-    assert col_cleaned.to_rows() == list(row_cleaned.iter_records())
+    assert col_cleaned.to_rows() == row_cleaned
     assert col_report == row_report
 
-    n = len(store)
+    n = sum(len(records) for records in store.values())
     speedup = row_s / col_s
     row_records, row_rss = _peak_rss_kib("row", bench_csv)
     col_records, col_rss = _peak_rss_kib("columnar", bench_csv)

@@ -10,7 +10,7 @@ values are used unchanged.
 
 from conftest import emit
 
-from repro.core.pea import extract_all_pickup_events
+from repro.core.pea import extract_pickup_events_batch
 from repro.core.spots import SpotDetectionParams, detect_from_centroids, pickup_centroids
 
 EPS_VALUES = (5.0, 10.0, 15.0, 20.0)
@@ -20,7 +20,7 @@ MINPTS_VALUES = (25, 50, 100, 150)
 def test_fig6_parameter_sweep(benchmark, bench_day, bench_engine):
     city = bench_day.city
     cleaned = bench_engine.preprocess(bench_day.store)
-    events = extract_all_pickup_events(cleaned)
+    events = extract_pickup_events_batch(cleaned.to_batch())
     lonlat = pickup_centroids(events)
 
     def sweep():

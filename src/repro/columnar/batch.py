@@ -124,19 +124,6 @@ class RecordBatch:
         return batch
 
     @classmethod
-    def from_store(cls, store) -> "RecordBatch":
-        """Pack an :class:`~repro.trace.log_store.MdtLogStore`.
-
-        Rows land grouped by taxi (sorted ids) and time-ordered within
-        each taxi — the store's canonical scan order — so per-taxi
-        partitioning of the result is a linear pass, not a sort.
-        """
-        batch = cls()
-        for record in store.iter_records():
-            batch.append_row(record)
-        return batch
-
-    @classmethod
     def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
         """Concatenate batches row-wise into a new batch."""
         out = cls()
@@ -346,23 +333,17 @@ class RecordBatch:
         return batch
 
     def to_csv(self, path) -> None:
-        """Write the batch as a log CSV in the paper's field order."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(MdtRecord.CSV_HEADER + "\n")
-            fh.write(self.to_csv_body())
-
-    def to_csv_body(self) -> str:
-        """The CSV rows (no header), formatted like ``to_csv_row``."""
+        """Write the batch as a log CSV in the paper's field order, one
+        row at a time, each formatted like ``MdtRecord.to_csv_row``."""
         table = self.taxi_table
-        lines = []
-        for i in range(len(self)):
-            lines.append(
-                f"{format_timestamp(self.ts[i])},{table[self.taxi[i]]},"
-                f"{self.lon[i]:.6f},{self.lat[i]:.6f},{self.speed[i]:.1f},"
-                f"{STATES_BY_CODE[self.state[i]].value}\n"
-            )
-        return "".join(lines)
+        with Path(path).open("w", encoding="utf-8") as fh:
+            fh.write(MdtRecord.CSV_HEADER + "\n")
+            for i in range(len(self)):
+                fh.write(
+                    f"{format_timestamp(self.ts[i])},{table[self.taxi[i]]},"
+                    f"{self.lon[i]:.6f},{self.lat[i]:.6f},{self.speed[i]:.1f},"
+                    f"{STATES_BY_CODE[self.state[i]].value}\n"
+                )
 
 
 def _parse_csv_lines(

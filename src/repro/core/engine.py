@@ -316,7 +316,7 @@ class QueueAnalyticEngine:
 
 
 def _as_batch(data) -> RecordBatch:
-    """``data`` as columns (a store is packed in its canonical order)."""
+    """``data`` as columns (a store hands over its own batch)."""
     if isinstance(data, RecordBatch):
         return data
-    return RecordBatch.from_store(data)
+    return data.to_batch()

@@ -59,6 +59,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs
@@ -203,6 +204,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
         self.wfile.write(response.body)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer the requests the stdlib rejects itself without a 5xx.
+
+        ``BaseHTTPRequestHandler`` answers a method with no ``do_*``
+        handler with 501, and an HTTP/2+ request line with a 505 page
+        that has no status line, because it rejects the version before
+        recording it.  Here any method other than GET gets 405 with
+        ``Allow: GET``, and an unsupported version gets an HTTP/1.1
+        400.  Both close the connection; other errors keep the stdlib
+        answer.
+        """
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            self.send_response(HTTPStatus.METHOD_NOT_ALLOWED)
+            self.send_header("Allow", "GET")
+            self.send_header("Content-Length", "0")
+            self.send_header("Connection", "close")
+            self.end_headers()
+            return
+        if code == HTTPStatus.HTTP_VERSION_NOT_SUPPORTED:
+            self.request_version = self.protocol_version
+            code = HTTPStatus.BAD_REQUEST
+        super().send_error(code, message, explain)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr logging; metrics cover it."""

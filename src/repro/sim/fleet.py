@@ -25,7 +25,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.types import TimeSlotGrid
 from repro.geo.point import destination_point, equirectangular_m
@@ -39,6 +39,7 @@ from repro.sim.noise import NoiseInjector
 from repro.sim.taxi import TaxiAgent, TaxiStatus
 from repro.states.states import TaxiState
 from repro.trace.log_store import MdtLogStore
+from repro.trace.record import MdtRecord
 
 
 @dataclass(frozen=True)
@@ -831,13 +832,16 @@ class FleetSimulator:
             if rng.random() < cfg.observed_fraction
         }
         injector = NoiseInjector(cfg.noise, seed=cfg.seed * 7919 + cfg.day_index)
-        store = MdtLogStore()
-        for taxi in self.taxis:
-            if taxi.taxi_id not in observed or not taxi.records:
-                continue
-            taxi.records.sort(key=lambda r: r.ts)
-            store.extend(injector.apply(taxi.records))
-        return store
+
+        def noisy_records() -> Iterator[MdtRecord]:
+            for taxi in self.taxis:
+                if taxi.taxi_id not in observed or not taxi.records:
+                    continue
+                taxi.records.sort(key=lambda r: r.ts)
+                yield from injector.apply(taxi.records)
+
+        # Packed into columns as they are made: no row outlives its taxi.
+        return MdtLogStore(noisy_records())
 
 
 def _poisson_times(

@@ -57,9 +57,8 @@ class TaxiState(enum.Enum):
 
 
 #: Every state in enum declaration order; index == integer state code.
-#: The columnar data plane (``repro.columnar``), the binary ``.npz``
-#: format and the shard handoff all share this one coding, so a code
-#: written by any layer decodes identically in every other.
+#: The columnar data plane (``repro.columnar``) and every layer that
+#: reads its state column share this one coding.
 STATES_BY_CODE = tuple(TaxiState)
 
 #: ``state -> integer code`` (the inverse of :data:`STATES_BY_CODE`).

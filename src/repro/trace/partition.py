@@ -8,23 +8,23 @@ each :class:`DayPartition` becomes one
 :class:`repro.core.deployment.DailyLog` for
 :class:`repro.core.deployment.DeploymentScheduler` to ingest.
 
-The columnar data plane partitions per taxi here too:
-:func:`partition_batch_by_taxi` turns a :class:`~repro.columnar.
-RecordBatch` into per-taxi sub-batches via one stable argsort over
-``(taxi, ts)`` instead of the store's dict-of-lists — with a linear
-fast path for batches already in the canonical grouped order, which is
-what cleaning output and ``RecordBatch.from_store`` produce.
+The canonical row order — taxis by sorted id, stable by timestamp
+within each taxi — has its one implementation here:
+:func:`canonical_order` sorts a :class:`~repro.columnar.RecordBatch`
+into it, and :func:`grouped_runs` recognises a batch already in it
+with one linear pass.  :class:`~repro.trace.log_store.MdtLogStore`
+keeps its batch in this order, and :func:`partition_batch_by_taxi`
+splits a batch into per-taxi sub-batches with the same two functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.trace.log_store import MdtLogStore
-
-if TYPE_CHECKING:  # cycle-free: columnar.batch imports trace.record
+if TYPE_CHECKING:  # cycle-free: log_store imports this module
     from repro.columnar import RecordBatch
+    from repro.trace.log_store import MdtLogStore
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,20 @@ def split_by_day(store: MdtLogStore) -> List[DayPartition]:
     return partitions
 
 
-def records_per_day(store: MdtLogStore) -> Dict[float, int]:
-    """Record counts keyed by day-start timestamp (dataset statistics)."""
-    return {
-        part.day_start_ts: len(part.store) for part in split_by_day(store)
-    }
-
-
 # -- per-taxi partitioning of columnar batches ------------------------------
 
 
-def _grouped_runs(batch: RecordBatch) -> List[Tuple[int, int, int]] | None:
+def grouped_runs(batch: RecordBatch) -> List[Tuple[int, int, int]] | None:
     """``(taxi_code, start, stop)`` runs when the batch is already in
     canonical grouped order (each taxi contiguous, sorted ids,
     nondecreasing ts within each run), else None.
 
-    One linear pass; this is the fast path that lets cleaning output and
-    ``from_store`` batches skip the argsort entirely.
+    One linear pass; this is the fast path that lets cleaning output
+    and a store's own batch skip the argsort entirely.
     """
     taxi, ts = batch.taxi, batch.ts
+    if not taxi:
+        return []
     table = batch.taxi_table
     runs: List[Tuple[int, int, int]] = []
     start = 0
@@ -118,34 +113,42 @@ def _grouped_runs(batch: RecordBatch) -> List[Tuple[int, int, int]] | None:
     return runs
 
 
-def partition_batch_by_taxi(
-    batch: RecordBatch,
-) -> List[Tuple[str, RecordBatch]]:
-    """Split a batch into per-taxi sub-batches, sorted by taxi id.
+def canonical_order(batch: RecordBatch) -> List[int]:
+    """Row indices of ``batch`` in canonical order: taxis by sorted id,
+    stable by timestamp within each taxi (ts ties keep input order).
 
-    Rows within each taxi come out in stable timestamp order — exactly
-    the order :meth:`MdtLogStore.records_of` produces, so the columnar
-    and the row pipeline scan identical per-taxi sequences.
-
-    Already-grouped batches (cleaning output, ``from_store``) split in
-    one linear pass; arbitrary row orders (a raw CSV day interleaves
-    taxis) fall back to a single stable argsort over ``(taxi, ts)``.
+    One stable argsort over ``(taxi-id rank, ts)``.
     """
-    if len(batch) == 0:
-        return []
-    runs = _grouped_runs(batch)
-    if runs is not None:
-        return [
-            (batch.taxi_table[code], batch.slice(start, stop))
-            for code, start, stop in runs
-        ]
     ts, taxi = batch.ts, batch.taxi
     # Rank taxi codes by id so the tuple key sorts taxis lexically.
     by_id = sorted(range(len(batch.taxi_table)), key=batch.taxi_table.__getitem__)
     rank = [0] * len(by_id)
     for r, code in enumerate(by_id):
         rank[code] = r
-    order = sorted(range(len(ts)), key=lambda i: (rank[taxi[i]], ts[i]))
+    return sorted(range(len(ts)), key=lambda i: (rank[taxi[i]], ts[i]))
+
+
+def partition_batch_by_taxi(
+    batch: RecordBatch,
+) -> List[Tuple[str, RecordBatch]]:
+    """Split a batch into per-taxi sub-batches, sorted by taxi id.
+
+    Rows within each taxi come out in stable timestamp order — the
+    canonical order, so the columnar pipeline and the row view of
+    :meth:`MdtLogStore.records_of` scan identical per-taxi sequences.
+
+    Already-grouped batches (cleaning output, a store's own batch)
+    split in one linear pass; arbitrary row orders (a raw CSV day
+    interleaves taxis) fall back to :func:`canonical_order`.
+    """
+    runs = grouped_runs(batch)
+    if runs is not None:
+        return [
+            (batch.taxi_table[code], batch.slice(start, stop))
+            for code, start, stop in runs
+        ]
+    taxi = batch.taxi
+    order = canonical_order(batch)
     groups: List[Tuple[str, RecordBatch]] = []
     start = 0
     for i in range(1, len(order) + 1):

@@ -102,14 +102,15 @@ def clean_store(
         all taxis.
     """
     report = CleaningReport()
-    cleaned = MdtLogStore()
+    survivors: List[MdtRecord] = []
     inaccessible = list(inaccessible)
     for taxi_id in store.taxi_ids:
-        survivors = clean_records(
-            store.records_of(taxi_id),
-            city_bbox=city_bbox,
-            inaccessible=inaccessible,
-            report=report,
+        survivors.extend(
+            clean_records(
+                store.records_of(taxi_id),
+                city_bbox=city_bbox,
+                inaccessible=inaccessible,
+                report=report,
+            )
         )
-        cleaned.extend(survivors)
-    return cleaned, report
+    return MdtLogStore(survivors), report

@@ -146,10 +146,11 @@ class TestPrimitives:
         assert ordered == [rows[2], rows[0], rows[1]]
 
     def test_partition_fallback_matches_store_order(self, golden_store):
-        grouped = RecordBatch.from_store(golden_store)
+        grouped = golden_store.to_batch()
         # Reversing breaks the canonical grouped order, forcing the
-        # argsort fallback.  The store path is the parity reference:
-        # both are stable over the same (reversed) insertion order, so
+        # argsort fallback.  The store's order is the reference (pinned
+        # against a written-out rule in tests/test_log_store.py): both
+        # are stable over the same (reversed) insertion order, so
         # ts-tied rows must come out in the same order from each.
         reversed_rows = grouped.to_rows()[::-1]
         slow = partition_batch_by_taxi(
@@ -165,7 +166,7 @@ class TestParity:
     def test_clean_parity_on_golden_day(self, golden_store):
         row_cleaned, row_report = clean_store(golden_store)
         col_cleaned, col_report = clean_batch(
-            RecordBatch.from_store(golden_store)
+            golden_store.to_batch()
         )
         assert col_cleaned.to_rows() == list(row_cleaned.iter_records())
         assert col_report == row_report
@@ -182,7 +183,7 @@ class TestParity:
             golden_store, city_bbox=shrunk, inaccessible=water
         )
         col_cleaned, col_report = clean_batch(
-            RecordBatch.from_store(golden_store),
+            golden_store.to_batch(),
             city_bbox=shrunk,
             inaccessible=water,
         )
@@ -228,7 +229,7 @@ class TestParity:
         cleaned, _ = clean_store(golden_store)
         row_events = extract_all_pickup_events(cleaned)
         col_events = extract_pickup_events_batch(
-            RecordBatch.from_store(cleaned)
+            cleaned.to_batch()
         )
         assert len(col_events) == len(row_events)
         for col, row in zip(col_events, row_events):
@@ -304,7 +305,7 @@ class TestConformancePin:
         )
         engine = golden_engine(golden_store)
         detection = engine.detect_spots(
-            RecordBatch.from_store(golden_store)
+            golden_store.to_batch()
         )
         analyses = engine.disambiguate(golden_store, detection)
         assert via_store["spots"] == [

@@ -191,11 +191,12 @@ class TestZoneStreetJobRatio:
         assert zone_street_job_ratio(MdtLogStore()) == 0.84
 
     def test_mixed_jobs(self):
-        store = MdtLogStore()
         S = TaxiState
         seq = [S.FREE, S.POB, S.FREE,               # street
                S.ONCALL, S.ARRIVED, S.POB, S.FREE,  # booking
                S.FREE, S.POB, S.FREE]               # street
-        for i, state in enumerate(seq):
-            store.append(MdtRecord(float(i), "A", 103.8, 1.33, 0.0, state))
+        store = MdtLogStore(
+            MdtRecord(float(i), "A", 103.8, 1.33, 0.0, state)
+            for i, state in enumerate(seq)
+        )
         assert zone_street_job_ratio(store) == pytest.approx(2 / 3)

@@ -20,8 +20,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim.config import SimulationConfig
+from repro.sim.fleet import simulate_day
 from repro.trace.log_store import MdtLogStore
-from tests._golden import golden_engine, pipeline_snapshot
+from tests._golden import (
+    GOLDEN_DECOYS,
+    GOLDEN_FLEET,
+    GOLDEN_SEED,
+    GOLDEN_SPOTS,
+    golden_engine,
+    pipeline_snapshot,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 CSV_PATH = DATA_DIR / "golden_day.csv"
@@ -71,3 +80,19 @@ def test_fixture_detects_spots(expected):
 def test_golden_serial(golden_store, expected):
     engine = golden_engine(golden_store)
     _assert_snapshot_equal(pipeline_snapshot(engine, golden_store), expected)
+
+
+def test_simulator_regenerates_the_fixture_csv(tmp_path):
+    # The simulator -> store -> CSV path that makes the fixture (and
+    # every benchmark day) must reproduce it byte for byte.
+    output = simulate_day(
+        SimulationConfig(
+            seed=GOLDEN_SEED,
+            fleet_size=GOLDEN_FLEET,
+            n_queue_spots=GOLDEN_SPOTS,
+            n_decoy_landmarks=GOLDEN_DECOYS,
+        )
+    )
+    path = tmp_path / "golden_day.csv"
+    output.store.to_csv(path)
+    assert path.read_bytes() == CSV_PATH.read_bytes()

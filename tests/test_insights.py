@@ -15,10 +15,10 @@ LON, LAT = 103.8, 1.33
 
 
 def store_with(*state_ts_pairs, taxi="A", lon=LON, lat=LAT):
-    store = MdtLogStore()
-    for ts, state in state_ts_pairs:
-        store.append(MdtRecord(float(ts), taxi, lon, lat, 3.0, state))
-    return store
+    return MdtLogStore(
+        MdtRecord(float(ts), taxi, lon, lat, 3.0, state)
+        for ts, state in state_ts_pairs
+    )
 
 
 class TestFindCherryPicks:

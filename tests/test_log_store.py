@@ -1,6 +1,8 @@
 """Tests for the embedded MDT log store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.columnar import RecordBatch
@@ -20,8 +22,7 @@ def rec(ts, taxi="SH0001A", lon=103.8, lat=1.33, speed=10.0, state=TaxiState.FRE
 
 @pytest.fixture
 def store():
-    s = MdtLogStore()
-    s.extend(
+    return MdtLogStore(
         [
             rec(100.0, "A"),
             rec(50.0, "A", state=TaxiState.POB),
@@ -29,7 +30,6 @@ def store():
             rec(200.0, "B", lon=104.2),
         ]
     )
-    return s
 
 
 class TestIngestionAndReads:
@@ -76,15 +76,6 @@ class TestFilters:
         sub = store.filter_time(60.0, 150.0)
         assert sorted(r.ts for r in sub.iter_records()) == [75.0, 100.0]
 
-    def test_filter_bbox(self, store):
-        sub = store.filter_bbox(BBox(103.85, 1.0, 104.0, 2.0))
-        assert len(sub) == 1
-
-    def test_filter_taxis(self, store):
-        sub = store.filter_taxis(["B", "Z"])
-        assert sub.taxi_ids == ["B"]
-        assert len(sub) == 2
-
 
 class TestPersistence:
     def test_csv_roundtrip(self, store, tmp_path):
@@ -102,38 +93,24 @@ class TestPersistence:
         with pytest.raises(ValueError, match="header"):
             MdtLogStore.from_csv(path)
 
-    def test_npz_roundtrip(self, store, tmp_path):
-        path = tmp_path / "logs.npz"
-        store.to_npz(path)
-        loaded = MdtLogStore.from_npz(path)
-        assert len(loaded) == len(store)
-        a_states = [r.state for r in loaded.records_of("A")]
-        assert a_states == [TaxiState.POB, TaxiState.FREE]
 
-    def test_to_arrays_alignment(self, store):
-        arrays = store.to_arrays()
-        assert len(arrays["ts"]) == 4
-        assert arrays["taxi_id"][0] == "A"
-        assert set(arrays) == {"ts", "lon", "lat", "speed", "state", "taxi_id"}
-
-    def test_csv_text(self, store):
-        text = store.to_csv_text()
-        assert text.splitlines()[0] == MdtRecord.CSV_HEADER
-        assert len(text.splitlines()) == 5
+def write_dirty_csv(store, path, garbage):
+    """``store`` as a CSV with ``garbage`` lines appended."""
+    store.to_csv(path)
+    path.write_text(path.read_text() + garbage)
 
 
 class TestLenientIngestion:
     def test_skip_mode_counts_bad_lines(self, store, tmp_path):
         path = tmp_path / "dirty.csv"
-        text = store.to_csv_text()
-        path.write_text(text + "garbage,line\nnot,even,close\n")
+        write_dirty_csv(store, path, "garbage,line\nnot,even,close\n")
         loaded = MdtLogStore.from_csv(path, on_error="skip")
         assert len(loaded) == len(store)
         assert loaded.skipped_lines == 2
 
     def test_raise_mode_fails_on_bad_line(self, store, tmp_path):
         path = tmp_path / "dirty.csv"
-        path.write_text(store.to_csv_text() + "garbage,line\n")
+        write_dirty_csv(store, path, "garbage,line\n")
         with pytest.raises(ValueError):
             MdtLogStore.from_csv(path)
 
@@ -144,46 +121,75 @@ class TestLenientIngestion:
             MdtLogStore.from_csv(path, on_error="ignore")
 
 
-class TestJsonl:
-    def test_roundtrip(self, store, tmp_path):
-        path = tmp_path / "logs.jsonl"
-        store.to_jsonl(path)
-        loaded = MdtLogStore.from_jsonl(path)
-        assert len(loaded) == len(store)
-        assert [r.state for r in loaded.records_of("A")] == [
-            r.state for r in store.records_of("A")
-        ]
-        assert loaded.records_of("B")[0].lon == store.records_of("B")[0].lon
-
-    def test_one_object_per_line(self, store, tmp_path):
-        import json
-
-        path = tmp_path / "logs.jsonl"
-        store.to_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(store)
-        parsed = json.loads(lines[0])
-        assert set(parsed) == {"ts", "taxi_id", "lon", "lat", "speed", "state"}
-
-    def test_malformed_line_raises_with_position(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ts": 1.0}\n')
-        with pytest.raises(ValueError, match="line 1"):
-            MdtLogStore.from_jsonl(path)
-
-    def test_blank_lines_tolerated(self, store, tmp_path):
-        path = tmp_path / "logs.jsonl"
-        store.to_jsonl(path)
-        path.write_text(path.read_text() + "\n\n")
-        assert len(MdtLogStore.from_jsonl(path)) == len(store)
-
-
 class TestMerge:
     def test_merge_stores(self, store):
         other = MdtLogStore([rec(5.0, "C")])
         merged = merge_stores([store, other])
         assert len(merged) == 5
         assert merged.taxi_ids == ["A", "B", "C"]
+
+
+# -- canonical order --------------------------------------------------------
+#
+# Every store keeps its records in one order: taxis by sorted id, and
+# within a taxi stably by timestamp, so records with tied timestamps
+# keep their input order.
+
+
+def reference_by_taxi(records):
+    """The historical store's rule, written out: per-taxi lists in input
+    order, each stably sorted by ts, with taxis in sorted-id order."""
+    by_taxi = {}
+    for record in records:
+        by_taxi.setdefault(record.taxi_id, []).append(record)
+    return {
+        taxi_id: sorted(by_taxi[taxi_id], key=lambda r: r.ts)
+        for taxi_id in sorted(by_taxi)
+    }
+
+
+# Few ids (first appearance need not be sorted order) and few distinct
+# timestamps, so ties and out-of-order runs are common; the speed is the
+# input position, which makes a broken tie order visible.
+unordered_records = st.lists(
+    st.tuples(
+        st.sampled_from(["T10", "T2", "T1", "A"]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(list(TaxiState)),
+    ),
+    max_size=40,
+).map(
+    lambda rows: [
+        MdtRecord(float(ts), taxi, 103.8, 1.33, float(i), state)
+        for i, (taxi, ts, state) in enumerate(rows)
+    ]
+)
+
+
+class TestCanonicalOrder:
+    @given(unordered_records)
+    @settings(max_examples=200, deadline=None)
+    def test_every_constructor_gives_the_reference_order(self, records):
+        expected = reference_by_taxi(records)
+        flat = [r for rs in expected.values() for r in rs]
+        stores = [
+            MdtLogStore(records),
+            MdtLogStore.from_batch(RecordBatch.from_rows(records)),
+            # Already canonical: wrapped after the linear check.
+            MdtLogStore.from_batch(RecordBatch.from_rows(flat)),
+        ]
+        for store in stores:
+            assert store.taxi_ids == list(expected)
+            assert len(store) == len(records)
+            for taxi_id, rows in expected.items():
+                assert store.records_of(taxi_id) == rows
+            assert list(store.iter_records()) == flat
+            if records:
+                timestamps = [r.ts for r in records]
+                assert store.time_span == (min(timestamps), max(timestamps))
+            else:
+                with pytest.raises(ValueError):
+                    store.time_span
 
 
 # -- garbage in, accounting out -------------------------------------------

@@ -38,29 +38,26 @@ def _row_zone_ratios(store, zones):
     from repro.core.thresholds import zone_street_job_ratio
     from repro.trace.log_store import MdtLogStore
 
-    zone_stores = {zone.name: MdtLogStore() for zone in zones}
+    zone_records = {zone.name: [] for zone in zones}
     for trajectory in store.iter_trajectories():
         counts = {}
         step = max(1, len(trajectory) // 25)
         for record in trajectory.records[::step]:
             name = zones.classify_or_nearest(record.lon, record.lat)
             counts[name] = counts.get(name, 0) + 1
-        zone_stores[max(counts, key=counts.get)].extend(trajectory.records)
+        zone_records[max(counts, key=counts.get)].extend(trajectory.records)
     return {
-        name: zone_street_job_ratio(zone_store)
-        for name, zone_store in zone_stores.items()
+        name: zone_street_job_ratio(MdtLogStore(records))
+        for name, records in zone_records.items()
     }
 
 
 class TestEngineZoneRatios:
     def test_ratios_per_zone(self, small_engine, small_day):
-        from repro.columnar import RecordBatch
         from repro.core.thresholds import zone_street_job_ratios
 
         cleaned = small_engine.preprocess(small_day.store)
-        ratios = zone_street_job_ratios(
-            RecordBatch.from_store(cleaned), small_engine.zones
-        )
+        ratios = zone_street_job_ratios(cleaned.to_batch(), small_engine.zones)
         assert ratios == _row_zone_ratios(cleaned, small_engine.zones)
         assert set(ratios) == {"Central", "North", "West", "East"}
         for value in ratios.values():

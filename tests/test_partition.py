@@ -4,11 +4,7 @@ import pytest
 
 from repro.states.states import TaxiState
 from repro.trace.log_store import MdtLogStore
-from repro.trace.partition import (
-    day_of_week_of,
-    records_per_day,
-    split_by_day,
-)
+from repro.trace.partition import day_of_week_of, split_by_day
 from repro.trace.record import MdtRecord, parse_timestamp
 
 
@@ -79,17 +75,3 @@ class TestSplitByDay:
         part = split_by_day(MdtLogStore([rec(base)]))[0]
         assert part.day_end_ts == base + 86400.0
 
-
-class TestRecordsPerDay:
-    def test_counts(self):
-        base = parse_timestamp("01/08/2008 00:00:00")
-        store = MdtLogStore(
-            [rec(base + 1), rec(base + 2), rec(base + 86400 + 1)]
-        )
-        counts = records_per_day(store)
-        assert counts == {base: 2, base + 86400: 1}
-
-    def test_on_simulated_day(self, small_day):
-        counts = records_per_day(small_day.store)
-        assert len(counts) == 1
-        assert sum(counts.values()) == len(small_day.store)

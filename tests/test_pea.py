@@ -158,12 +158,13 @@ class TestMultipleEvents:
             extract_pickup_events(traj((LOW, S.FREE)), speed_threshold_kmh=0)
 
     def test_store_level_extraction(self):
-        store = MdtLogStore()
-        for taxi in ("A", "B"):
+        store = MdtLogStore(
+            MdtRecord(30.0 * i, taxi, 103.8, 1.33, speed, state)
+            for taxi in ("A", "B")
             for i, (speed, state) in enumerate(
                 [(HIGH, S.FREE), (LOW, S.FREE), (LOW, S.POB), (HIGH, S.POB)]
-            ):
-                store.append(MdtRecord(30.0 * i, taxi, 103.8, 1.33, speed, state))
+            )
+        )
         events = extract_all_pickup_events(store)
         assert len(events) == 2
         assert {e.taxi_id for e in events} == {"A", "B"}

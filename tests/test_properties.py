@@ -1,8 +1,8 @@
 """Cross-cutting property-based tests (hypothesis).
 
 Invariants that must hold for *any* input, spanning module boundaries:
-store persistence round-trips, QCD label consistency with its feature
-inputs, and feature-computation conservation laws.
+store time filtering, QCD label consistency with its feature inputs,
+and feature-computation conservation laws.
 """
 
 import math
@@ -61,33 +61,6 @@ thresholds_strategy = st.builds(
 
 
 class TestStoreRoundTrips:
-    @given(records_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_npz_roundtrip_preserves_everything(self, tmp_path_factory, records):
-        store = MdtLogStore(records)
-        path = tmp_path_factory.mktemp("npz") / "store.npz"
-        store.to_npz(path)
-        loaded = MdtLogStore.from_npz(path)
-        assert len(loaded) == len(store)
-        for taxi_id in store.taxi_ids:
-            original = store.records_of(taxi_id)
-            restored = loaded.records_of(taxi_id)
-            assert [r.state for r in original] == [r.state for r in restored]
-            for a, b in zip(original, restored):
-                assert a.ts == b.ts
-                assert a.lon == pytest.approx(b.lon)
-
-    @given(records_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_jsonl_roundtrip(self, tmp_path_factory, records):
-        store = MdtLogStore(records)
-        path = tmp_path_factory.mktemp("jsonl") / "store.jsonl"
-        store.to_jsonl(path)
-        loaded = MdtLogStore.from_jsonl(path)
-        assert len(loaded) == len(store)
-        for a, b in zip(store.iter_records(), loaded.iter_records()):
-            assert a == b
-
     @given(records_strategy, st.floats(min_value=0, max_value=2e9))
     @settings(max_examples=30, deadline=None)
     def test_time_filter_partitions_store(self, records, cut):

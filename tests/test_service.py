@@ -1,5 +1,7 @@
-"""Unit tests for the serving layer's components (no sockets)."""
+"""Unit tests for the serving layer's components, plus the raw-socket
+answers of the HTTP shim to requests the stdlib rejects itself."""
 
+import socket
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ from repro.service import (
     Counter,
     Histogram,
     MetricsRegistry,
+    QueueStateServer,
     ResponseCache,
     SnapshotStore,
     StreamReplayer,
@@ -442,3 +445,47 @@ class TestFromDayCleansOnce:
         finally:
             # The HTTP listener was bound but never started; release it.
             service.server._httpd.server_close()
+
+
+class TestStdlibRejections:
+    """Requests ``BaseHTTPRequestHandler`` rejects before ``respond``
+    runs get a 4xx answer with a status line, never a 5xx."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        store = SnapshotStore([make_spot()], TimeSlotGrid(0.0, 86400.0, 1800.0))
+        server = QueueStateServer(store, port=0)
+        server.start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def exchange(server, request: bytes) -> list:
+        """Send one raw request; the answer's status line and headers
+        (the server closes the connection after a rejection)."""
+        with socket.create_connection(
+            (server.host, server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(request)
+            answer = b""
+            while chunk := sock.recv(4096):
+                answer += chunk
+        return answer.split(b"\r\n\r\n")[0].split(b"\r\n")
+
+    @pytest.mark.parametrize(
+        "method", ["HEAD", "POST", "PUT", "DELETE", "OPTIONS", "PATCH", "FOO"]
+    )
+    def test_method_other_than_get_is_405(self, server, method):
+        head = self.exchange(
+            server,
+            f"{method} /v1/spots HTTP/1.1\r\nHost: x\r\n"
+            "Content-Length: 0\r\n\r\n".encode(),
+        )
+        assert head[0].startswith(b"HTTP/1.1 405 ")
+        assert b"Allow: GET" in head[1:]
+
+    def test_unsupported_version_is_400(self, server):
+        head = self.exchange(
+            server, b"GET /v1/spots HTTP/2.0\r\nHost: x\r\n\r\n"
+        )
+        assert head[0].startswith(b"HTTP/1.1 400 ")
