@@ -29,9 +29,7 @@ def test_ablation_pea_state_filters(benchmark, bench_day, bench_engine):
     def run(apply_filters):
         params = SpotDetectionParams(apply_state_filters=apply_filters)
         events = extract_pickup_events_batch(
-            cleaned,
-            speed_threshold_kmh=params.speed_threshold_kmh,
-            apply_state_filters=apply_filters,
+            cleaned, apply_state_filters=apply_filters
         )
         return detect_from_centroids(
             pickup_centroids(events),

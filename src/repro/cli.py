@@ -49,6 +49,7 @@ from repro.core.reports import (
     format_proportions,
     format_transition_report,
 )
+from repro.core.spots import SpotDetectionResult
 from repro.core.types import TimeSlotGrid
 from repro.geo.bbox import BBox
 from repro.geo.zones import four_zone_partition
@@ -282,7 +283,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 _bbox_from_args(args, batch), args.coverage, tracer=tracer
             )
             detection = engine.detect_spots(batch)
-            analyses = engine.disambiguate(batch, detection)
+            grid = _tier2_grid(batch, detection, engine)
+            analyses = engine.disambiguate(batch, detection, grid)
             with tracer.span("stage.publish", mode="stdout") as span:
                 print(
                     format_proportions(
@@ -298,11 +300,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if analysis is None:
             print(f"unknown spot id {args.spot!r}", file=sys.stderr)
             return 1
-        lo, _ = batch.time_span
-        grid = TimeSlotGrid.for_day(lo - (lo % 86400.0))
         print()
         print(format_transition_report(analysis, grid))
     return 0
+
+
+def _tier2_grid(
+    batch: RecordBatch,
+    detection: SpotDetectionResult,
+    engine: QueueAnalyticEngine,
+) -> Optional[TimeSlotGrid]:
+    """The grid tier 2 runs and the CLI labels on: it covers tier 1's
+    cleaned rows, or the raw rows when cleaning left none (None for a
+    day with no rows at all)."""
+    cleaned = detection.cleaned_for(batch)
+    rows = cleaned if len(cleaned) else batch
+    if len(rows) == 0:
+        return None
+    lo, hi = rows.time_span
+    return TimeSlotGrid.covering(lo, hi, engine.config.slot_seconds)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -322,9 +338,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         return 2
     engine = _engine_for_bbox(_bbox_from_args(args, batch), args.coverage)
     detection = engine.detect_spots(batch)
-    analyses = engine.disambiguate(batch, detection)
-    lo, _ = batch.time_span
-    grid = TimeSlotGrid.for_day(lo - (lo % 86400.0))
+    grid = _tier2_grid(batch, detection, engine)
+    analyses = engine.disambiguate(batch, detection, grid)
 
     out_dir = Path(args.outdir)
     out_dir.mkdir(parents=True, exist_ok=True)

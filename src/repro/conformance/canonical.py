@@ -219,12 +219,7 @@ def make_bootstrap(
 
 
 def day_grid(lo: float, hi: float, slot_seconds: float) -> TimeSlotGrid:
-    """The day-spanning slot grid used by every path of a case.
-
-    Same construction as ``QueueService.from_day``: anchored to the
-    records' calendar day and covering at least 24 hours.
+    """The day-spanning slot grid used by every path of a case: the
+    engine's and ``QueueService.from_day``'s :meth:`TimeSlotGrid.covering`.
     """
-    day_start = lo - (lo % 86400.0)
-    return TimeSlotGrid(
-        day_start, max(hi, day_start + 86400.0), slot_seconds
-    )
+    return TimeSlotGrid.covering(lo, hi, slot_seconds)

@@ -19,10 +19,8 @@ from repro.core.types import (
 )
 from repro.core.pea import (
     DEFAULT_SPEED_THRESHOLD_KMH,
-    extract_pickup_events,
-    extract_pickup_events_with_stats,
-    extract_all_pickup_events,
     PeaStats,
+    PickupEvent,
 )
 from repro.core.wte import WaitEvent, extract_wait_event, extract_wait_times
 from repro.core.features import AmplificationPolicy, compute_slot_features
@@ -31,7 +29,6 @@ from repro.core.thresholds import (
     ThresholdPolicy,
     derive_thresholds,
     derive_thresholds_from_features,
-    zone_street_job_ratio,
 )
 from repro.core.qcd import disambiguate, label_slot, label_proportions
 from repro.core.qcd_extended import (
@@ -43,7 +40,6 @@ from repro.core.qcd_extended import (
 from repro.core.spots import (
     SpotDetectionParams,
     SpotDetectionResult,
-    detect_queue_spots,
     detect_from_centroids,
     pickup_centroids,
     assign_events_to_spots,
@@ -66,10 +62,8 @@ __all__ = [
     "SlotLabel",
     "TimeSlotGrid",
     "DEFAULT_SPEED_THRESHOLD_KMH",
-    "extract_pickup_events",
-    "extract_pickup_events_with_stats",
-    "extract_all_pickup_events",
     "PeaStats",
+    "PickupEvent",
     "WaitEvent",
     "extract_wait_event",
     "extract_wait_times",
@@ -79,7 +73,6 @@ __all__ = [
     "ThresholdPolicy",
     "derive_thresholds",
     "derive_thresholds_from_features",
-    "zone_street_job_ratio",
     "disambiguate",
     "label_slot",
     "label_proportions",
@@ -89,7 +82,6 @@ __all__ = [
     "label_slot_extended",
     "SpotDetectionParams",
     "SpotDetectionResult",
-    "detect_queue_spots",
     "detect_from_centroids",
     "pickup_centroids",
     "assign_events_to_spots",

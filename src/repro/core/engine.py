@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.columnar import RecordBatch
 from repro.core.features import AmplificationPolicy, compute_slot_features
-from repro.core.pea import extract_pickup_events_batch
+from repro.core.pea import PickupEvent, extract_pickup_events_batch
 from repro.core.qcd import disambiguate
 from repro.core.spots import (
     SpotDetectionParams,
@@ -47,7 +47,6 @@ from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
 from repro.trace.cleaning import CleaningReport, clean_batch
 from repro.trace.log_store import MdtLogStore
-from repro.trace.trajectory import SubTrajectory
 
 
 @dataclass
@@ -71,7 +70,7 @@ class SpotAnalysis:
 
 def analyze_spot(
     spot: QueueSpot,
-    events: List,
+    events: List[PickupEvent],
     grid: TimeSlotGrid,
     amplification: AmplificationPolicy,
     policy: ThresholdPolicy,
@@ -84,7 +83,7 @@ def analyze_spot(
 
     Args:
         spot: the detected queue spot.
-        events: the spot's W(r) bucket of pickup sub-trajectories.
+        events: the spot's W(r) bucket of pickup events.
         grid: the time-slot grid.
         amplification: observed-fraction correction policy.
         policy: threshold derivation policy.
@@ -238,10 +237,9 @@ class QueueAnalyticEngine:
         self.last_cleaning_report = report
         return cleaned
 
-    def _pickup_events(self, cleaned: RecordBatch) -> List[SubTrajectory]:
+    def _pickup_events(self, cleaned: RecordBatch) -> List[PickupEvent]:
         return extract_pickup_events_batch(
             cleaned,
-            speed_threshold_kmh=self.config.detection.speed_threshold_kmh,
             apply_state_filters=self.config.detection.apply_state_filters,
         )
 
@@ -263,8 +261,8 @@ class QueueAnalyticEngine:
                 carries no events, they are re-extracted from ``data``.
                 When it came from ``data`` itself, tier 1's cleaned rows
                 are reused instead of cleaning ``data`` again.
-            grid: time-slot grid; defaults to one day of 30-minute slots
-                aligned to the data's first midnight.
+            grid: time-slot grid; defaults to
+                :meth:`TimeSlotGrid.covering` the cleaned rows.
 
         Returns:
             ``spot_id -> SpotAnalysis``; empty, with no grid derived,
@@ -278,12 +276,7 @@ class QueueAnalyticEngine:
         events = detection.pickup_events or self._pickup_events(cleaned)
         if grid is None:
             lo, hi = cleaned.time_span
-            day_start = lo - (lo % 86400.0)
-            grid = TimeSlotGrid(
-                day_start,
-                max(hi, day_start + 86400.0),
-                self.config.slot_seconds,
-            )
+            grid = TimeSlotGrid.covering(lo, hi, self.config.slot_seconds)
         buckets = assign_events_to_spots(
             events,
             detection.spots,

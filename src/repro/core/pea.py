@@ -13,11 +13,17 @@ The algorithm keeps two flags while scanning:
 Records with a non-operational state (BREAK/OFFLINE/POWEROFF) reset the
 scan (the paper's TAG1).  When speed rises back above the threshold with a
 candidate open, the candidate is kept unless one of the three state
-constraints of section 4.2 rejects it:
+constraints of section 4.2 rejects it (:func:`candidate_rejection`):
 
 1. it starts occupied and ends unoccupied (a passenger-alight event);
 2. it starts FREE and ends ONCALL (the taxi left for a booking elsewhere);
 3. its state never changes (a traffic jam or red light).
+
+Two scans drive the constraints: :func:`extract_pickup_events_from_columns`
+walks a taxi's columns (the batch engine), and
+:class:`~repro.stream.pea_stream.StreamingPea` is fed one record at a
+time (the live monitor).  Both call :func:`candidate_rejection` and emit
+:class:`PickupEvent`.
 
 Two deliberate clarifications of the published pseudocode, documented in
 DESIGN.md: the candidate state is fully reset after a keep decision (the
@@ -29,23 +35,24 @@ same constraints (the paper leaves end-of-input unspecified).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.columnar import RecordBatch
 from repro.states.states import (
     STATE_CODES,
     TaxiState,
     OCCUPIED_CODES,
-    OCCUPIED_STATES,
     UNOCCUPIED_CODES,
-    UNOCCUPIED_STATES,
     NON_OPERATIONAL_CODES,
-    NON_OPERATIONAL_STATES,
 )
-from repro.trace.trajectory import SubTrajectory, Trajectory
+from repro.trace.record import MdtRecord
 
-#: The paper's speed threshold eta_sp: 10 km/h (section 6.1.2).
+#: The paper's speed threshold eta_sp: 10 km/h (section 6.1.2).  Records
+#: at or below it are low-speed.
 DEFAULT_SPEED_THRESHOLD_KMH = 10.0
+
+_FREE = STATE_CODES[TaxiState.FREE]
+_ONCALL = STATE_CODES[TaxiState.ONCALL]
 
 
 @dataclass(frozen=True)
@@ -59,152 +66,93 @@ class PeaStats:
     rejected_no_transition: int = 0
 
 
-def extract_pickup_events(
-    trajectory: Trajectory,
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
-    apply_state_filters: bool = True,
-) -> List[SubTrajectory]:
-    """Run PEA over one taxi's trajectory.
+@dataclass(frozen=True)
+class PickupEvent:
+    """A slow pickup event: one taxi's kept candidate, as its own records.
+
+    Iterating yields the records in time order, which is all WTE needs;
+    :meth:`centroid` is the event's central GPS location (section 4.3).
+    """
+
+    taxi_id: str
+    records: Tuple[MdtRecord, ...]
+
+    def __iter__(self) -> Iterator[MdtRecord]:
+        return iter(self.records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    @property
+    def first(self) -> MdtRecord:
+        return self.records[0]
+
+    @property
+    def last(self) -> MdtRecord:
+        return self.records[-1]
+
+    def states(self) -> List[TaxiState]:
+        return [r.state for r in self.records]
+
+    def centroid(self) -> Tuple[float, float]:
+        """The mean of lon and lat over the event's records."""
+        n = len(self.records)
+        return (
+            sum(r.lon for r in self.records) / n,
+            sum(r.lat for r in self.records) / n,
+        )
+
+
+def candidate_rejection(codes: Sequence[int]) -> Optional[str]:
+    """The section-4.2 constraint a PEA candidate fails.
 
     Args:
-        trajectory: the taxi's full (cleaned) trajectory.
-        speed_threshold_kmh: eta_sp; records at or below it are low-speed.
-        apply_state_filters: disable to ablate the three state-transition
-            constraints (bench ``ablation_state_filters``).
+        codes: the candidate's state codes in time order (at least two).
 
     Returns:
-        The sub-trajectory set omega of slow pickup events, in temporal
-        order.
+        The :class:`PeaStats` counter the candidate fails — ``"alight"``,
+        ``"oncall_leave"`` or ``"no_transition"`` — or None to keep it.
     """
-    events, _ = extract_pickup_events_with_stats(
-        trajectory, speed_threshold_kmh, apply_state_filters
-    )
-    return events
-
-
-def extract_pickup_events_with_stats(
-    trajectory: Trajectory,
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
-    apply_state_filters: bool = True,
-) -> tuple:
-    """Like :func:`extract_pickup_events` but also returns :class:`PeaStats`."""
-    if speed_threshold_kmh <= 0:
-        raise ValueError("speed threshold must be positive")
-
-    omega: List[SubTrajectory] = []
-    candidates = 0
-    rejected_alight = 0
-    rejected_oncall_leave = 0
-    rejected_no_transition = 0
-
-    phi1 = False
-    phi2 = False
-    start_idx = -1  # index of p_{i-1} when the candidate opened
-
-    def finalize(end_idx: int) -> None:
-        """Apply the section-4.2 constraints to R_k = R(start_idx, end_idx)."""
-        nonlocal candidates, rejected_alight, rejected_oncall_leave
-        nonlocal rejected_no_transition
-        candidates += 1
-        sub = trajectory.sub(start_idx, end_idx)
-        if apply_state_filters:
-            first_state = sub.first.state
-            last_state = sub.last.state
-            if first_state in OCCUPIED_STATES and last_state in UNOCCUPIED_STATES:
-                rejected_alight += 1
-                return
-            if first_state is TaxiState.FREE and last_state is TaxiState.ONCALL:
-                rejected_oncall_leave += 1
-                return
-            states = sub.states()
-            if all(state is states[0] for state in states):
-                rejected_no_transition += 1
-                return
-        omega.append(sub)
-
-    records = trajectory.records
-    for i, record in enumerate(records):
-        if record.state in NON_OPERATIONAL_STATES:
-            # TAG1: drop any open candidate and restart the scan.
-            phi1 = False
-            phi2 = False
-            continue
-        low = record.speed <= speed_threshold_kmh
-        if low:
-            if not phi1:
-                phi1 = True
-            elif not phi2:
-                start_idx = i - 1
-                phi2 = True
-            # with phi1 and phi2 the record simply extends the candidate
-        else:
-            if phi2:
-                finalize(i - 1)
-            phi1 = False
-            phi2 = False
-    if phi2:
-        finalize(len(records) - 1)
-
-    stats = PeaStats(
-        candidates=candidates,
-        kept=len(omega),
-        rejected_alight=rejected_alight,
-        rejected_oncall_leave=rejected_oncall_leave,
-        rejected_no_transition=rejected_no_transition,
-    )
-    return omega, stats
+    first, last = codes[0], codes[-1]
+    if first in OCCUPIED_CODES and last in UNOCCUPIED_CODES:
+        return "alight"
+    if first == _FREE and last == _ONCALL:
+        return "oncall_leave"
+    if all(code == first for code in codes):
+        return "no_transition"
+    return None
 
 
 def extract_pickup_events_from_columns(
     taxi_id: str,
     batch: RecordBatch,
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
     apply_state_filters: bool = True,
-) -> Tuple[List[SubTrajectory], PeaStats]:
+) -> Tuple[List[PickupEvent], PeaStats]:
     """Algorithm 1 as a cursor over one taxi's columns.
 
     The scan and the section-4.2 constraints run on the speed and
     state-code columns alone.  Record objects are materialized only for
-    the kept event spans, each event as its own one-segment
-    :class:`Trajectory`, so the rest of the taxi's day never becomes
-    rows.  Events hold the same records and :class:`PeaStats` the same
-    counts as :func:`extract_pickup_events` over the same rows (pinned
-    by parity tests and the conformance matrix).
+    the kept event spans, so the rest of the taxi's day never becomes
+    rows.  Events and :class:`PeaStats` equal those of the conformance
+    oracle's independent row reference over the same rows
+    (:func:`repro.conformance.oracles.row_pickup_events`; pinned by
+    property tests and the conformance matrix).
 
     Args:
         taxi_id: the taxi the rows belong to.
         batch: the taxi's cleaned rows, time-ordered.
+        apply_state_filters: disable to ablate the three state-transition
+            constraints (bench ``ablation_state_filters``).
     """
-    if speed_threshold_kmh <= 0:
-        raise ValueError("speed threshold must be positive")
     speed_col, state_col = batch.speed, batch.state
-    free_code = STATE_CODES[TaxiState.FREE]
-    oncall_code = STATE_CODES[TaxiState.ONCALL]
-
     kept: List[Tuple[int, int]] = []
-    candidates = 0
-    rejected_alight = 0
-    rejected_oncall_leave = 0
-    rejected_no_transition = 0
+    rejected = {"alight": 0, "oncall_leave": 0, "no_transition": 0}
 
     def finalize(start_idx: int, end_idx: int) -> None:
-        nonlocal candidates, rejected_alight, rejected_oncall_leave
-        nonlocal rejected_no_transition
-        candidates += 1
         if apply_state_filters:
-            first_code = state_col[start_idx]
-            last_code = state_col[end_idx]
-            if first_code in OCCUPIED_CODES and last_code in UNOCCUPIED_CODES:
-                rejected_alight += 1
-                return
-            if first_code == free_code and last_code == oncall_code:
-                rejected_oncall_leave += 1
-                return
-            if all(
-                state_col[j] == first_code
-                for j in range(start_idx + 1, end_idx + 1)
-            ):
-                rejected_no_transition += 1
+            reason = candidate_rejection(state_col[start_idx:end_idx + 1])
+            if reason is not None:
+                rejected[reason] += 1
                 return
         kept.append((start_idx, end_idx))
 
@@ -218,7 +166,7 @@ def extract_pickup_events_from_columns(
             phi1 = False
             phi2 = False
             continue
-        low = speed_col[i] <= speed_threshold_kmh
+        low = speed_col[i] <= DEFAULT_SPEED_THRESHOLD_KMH
         if low:
             if not phi1:
                 phi1 = True
@@ -234,59 +182,33 @@ def extract_pickup_events_from_columns(
         finalize(start_idx, n - 1)
 
     events = [
-        Trajectory(taxi_id, list(batch.iter_rows(s, e + 1))).sub(0, e - s)
+        PickupEvent(taxi_id, tuple(batch.iter_rows(s, e + 1)))
         for s, e in kept
     ]
     stats = PeaStats(
-        candidates=candidates,
+        candidates=len(events) + sum(rejected.values()),
         kept=len(events),
-        rejected_alight=rejected_alight,
-        rejected_oncall_leave=rejected_oncall_leave,
-        rejected_no_transition=rejected_no_transition,
+        rejected_alight=rejected["alight"],
+        rejected_oncall_leave=rejected["oncall_leave"],
+        rejected_no_transition=rejected["no_transition"],
     )
     return events, stats
 
 
 def extract_pickup_events_batch(
     batch: RecordBatch,
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
     apply_state_filters: bool = True,
-) -> List[SubTrajectory]:
-    """Run PEA over every taxi in a batch (columnar sibling of
-    :func:`extract_all_pickup_events`).
+) -> List[PickupEvent]:
+    """Run PEA over every taxi in a batch (the multi-taxi set W).
 
-    Taxis are visited in sorted-id order, so the event list is
-    identical to the store path's.
+    Taxis are visited in sorted-id order, each in time order.
     """
     from repro.trace.partition import partition_batch_by_taxi
 
-    events: List[SubTrajectory] = []
+    events: List[PickupEvent] = []
     for taxi_id, sub in partition_batch_by_taxi(batch):
         taxi_events, _ = extract_pickup_events_from_columns(
-            taxi_id, sub, speed_threshold_kmh, apply_state_filters
+            taxi_id, sub, apply_state_filters
         )
         events.extend(taxi_events)
-    return events
-
-
-def extract_all_pickup_events(
-    store,
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
-    apply_state_filters: bool = True,
-) -> List[SubTrajectory]:
-    """Run PEA over every taxi in a log store (the multi-taxi set W).
-
-    Args:
-        store: an :class:`~repro.trace.log_store.MdtLogStore`.
-
-    Returns:
-        The union of all taxis' pickup-event sub-trajectories.
-    """
-    events: List[SubTrajectory] = []
-    for trajectory in store.iter_trajectories():
-        events.extend(
-            extract_pickup_events(
-                trajectory, speed_threshold_kmh, apply_state_filters
-            )
-        )
     return events

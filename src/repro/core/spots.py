@@ -21,12 +21,10 @@ from repro.cluster.centroids import cluster_centroids
 from repro.cluster.dbscan import dbscan
 from repro.cluster.neighbors import GridNeighbors, NeighborsFactory
 from repro.columnar import RecordBatch
-from repro.core.pea import DEFAULT_SPEED_THRESHOLD_KMH, extract_all_pickup_events
+from repro.core.pea import PickupEvent
 from repro.core.types import QueueSpot
 from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
-from repro.trace.log_store import MdtLogStore
-from repro.trace.trajectory import SubTrajectory
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,6 @@ class SpotDetectionParams:
     min_pts: int = 50
     """DBSCAN p_d (Fig. 6 sweeps 25..150; the paper picks 50 per day)."""
 
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH
-    """PEA's eta_sp (10 km/h in section 6.1.2)."""
-
     apply_state_filters: bool = True
     """PEA's three state-transition constraints (ablation knob)."""
 
@@ -51,7 +46,7 @@ class SpotDetectionResult:
     """Everything the detection tier produces."""
 
     spots: List[QueueSpot]
-    pickup_events: List[SubTrajectory]
+    pickup_events: List[PickupEvent]
     centroids_lonlat: np.ndarray
     """``(n, 2)`` lon/lat of every pickup event centroid."""
 
@@ -92,55 +87,11 @@ class SpotDetectionResult:
         return state
 
 
-def pickup_centroids(events: Sequence[SubTrajectory]) -> np.ndarray:
+def pickup_centroids(events: Sequence[PickupEvent]) -> np.ndarray:
     """The central GPS location of every pickup event, ``(n, 2)`` lon/lat."""
     if not events:
         return np.empty((0, 2), dtype=np.float64)
-    return np.asarray([sub.centroid() for sub in events], dtype=np.float64)
-
-
-def detect_queue_spots(
-    store: MdtLogStore,
-    zones: ZonePartition,
-    projection: LocalProjection,
-    params: SpotDetectionParams = SpotDetectionParams(),
-    neighbors_factory: NeighborsFactory = GridNeighbors,
-    tracer=None,
-) -> SpotDetectionResult:
-    """Detect queue spots from a log store (the full tier-1 pipeline).
-
-    Args:
-        store: cleaned MDT logs (one or more days).
-        zones: the Fig. 5 zone partition used to split the clustering.
-        projection: lon/lat -> metre projection for the city.
-        params: PEA/DBSCAN parameters.
-        neighbors_factory: DBSCAN neighbour backend (grid index default).
-        tracer: optional :class:`repro.obs.Tracer` recording the PEA
-            and clustering stage spans (no-op by default).
-
-    Returns:
-        A :class:`SpotDetectionResult`; spots are ordered by descending
-        pickup count and get ids ``QS001, QS002, ...``.
-    """
-    if tracer is None:
-        from repro.obs.tracer import NULL_TRACER as tracer
-    with tracer.span("stage.pea") as span:
-        events = extract_all_pickup_events(
-            store,
-            speed_threshold_kmh=params.speed_threshold_kmh,
-            apply_state_filters=params.apply_state_filters,
-        )
-        span.set(records=len(store), events=len(events))
-    lonlat = pickup_centroids(events)
-    return detect_from_centroids(
-        lonlat,
-        zones,
-        projection,
-        params,
-        neighbors_factory=neighbors_factory,
-        events=events,
-        tracer=tracer,
-    )
+    return np.asarray([e.centroid() for e in events], dtype=np.float64)
 
 
 def cluster_zone(
@@ -200,13 +151,14 @@ def detect_from_centroids(
     projection: LocalProjection,
     params: SpotDetectionParams = SpotDetectionParams(),
     neighbors_factory: NeighborsFactory = GridNeighbors,
-    events: Optional[List[SubTrajectory]] = None,
+    events: Optional[List[PickupEvent]] = None,
     tracer=None,
 ) -> SpotDetectionResult:
     """Cluster pre-computed pickup centroids into queue spots.
 
-    Split out of :func:`detect_queue_spots` so parameter sweeps (the
-    Fig. 6 bench) can reuse one PEA pass across many DBSCAN settings.
+    The clustering half of tier 1, apart from PEA so parameter sweeps
+    (the Fig. 6 bench) can reuse one PEA pass across many DBSCAN
+    settings.
     """
     if tracer is None:
         from repro.obs.tracer import NULL_TRACER as tracer
@@ -248,12 +200,56 @@ def detect_from_centroids(
     )
 
 
+#: Events per block of the W(r) distance matrix: a block holds
+#: ``_ASSIGN_BLOCK x spots`` distances.
+_ASSIGN_BLOCK = 4096
+
+
+def spots_to_xy(
+    spots: Sequence[QueueSpot], projection: LocalProjection
+) -> np.ndarray:
+    """The spot centroids in metres, ``(n, 2)``."""
+    return projection.to_xy_array(
+        np.asarray([s.lon for s in spots], dtype=np.float64),
+        np.asarray([s.lat for s in spots], dtype=np.float64),
+    )
+
+
+def nearest_spots(
+    event_xy: np.ndarray, spot_xy: np.ndarray, assign_radius_m: float
+) -> np.ndarray:
+    """W(r) membership: each event's nearest spot within the radius.
+
+    Args:
+        event_xy: ``(n, 2)`` event central locations in metres.
+        spot_xy: ``(m, 2)`` spot centroids in metres (see
+            :func:`spots_to_xy`).
+        assign_radius_m: the largest event-to-spot distance that joins.
+
+    Returns:
+        ``(n,)`` spot indices, -1 where no spot lies within
+        ``assign_radius_m``.  Equidistant spots go to the lower index.
+    """
+    nearest = np.full(len(event_xy), -1, dtype=np.intp)
+    if len(spot_xy) == 0:
+        return nearest
+    limit = assign_radius_m * assign_radius_m
+    for lo in range(0, len(event_xy), _ASSIGN_BLOCK):
+        block = event_xy[lo:lo + _ASSIGN_BLOCK]
+        diff = (spot_xy[None, :, :] - block[:, None, :]).reshape(-1, 2)
+        d2 = np.einsum("ij,ij->i", diff, diff).reshape(len(block), -1)
+        j = np.argmin(d2, axis=1)
+        within = d2[np.arange(len(block)), j] <= limit
+        nearest[lo:lo + len(block)] = np.where(within, j, -1)
+    return nearest
+
+
 def assign_events_to_spots(
-    events: Sequence[SubTrajectory],
+    events: Sequence[PickupEvent],
     spots: Sequence[QueueSpot],
     projection: LocalProjection,
     assign_radius_m: float = 30.0,
-) -> Dict[str, List[SubTrajectory]]:
+) -> Dict[str, List[PickupEvent]]:
     """Build W(r): map pickup events to the nearest detected spot.
 
     An event belongs to the closest spot whose centroid lies within
@@ -262,22 +258,17 @@ def assign_events_to_spots(
     dropped (scattered street pickups).
 
     Returns:
-        ``spot_id -> list of sub-trajectories``; every spot id appears,
+        ``spot_id -> list of pickup events``; every spot id appears,
         possibly with an empty list.
     """
-    buckets: Dict[str, List[SubTrajectory]] = {s.spot_id: [] for s in spots}
-    if not spots or not events:
-        return buckets
-    spot_xy = projection.to_xy_array(
-        np.asarray([s.lon for s in spots]), np.asarray([s.lat for s in spots])
-    )
+    buckets: Dict[str, List[PickupEvent]] = {s.spot_id: [] for s in spots}
     lonlat = pickup_centroids(events)
-    event_xy = projection.to_xy_array(lonlat[:, 0], lonlat[:, 1])
-    # Brute-force over spots is fine: |spots| is O(100).
-    for i, event in enumerate(events):
-        diff = spot_xy - event_xy[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        j = int(np.argmin(d2))
-        if d2[j] <= assign_radius_m * assign_radius_m:
+    nearest = nearest_spots(
+        projection.to_xy_array(lonlat[:, 0], lonlat[:, 1]),
+        spots_to_xy(spots, projection),
+        assign_radius_m,
+    )
+    for event, j in zip(events, nearest.tolist()):
+        if j >= 0:
             buckets[spots[j].spot_id].append(event)
     return buckets

@@ -29,7 +29,6 @@ from repro.core.wte import WaitEvent
 from repro.geo.zones import ZonePartition
 from repro.states.jobs import job_counts
 from repro.states.states import STATES_BY_CODE
-from repro.trace.log_store import MdtLogStore
 
 #: Street-job ratio used where a zone has no completed jobs to estimate
 #: one from (the paper's Central-zone Sunday figure, section 6.2.1).
@@ -176,7 +175,7 @@ def derive_thresholds(
         events: the spot's wait events over the analysis window.
         slot_seconds: time-slot length (1800 s in the paper).
         street_job_ratio: the zone/day street-to-total job ratio for
-            ``tau_ratio`` (see :func:`zone_street_job_ratio`).
+            ``tau_ratio`` (see :func:`zone_street_job_ratios`).
         policy: derivation policy (paper defaults).
 
     Returns:
@@ -214,33 +213,20 @@ def derive_thresholds(
     )
 
 
-def zone_street_job_ratio(store: MdtLogStore) -> float:
-    """Street-to-total job ratio over a (zone-filtered) log store.
-
-    Section 6.2.1 computes "the daily ratio of the total street job number
-    to the total job number (street jobs + booking jobs) in different
-    zones and days of week" and uses it as ``tau_ratio``.  Returns the
-    paper's Central-zone Sunday value (0.84) as a neutral default when the
-    store contains no completed jobs.
-    """
-    street_total = 0
-    all_total = 0
-    for trajectory in store.iter_trajectories():
-        street, total = job_counts(trajectory.timeline())
-        street_total += street
-        all_total += total
-    return _street_ratio(street_total, all_total)
-
-
 def zone_street_job_ratios(
     batch: RecordBatch, zones: ZonePartition
 ) -> Dict[str, float]:
-    """:func:`zone_street_job_ratio` for every zone of a cleaned batch.
+    """The street-to-total job ratio of every zone of a cleaned batch.
+
+    Section 6.2.1 computes "the daily ratio of the total street job
+    number to the total job number (street jobs + booking jobs) in
+    different zones and days of week" and uses it as ``tau_ratio``.
 
     A taxi counts toward the zone where most of its records lie, judged
     on about 25 evenly spaced records; this keeps job segmentation
     whole-trajectory while still giving zone-level ratios.  Zones
-    without completed jobs get the neutral default.
+    without completed jobs get the neutral default, the paper's
+    Central-zone Sunday value (:data:`DEFAULT_STREET_JOB_RATIO`).
     """
     from repro.trace.partition import partition_batch_by_taxi
 

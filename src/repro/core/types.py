@@ -166,3 +166,16 @@ class TimeSlotGrid:
     def for_day(cls, day_start_ts: float, slot_seconds: float = 1800.0) -> "TimeSlotGrid":
         """The paper's daily grid: 48 half-hour slots from midnight."""
         return cls(day_start_ts, day_start_ts + 86400.0, slot_seconds)
+
+    @classmethod
+    def covering(
+        cls, lo: float, hi: float, slot_seconds: float = 1800.0
+    ) -> "TimeSlotGrid":
+        """The grid tier 2 labels a day on: from the midnight before
+        ``lo`` through ``hi``, and at least 24 hours long.
+
+        ``lo``/``hi`` are the first and last timestamps of the day's
+        records; a day that runs past midnight gets extra slots.
+        """
+        day_start = lo - (lo % 86400.0)
+        return cls(day_start, max(hi, day_start + 86400.0), slot_seconds)

@@ -1,7 +1,7 @@
 """Algorithm 2 — the Wait Time Extraction (WTE) algorithm.
 
-For every pickup-event sub-trajectory of a queue spot, WTE derives the taxi
-wait interval:
+For every pickup event of a queue spot, WTE derives the taxi wait
+interval:
 
 * the wait *start* is the timestamp of the first FREE, ONCALL or ARRIVED
   record;
@@ -10,8 +10,8 @@ wait interval:
   FREE record);
 * the wait *end* is the timestamp of the first POB record after a start.
 
-Sub-trajectories without both endpoints produce no wait event (e.g. the
-BUSY cherry-picking pickups of section 7.2, or NOSHOW bookings).
+Events without both endpoints produce no wait event (e.g. the BUSY
+cherry-picking pickups of section 7.2, or NOSHOW bookings).
 
 Beyond the paper's wait-time set Y(r), each event also carries the state
 that opened the wait, because section 5.2 needs to distinguish *street*
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
+from repro.core.pea import PickupEvent
 from repro.states.states import TaxiState
-from repro.trace.trajectory import SubTrajectory
 
 _START_STATES = (TaxiState.FREE, TaxiState.ONCALL, TaxiState.ARRIVED)
 
@@ -58,8 +58,8 @@ class WaitEvent:
         return self.start_state is TaxiState.FREE
 
 
-def extract_wait_event(sub: SubTrajectory) -> Optional[WaitEvent]:
-    """Run the WTE inner loop on one sub-trajectory.
+def extract_wait_event(sub: PickupEvent) -> Optional[WaitEvent]:
+    """Run the WTE inner loop on one pickup event.
 
     Returns:
         The wait event, or None when no complete wait interval exists.
@@ -91,8 +91,8 @@ def extract_wait_event(sub: SubTrajectory) -> Optional[WaitEvent]:
     )
 
 
-def extract_wait_times(subs: Iterable[SubTrajectory]) -> List[WaitEvent]:
-    """Run WTE over a spot's sub-trajectory set W(r).
+def extract_wait_times(subs: Iterable[PickupEvent]) -> List[WaitEvent]:
+    """Run WTE over a spot's pickup-event set W(r).
 
     Returns:
         The wait-event set (the paper's Y(r), enriched with endpoints and

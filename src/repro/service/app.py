@@ -150,7 +150,8 @@ class QueueService:
             engine: a configured batch engine; runs tiers 1 and 2 once
                 to obtain the spot set and per-spot thresholds.
             config: serving knobs.
-            grid: slot grid; defaults to the engine's daily default.
+            grid: slot grid; defaults to :meth:`TimeSlotGrid.covering`
+                tier 1's cleaned rows, the grid tier 2 derives itself.
             metrics: registry to record into (one is created when
                 omitted).
             tracer: optional :class:`repro.obs.Tracer`; the bootstrap
@@ -179,20 +180,17 @@ class QueueService:
             cleaned = detection.cleaned_for(data)
             if len(cleaned) == 0:
                 raise EmptyDayError("no records left to replay after cleaning")
+            if grid is None:
+                lo, hi = cleaned.time_span
+                grid = TimeSlotGrid.covering(
+                    lo, hi, engine.config.slot_seconds
+                )
             analyses = engine.disambiguate(data, detection, grid)
             thresholds: Dict[str, QcdThresholds] = {
                 spot_id: analysis.thresholds
                 for spot_id, analysis in analyses.items()
                 if analysis.thresholds is not None
             }
-            if grid is None:
-                lo, hi = cleaned.time_span
-                day_start = lo - (lo % 86400.0)
-                grid = TimeSlotGrid(
-                    day_start,
-                    max(hi, day_start + 86400.0),
-                    engine.config.slot_seconds,
-                )
             records = sorted(cleaned.iter_rows(), key=lambda r: r.ts)
             root.set(spots=len(detection.spots), records=len(records))
 

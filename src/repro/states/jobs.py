@@ -91,19 +91,6 @@ def segment_jobs(timeline: Sequence[Tuple[float, TaxiState]]) -> List[Job]:
     return jobs
 
 
-def street_job_ratio(timeline: Sequence[Tuple[float, TaxiState]]) -> float:
-    """Ratio of street jobs to all completed jobs in the stream.
-
-    Returns 0.0 when the stream contains no completed job; callers that
-    aggregate across taxis should instead aggregate counts (see
-    :func:`job_counts`).
-    """
-    street, total = job_counts(timeline)
-    if total == 0:
-        return 0.0
-    return street / total
-
-
 def job_counts(
     timeline: Sequence[Tuple[float, TaxiState]],
 ) -> Tuple[int, int]:

@@ -11,16 +11,19 @@ daily files.  This package provides the online counterpart:
   a time-ordered record stream and emits a QCD label whenever a time slot
   closes.
 
-The streaming path reuses the exact batch algorithms (WTE, the 5-tuple
-features, QCD); only the orchestration is incremental, so batch and
-stream agree on identical inputs (see ``tests/test_stream.py``).
+Only the orchestration is incremental.  The streaming path calls the
+batch engine's own rules: the section-4.2 PEA constraints
+(:func:`~repro.core.pea.candidate_rejection`), the pickup-event type
+(:class:`~repro.core.pea.PickupEvent`), W(r) assignment
+(:func:`~repro.core.spots.nearest_spots`), WTE, the 5-tuple features and
+QCD.  It still differs from batch by design: each slot is finalized with
+a one-slot grid after a grace period (see ``tests/test_stream.py``).
 """
 
-from repro.stream.pea_stream import PickupEvent, StreamingPea
+from repro.stream.pea_stream import StreamingPea
 from repro.stream.monitor import SlotResult, StreamingQueueMonitor
 
 __all__ = [
-    "PickupEvent",
     "StreamingPea",
     "SlotResult",
     "StreamingQueueMonitor",

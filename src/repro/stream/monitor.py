@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.features import AmplificationPolicy, compute_slot_features
+from repro.core.pea import PickupEvent
 from repro.core.qcd import label_slot
+from repro.core.spots import nearest_spots, spots_to_xy
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import QueueSpot, SlotFeatures, SlotLabel, TimeSlotGrid
 from repro.core.wte import WaitEvent, extract_wait_event
@@ -74,13 +74,7 @@ class StreamingQueueMonitor:
         }
         self._finalized_through = -1
         self._subscribers: List[Callable[[List[SlotResult]], None]] = []
-        if self.spots:
-            self._spot_xy = projection.to_xy_array(
-                np.asarray([s.lon for s in self.spots]),
-                np.asarray([s.lat for s in self.spots]),
-            )
-        else:
-            self._spot_xy = np.empty((0, 2))
+        self._spot_xy = spots_to_xy(self.spots, projection)
 
     # -- subscriptions -----------------------------------------------------------
 
@@ -175,7 +169,7 @@ class StreamingQueueMonitor:
 
     # -- internals ----------------------------------------------------------------
 
-    def _absorb(self, pickup) -> None:
+    def _absorb(self, pickup: PickupEvent) -> None:
         spot_id = self._assign(pickup)
         if spot_id is None:
             return
@@ -187,17 +181,13 @@ class StreamingQueueMonitor:
             return
         self._events[spot_id].setdefault(slot, []).append(wait)
 
-    def _assign(self, pickup) -> Optional[str]:
-        if not self.spots:
-            return None
+    def _assign(self, pickup: PickupEvent) -> Optional[str]:
+        """The batch W(r) rule (:func:`~repro.core.spots.nearest_spots`)
+        on one event."""
         lon, lat = pickup.centroid()
-        x, y = self.projection.to_xy(lon, lat)
-        diff = self._spot_xy - np.array([x, y])
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        j = int(np.argmin(d2))
-        if d2[j] <= self.assign_radius_m**2:
-            return self.spots[j].spot_id
-        return None
+        event_xy = self.projection.to_xy_array([lon], [lat])
+        j = nearest_spots(event_xy, self._spot_xy, self.assign_radius_m)[0]
+        return None if j < 0 else self.spots[j].spot_id
 
     def _advance_clock(self, ts: float) -> List[SlotResult]:
         results: List[SlotResult] = []

@@ -3,64 +3,25 @@
 :class:`StreamingPea` keeps the two PEA flags and the open candidate per
 taxi and is fed records one at a time (per taxi, in time order).  A
 completed candidate that passes the section-4.2 state constraints is
-returned as a :class:`PickupEvent`.
+returned as a :class:`~repro.core.pea.PickupEvent`.
 
-The state machine is the same as the batch implementation in
-:mod:`repro.core.pea`; the equivalence is pinned by property tests that
-stream random record sequences through both.
+Only the scan is incremental: the constraints are the batch engine's
+:func:`~repro.core.pea.candidate_rejection`, and property tests stream
+random record sequences through this scan, the column scan and an
+independent row reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.pea import DEFAULT_SPEED_THRESHOLD_KMH
-from repro.states.states import (
-    NON_OPERATIONAL_STATES,
-    OCCUPIED_STATES,
-    TaxiState,
-    UNOCCUPIED_STATES,
+from repro.core.pea import (
+    DEFAULT_SPEED_THRESHOLD_KMH,
+    PickupEvent,
+    candidate_rejection,
 )
+from repro.states.states import NON_OPERATIONAL_STATES, STATE_CODES
 from repro.trace.record import MdtRecord
-
-
-@dataclass(frozen=True)
-class PickupEvent:
-    """A completed slow-pickup event (an owned copy of its records).
-
-    Duck-type compatible with :class:`~repro.trace.trajectory.
-    SubTrajectory` where the analytics need it (iteration, ``taxi_id``,
-    ``centroid``, ``first``/``last``), so the batch WTE/feature code
-    consumes it unchanged.
-    """
-
-    taxi_id: str
-    records: Tuple[MdtRecord, ...]
-
-    def __iter__(self) -> Iterator[MdtRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def first(self) -> MdtRecord:
-        return self.records[0]
-
-    @property
-    def last(self) -> MdtRecord:
-        return self.records[-1]
-
-    def states(self) -> List[TaxiState]:
-        return [r.state for r in self.records]
-
-    def centroid(self) -> Tuple[float, float]:
-        n = len(self.records)
-        return (
-            sum(r.lon for r in self.records) / n,
-            sum(r.lat for r in self.records) / n,
-        )
 
 
 class _TaxiScanState:
@@ -73,22 +34,9 @@ class _TaxiScanState:
 
 
 class StreamingPea:
-    """Feed MDT records, collect completed pickup events.
+    """Feed MDT records, collect completed pickup events."""
 
-    Args:
-        speed_threshold_kmh: PEA's eta_sp (10 km/h in the paper).
-        apply_state_filters: the three section-4.2 constraints.
-    """
-
-    def __init__(
-        self,
-        speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
-        apply_state_filters: bool = True,
-    ):
-        if speed_threshold_kmh <= 0:
-            raise ValueError("speed threshold must be positive")
-        self.speed_threshold = speed_threshold_kmh
-        self.apply_state_filters = apply_state_filters
+    def __init__(self) -> None:
         self._taxis: Dict[str, _TaxiScanState] = {}
 
     def feed(self, record: MdtRecord) -> Optional[PickupEvent]:
@@ -106,7 +54,7 @@ class StreamingPea:
             state.prev = record
             return None
 
-        low = record.speed <= self.speed_threshold
+        low = record.speed <= DEFAULT_SPEED_THRESHOLD_KMH
         if low:
             if state.candidate is not None:
                 state.candidate.append(record)
@@ -118,7 +66,7 @@ class StreamingPea:
                 state.phi1 = True
         else:
             if state.candidate is not None:
-                event = self._finalize(record.taxi_id, state.candidate)
+                event = _finalize(record.taxi_id, state.candidate)
             state.phi1 = False
             state.candidate = None
         state.prev = record
@@ -129,7 +77,7 @@ class StreamingPea:
         events: List[PickupEvent] = []
         for taxi_id, state in self._taxis.items():
             if state.candidate is not None:
-                event = self._finalize(taxi_id, state.candidate)
+                event = _finalize(taxi_id, state.candidate)
                 if event is not None:
                     events.append(event)
             state.phi1 = False
@@ -157,16 +105,10 @@ class StreamingPea:
             scan.prev = prev
             self._taxis[taxi_id] = scan
 
-    def _finalize(
-        self, taxi_id: str, records: List[MdtRecord]
-    ) -> Optional[PickupEvent]:
-        if self.apply_state_filters:
-            first = records[0].state
-            last = records[-1].state
-            if first in OCCUPIED_STATES and last in UNOCCUPIED_STATES:
-                return None
-            if first is TaxiState.FREE and last is TaxiState.ONCALL:
-                return None
-            if all(r.state is first for r in records):
-                return None
-        return PickupEvent(taxi_id=taxi_id, records=tuple(records))
+
+def _finalize(taxi_id: str, records: List[MdtRecord]) -> Optional[PickupEvent]:
+    """The candidate as an event, or None when a constraint rejects it."""
+    codes = [STATE_CODES[r.state] for r in records]
+    if candidate_rejection(codes) is not None:
+        return None
+    return PickupEvent(taxi_id=taxi_id, records=tuple(records))

@@ -106,10 +106,7 @@ def streaming_bootstrap(
         if analysis.thresholds is not None
     }
     lo, hi = cleaned.time_span
-    day_start = lo - (lo % 86400.0)
-    grid = TimeSlotGrid(
-        day_start, max(hi, day_start + 86400.0), engine.config.slot_seconds
-    )
+    grid = TimeSlotGrid.covering(lo, hi, engine.config.slot_seconds)
     return {
         "engine": engine,
         "detection": detection,

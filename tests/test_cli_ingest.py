@@ -45,6 +45,9 @@ EXPORTED = (
 
 SKIPPED_ONE = "(1 malformed CSV lines skipped)"
 
+#: A record half an hour after the golden day's midnight.
+PAST_MIDNIGHT = "02/08/2008 00:30:00,SH0039A,103.889727,1.242012,0.0,POWEROFF"
+
 
 @pytest.fixture(scope="module")
 def truncated_csv(tmp_path_factory) -> Path:
@@ -87,8 +90,10 @@ def _reference(path: Path):
     # A second store object: tier 2 cleans the day itself here, where
     # the CLI reuses tier 1's cleaned rows.
     analyses = engine.disambiguate(MdtLogStore.from_csv(path), detection)
-    lo, _ = store.time_span
-    return detection, analyses, TimeSlotGrid.for_day(lo - (lo % 86400.0))
+    # The CLI labels on the grid tier 2 ran on: it covers the cleaned day.
+    lo, hi = detection.cleaned_for(store).time_span
+    grid = TimeSlotGrid.covering(lo, hi, engine.config.slot_seconds)
+    return detection, analyses, grid
 
 
 class TestMalformedLine:
@@ -162,6 +167,35 @@ class TestCliMatchesEngineApi:
         names = [span["name"] for span in load_spans(trace)]
         assert names.count("stage.clean") == 1
         assert names.count("stage.ingest") == 1
+
+
+class TestPastMidnight:
+    """A day whose last record falls after midnight: tier 2 grids 49
+    slots, and the CLI labels on that same grid."""
+
+    @pytest.fixture(scope="class")
+    def midnight_csv(self, tmp_path_factory) -> Path:
+        text = GOLDEN_CSV.read_text(encoding="utf-8")
+        path = tmp_path_factory.mktemp("midnight") / "past_midnight.csv"
+        path.write_text(text + PAST_MIDNIGHT + "\n", encoding="utf-8")
+        return path
+
+    def test_export_labels_every_slot(self, midnight_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["export", str(midnight_csv), "--outdir", str(out)]) == 0
+        spots = (out / "spots.csv").read_text().splitlines()[1:]
+        labels = (out / "labels.csv").read_text().splitlines()[1:]
+        assert spots
+        assert len(labels) == len(spots) * 49
+        assert labels[-1].split(",")[1:3] == ["48", "00:00-00:30"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_analyze_spot_prints_report(self, midnight_csv, capsys):
+        argv = ["analyze", str(midnight_csv), "--spot", "QS001"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out.split("\n\n", 1)[1]
+        assert report.startswith("Queue spot QS001")
+        assert report.rstrip().splitlines()[-1].split()[0].endswith("-00:30")
 
 
 class TestEmptyDay:

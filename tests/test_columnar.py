@@ -10,8 +10,9 @@ Three layers of guarantees:
    same records, events and accounting as the historical row path
    (the row cleaner is the reference in ``tests/_row_cleaning.py``).
 3. **Conformance pin** — the engine's columnar tier 1 is compared
-   byte-for-byte against the pre-refactor row path
-   (``clean_store`` + ``detect_queue_spots``) on the golden day.
+   byte-for-byte against the row path (``clean_store``, the oracle's
+   row PEA ``row_pickup_events`` and ``detect_from_centroids``) on the
+   golden day.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import RecordBatch
+from repro.conformance.oracles import row_pickup_events
 from repro.core.pea import (
-    extract_all_pickup_events,
     extract_pickup_events_batch,
     extract_pickup_events_from_columns,
-    extract_pickup_events_with_stats,
 )
-from repro.core.spots import detect_queue_spots
+from repro.core.spots import detect_from_centroids, pickup_centroids
 from repro.states.states import STATES_BY_CODE, TaxiState
 from repro.trace.cleaning import CleaningReport, clean_batch, clean_taxi_batch
 from repro.trace.log_store import MdtLogStore
@@ -162,6 +162,15 @@ class TestPrimitives:
             assert sub.to_rows() == store.records_of(taxi_id)
 
 
+def _row_pickup_events(store):
+    """The oracle's row PEA over every taxi of a store."""
+    return [
+        event
+        for trajectory in store.iter_trajectories()
+        for event in row_pickup_events(trajectory)[0]
+    ]
+
+
 class TestParity:
     def test_clean_parity_on_golden_day(self, golden_store):
         row_cleaned, row_report = clean_store(golden_store)
@@ -227,7 +236,7 @@ class TestParity:
 
     def test_pea_parity_on_golden_day(self, golden_store):
         cleaned, _ = clean_store(golden_store)
-        row_events = extract_all_pickup_events(cleaned)
+        row_events = _row_pickup_events(cleaned)
         col_events = extract_pickup_events_batch(
             cleaned.to_batch()
         )
@@ -239,9 +248,7 @@ class TestParity:
     def test_pea_stats_parity_per_taxi(self, golden_store):
         cleaned, _ = clean_store(golden_store)
         for trajectory in cleaned.iter_trajectories():
-            row_events, row_stats = extract_pickup_events_with_stats(
-                trajectory
-            )
+            row_events, row_stats = row_pickup_events(trajectory)
             col_events, col_stats = extract_pickup_events_from_columns(
                 trajectory.taxi_id,
                 RecordBatch.from_rows(trajectory.records),
@@ -278,11 +285,13 @@ class TestConformancePin:
         row_cleaned, _ = clean_store(
             golden_store, city_bbox=engine.city_bbox
         )
-        row = detect_queue_spots(
-            row_cleaned,
+        row_events = _row_pickup_events(row_cleaned)
+        row = detect_from_centroids(
+            pickup_centroids(row_events),
             engine.zones,
             engine.projection,
             engine.config.detection,
+            events=row_events,
         )
         assert [asdict(s) for s in columnar.spots] == [
             asdict(s) for s in row.spots

@@ -5,16 +5,18 @@ import math
 import pytest
 
 from repro.core.features import AmplificationPolicy, compute_slot_features, feature_matrix
+from repro.columnar import RecordBatch
 from repro.core.thresholds import (
     ThresholdPolicy,
     derive_thresholds,
     derive_thresholds_from_features,
-    zone_street_job_ratio,
+    zone_street_job_ratios,
 )
 from repro.core.types import SlotFeatures, TimeSlotGrid
 from repro.core.wte import WaitEvent
+from repro.geo.bbox import BBox
+from repro.geo.zones import Zone, ZonePartition
 from repro.states.states import TaxiState
-from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
 GRID = TimeSlotGrid(0.0, 7200.0, 1800.0)  # 4 half-hour slots
@@ -187,16 +189,23 @@ class TestSlotLevelThresholds:
 
 
 class TestZoneStreetJobRatio:
+    """``zone_street_job_ratios`` over a one-zone batch."""
+
+    ZONES = ZonePartition([Zone("Only", BBox(103.7, 1.2, 103.9, 1.4))])
+
     def test_empty_store_uses_paper_default(self):
-        assert zone_street_job_ratio(MdtLogStore()) == 0.84
+        assert zone_street_job_ratios(RecordBatch(), self.ZONES) == {
+            "Only": 0.84
+        }
 
     def test_mixed_jobs(self):
         S = TaxiState
         seq = [S.FREE, S.POB, S.FREE,               # street
                S.ONCALL, S.ARRIVED, S.POB, S.FREE,  # booking
                S.FREE, S.POB, S.FREE]               # street
-        store = MdtLogStore(
+        batch = RecordBatch.from_rows(
             MdtRecord(float(i), "A", 103.8, 1.33, 0.0, state)
             for i, state in enumerate(seq)
         )
-        assert zone_street_job_ratio(store) == pytest.approx(2 / 3)
+        ratios = zone_street_job_ratios(batch, self.ZONES)
+        assert ratios == {"Only": pytest.approx(2 / 3)}

@@ -1,6 +1,6 @@
 """Tests for street/booking job segmentation (sections 2.2 and 6.2.1)."""
 
-from repro.states.jobs import Job, JobKind, job_counts, segment_jobs, street_job_ratio
+from repro.states.jobs import Job, JobKind, job_counts, segment_jobs
 from repro.states.states import TaxiState
 
 S = TaxiState
@@ -76,21 +76,6 @@ class TestSegmentJobs:
 
 
 class TestRatios:
-    def test_all_street(self):
-        assert street_job_ratio(_tl(S.FREE, S.POB, S.FREE)) == 1.0
-
-    def test_mixed_ratio(self):
-        tl = _tl(
-            S.FREE, S.POB, S.FREE,            # street
-            S.ONCALL, S.POB, S.FREE,          # booking
-            S.FREE, S.POB, S.FREE,            # street
-            S.FREE, S.POB, S.FREE,            # street
-        )
-        assert street_job_ratio(tl) == 0.75
-
-    def test_no_jobs_gives_zero(self):
-        assert street_job_ratio(_tl(S.FREE, S.BREAK, S.FREE)) == 0.0
-
     def test_job_counts(self):
         street, total = job_counts(
             _tl(S.FREE, S.POB, S.FREE, S.ONCALL, S.POB, S.FREE)

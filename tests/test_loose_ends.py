@@ -33,22 +33,24 @@ class TestCliDemo:
 
 def _row_zone_ratios(store, zones):
     """Row-path reference for ``zone_street_job_ratios``: each taxi's
-    whole trajectory goes to its majority zone's store, then
-    ``zone_street_job_ratio`` runs per zone store."""
-    from repro.core.thresholds import zone_street_job_ratio
-    from repro.trace.log_store import MdtLogStore
+    whole trajectory counts its jobs toward its majority zone."""
+    from repro.core.thresholds import DEFAULT_STREET_JOB_RATIO
+    from repro.states.jobs import job_counts
 
-    zone_records = {zone.name: [] for zone in zones}
+    zone_jobs = {zone.name: [0, 0] for zone in zones}
     for trajectory in store.iter_trajectories():
         counts = {}
         step = max(1, len(trajectory) // 25)
         for record in trajectory.records[::step]:
             name = zones.classify_or_nearest(record.lon, record.lat)
             counts[name] = counts.get(name, 0) + 1
-        zone_records[max(counts, key=counts.get)].extend(trajectory.records)
+        street, total = job_counts(trajectory.timeline())
+        home = zone_jobs[max(counts, key=counts.get)]
+        home[0] += street
+        home[1] += total
     return {
-        name: zone_street_job_ratio(MdtLogStore(records))
-        for name, records in zone_records.items()
+        name: street / total if total else DEFAULT_STREET_JOB_RATIO
+        for name, (street, total) in zone_jobs.items()
     }
 
 

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.pea import PickupEvent
 from repro.core.spots import (
     SpotDetectionParams,
     assign_events_to_spots,
     detect_from_centroids,
+    nearest_spots,
     pickup_centroids,
 )
 from repro.core.types import QueueSpot
@@ -15,7 +19,6 @@ from repro.geo.zones import four_zone_partition
 from repro.sim.city import DEFAULT_CITY_BBOX
 from repro.states.states import TaxiState
 from repro.trace.record import MdtRecord
-from repro.trace.trajectory import Trajectory
 
 ZONES = four_zone_partition(DEFAULT_CITY_BBOX)
 LON, LAT = DEFAULT_CITY_BBOX.center
@@ -116,8 +119,7 @@ class TestPickupCentroids:
             MdtRecord(0.0, "A", 103.80, 1.30, 5.0, TaxiState.FREE),
             MdtRecord(30.0, "A", 103.82, 1.32, 5.0, TaxiState.POB),
         ]
-        t = Trajectory("A", records)
-        lonlat = pickup_centroids([t.sub(0, 1)])
+        lonlat = pickup_centroids([PickupEvent("A", tuple(records))])
         assert lonlat.shape == (1, 2)
         assert lonlat[0, 0] == pytest.approx(103.81)
 
@@ -127,11 +129,11 @@ class TestPickupCentroids:
 
 class TestAssignEventsToSpots:
     def _event_at(self, lon, lat, taxi="A"):
-        records = [
+        records = (
             MdtRecord(0.0, taxi, lon, lat, 5.0, TaxiState.FREE),
             MdtRecord(30.0, taxi, lon, lat, 5.0, TaxiState.POB),
-        ]
-        return Trajectory(taxi, records).sub(0, 1)
+        )
+        return PickupEvent(taxi, records)
 
     def test_assignment_within_radius(self):
         spot = QueueSpot("QS001", LON, LAT, "Central", 100, 5.0)
@@ -156,3 +158,70 @@ class TestAssignEventsToSpots:
         spot = QueueSpot("QS001", LON, LAT, "Central", 100, 5.0)
         buckets = assign_events_to_spots([], [spot], PROJ)
         assert buckets == {"QS001": []}
+
+
+def loop_nearest(event_xy, spot_xy, radius):
+    """W(r) one event at a time: the reference for ``nearest_spots``."""
+    nearest = []
+    for xy in event_xy:
+        if len(spot_xy) == 0:
+            nearest.append(-1)
+            continue
+        diff = spot_xy - xy
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        j = int(np.argmin(d2))
+        nearest.append(j if d2[j] <= radius * radius else -1)
+    return nearest
+
+
+#: Whole metres give exact ties and exact radius hits; any float the rest.
+metres = st.one_of(
+    st.integers(-40, 40).map(float),
+    st.floats(-60.0, 60.0, allow_nan=False),
+)
+points = st.lists(st.tuples(metres, metres), max_size=30)
+
+
+def _xy(pairs):
+    return np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+
+
+class TestNearestSpots:
+    @given(points, st.lists(st.tuples(metres, metres), max_size=8),
+           st.sampled_from([0.0, 5.0, 10.0, 30.0]))
+    @example([(30.0, 0.0), (0.0, -30.0), (30.0, 1.0)], [(0.0, 0.0)], 30.0)
+    @example([(5.0, 0.0), (0.0, 5.0)], [(0.0, 0.0), (10.0, 0.0)], 30.0)
+    @example([(3.0, 4.0)], [(0.0, 0.0), (0.0, 0.0)], 5.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_event_loop(self, events, spots, radius):
+        event_xy, spot_xy = _xy(events), _xy(spots)
+        assert nearest_spots(event_xy, spot_xy, radius).tolist() == (
+            loop_nearest(event_xy, spot_xy, radius)
+        )
+
+    def test_event_exactly_at_radius_joins(self):
+        nearest = nearest_spots(
+            _xy([(30.0, 0.0), (18.0, 24.0), (30.000000000000004, 0.0)]),
+            _xy([(0.0, 0.0)]),
+            30.0,
+        )
+        assert nearest.tolist() == [0, 0, -1]
+
+    def test_equidistant_spots_go_to_lower_index(self):
+        nearest = nearest_spots(
+            _xy([(5.0, 0.0), (5.0, 7.0)]),
+            _xy([(10.0, 0.0), (0.0, 0.0)]),
+            30.0,
+        )
+        assert nearest.tolist() == [0, 0]
+
+    def test_blocks_match_per_event_loop(self):
+        rng = np.random.default_rng(5)
+        event_xy = rng.uniform(-500.0, 500.0, size=(10_000, 2))
+        spot_xy = rng.uniform(-500.0, 500.0, size=(30, 2))
+        nearest = nearest_spots(event_xy, spot_xy, 30.0)
+        assert (nearest >= 0).any()
+        assert nearest.tolist() == loop_nearest(event_xy, spot_xy, 30.0)
+
+    def test_no_spots(self):
+        assert nearest_spots(_xy([(0.0, 0.0)]), _xy([]), 30.0).tolist() == [-1]

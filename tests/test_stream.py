@@ -1,21 +1,18 @@
 """Tests for the streaming engine (incremental PEA + live monitor)."""
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.conformance.oracles import row_pickup_events
 from repro.core.features import AmplificationPolicy
-from repro.core.pea import extract_pickup_events
 from repro.core.qcd import label_slot
+from repro.core.spots import assign_events_to_spots
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import QueueSpot, QueueType, TimeSlotGrid
 from repro.geo.point import LocalProjection
 from repro.states.states import TaxiState
 from repro.stream import StreamingPea, StreamingQueueMonitor
+from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
-from repro.trace.trajectory import Trajectory
 
 S = TaxiState
 LON, LAT = 103.8, 1.33
@@ -66,25 +63,6 @@ class TestStreamingPea:
                 if event:
                     events.append(event)
         assert {e.taxi_id for e in events} == {"A", "B"}
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            StreamingPea(speed_threshold_kmh=0)
-
-    speeds = st.floats(min_value=0.0, max_value=80.0)
-    states = st.sampled_from(list(TaxiState))
-
-    @given(st.lists(st.tuples(speeds, states), min_size=0, max_size=80))
-    @settings(max_examples=60, deadline=None)
-    def test_equivalent_to_batch_pea(self, pairs):
-        records = recs(*pairs) if pairs else []
-        batch = extract_pickup_events(Trajectory("A", records))
-        pea = StreamingPea()
-        streamed = [e for e in (pea.feed(r) for r in records) if e]
-        streamed.extend(pea.flush())
-        assert len(streamed) == len(batch)
-        for b, s in zip(batch, streamed):
-            assert list(b) == list(s.records)
 
     def test_pickup_event_duck_type(self):
         pea = StreamingPea()
@@ -295,3 +273,47 @@ class TestStreamAgainstBatchOnSimData:
             for f in a.features
         )
         assert stream_total == pytest.approx(batch_total, rel=0.05)
+
+    def test_stream_events_and_assignment_match_batch(
+        self, small_day, small_engine, small_detection
+    ):
+        """Over a whole day, the streaming scan emits the row
+        reference's events, and the monitor puts each event in the spot
+        of its batch W(r) bucket."""
+        cleaned = small_detection.cleaned_for(small_day.store)
+        store = MdtLogStore.from_batch(cleaned)
+        reference = [
+            event
+            for trajectory in store.iter_trajectories()
+            for event in row_pickup_events(trajectory)[0]
+        ]
+        pea = StreamingPea()
+        stream = sorted(cleaned.iter_rows(), key=lambda r: r.ts)
+        streamed = [e for e in map(pea.feed, stream) if e is not None]
+        streamed.extend(pea.flush())
+
+        def order(event):
+            return event.taxi_id, event.first.ts
+
+        assert sorted(streamed, key=order) == sorted(reference, key=order)
+
+        radius = small_engine.config.assign_radius_m
+        monitor = StreamingQueueMonitor(
+            spots=small_detection.spots,
+            thresholds={},
+            grid=small_day.ground_truth.grid,
+            projection=small_day.city.projection,
+            assign_radius_m=radius,
+        )
+        buckets = assign_events_to_spots(
+            reference, small_detection.spots, small_day.city.projection, radius
+        )
+        batch_spot = {
+            id(event): spot_id
+            for spot_id, events in buckets.items()
+            for event in events
+        }
+        assert batch_spot  # the day has W(r) members
+        assert [monitor._assign(e) for e in reference] == [
+            batch_spot.get(id(e)) for e in reference
+        ]
