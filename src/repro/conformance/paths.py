@@ -5,23 +5,25 @@ reduce their output to the canonical form of
 :mod:`repro.conformance.canonical`:
 
 * :func:`run_serial` — the batch class (raw outputs, for the oracles);
-* :func:`run_streaming` — ordered replay, optionally through a
-  :class:`~repro.resilience.reorder.ReorderBuffer` and/or against a
+* :func:`run_streaming` — the replay ``serve`` runs, optionally through
+  a :class:`~repro.resilience.reorder.ReorderBuffer` and/or against a
   disordered copy of the stream;
 * :func:`run_kill_restart` — streaming with a mid-stream
   :class:`~repro.resilience.chaos.InjectedCrash`, then a fresh stack
   restored from the latest checkpoint and resumed.
 
-Streaming paths always consume records in the canonical
-:func:`~repro.resilience.reorder.record_key` order, the same total
-order the reorder buffer releases in — a ts-only sort would leave
-equal-timestamp ties ambiguous between paths.
+Every streaming path runs ``serve``'s stack
+(:meth:`~repro.service.app.DayBootstrap.build_stack`) and ``serve``'s
+loop (:class:`~repro.service.replay.StreamReplayer`, flat out), feeds
+the records in the order it is given them — callers pass
+:func:`~repro.service.replay.replay_order`, the order ``serve`` replays
+in — and raises the exception its replay captured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.columnar import RecordBatch
 from repro.conformance.canonical import DayBootstrap, day_grid, streaming_state
@@ -30,22 +32,18 @@ from repro.core.spots import SpotDetectionResult
 from repro.core.types import TimeSlotGrid
 from repro.history.segments import SegmentStore
 from repro.history.writer import HistoryWriter
-from repro.resilience.chaos import ChaosStream, FaultPlan, InjectedCrash
+from repro.resilience.chaos import (
+    ChaosStream,
+    FaultPlan,
+    InjectedCrash,
+    disordered_copy,
+)
 from repro.resilience.checkpoint import CheckpointManager, ServiceCheckpointer
-from repro.resilience.reorder import ReorderBuffer, record_key
+from repro.resilience.reorder import ReorderBuffer
 from repro.service.replay import StreamReplayer
 from repro.stream.monitor import SlotResult
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
-
-
-def canonical_records(store_or_records) -> List[MdtRecord]:
-    """All records in the canonical total order every stream path uses."""
-    if isinstance(store_or_records, MdtLogStore):
-        records = store_or_records.iter_records()
-    else:
-        records = store_or_records
-    return sorted(records, key=record_key)
 
 
 # -- batch class ------------------------------------------------------------
@@ -97,8 +95,28 @@ class StreamingRun:
     resumed_from: Optional[int] = None
 
 
-def _collecting_stack(boot: DayBootstrap, history_dir=None):
-    """Monitor + snapshot + collectors (+ optional history writer)."""
+def _replay(
+    boot: DayBootstrap,
+    records: Iterable[MdtRecord],
+    *,
+    history_dir=None,
+    reorder: Optional[ReorderBuffer] = None,
+    checkpoint_dir=None,
+    checkpoint_every: int = 1,
+    crash_after: Optional[int] = None,
+) -> StreamingRun:
+    """One replay of ``records``, in the order given, through a fresh
+    copy of ``serve``'s stack and loop (flat out).
+
+    With a ``checkpoint_dir`` the run starts the way ``serve
+    --checkpoint-dir`` does: it restores the latest checkpoint there, if
+    any, and resumes from its stream position.  ``crash_after`` kills
+    the feed with :class:`InjectedCrash` after that many records.
+
+    Raises:
+        Exception: the error the replay captured in
+            :attr:`StreamReplayer.error`.
+    """
     monitor, snapshot = boot.build_stack()
     results: List[SlotResult] = []
     versions: List[int] = []
@@ -114,10 +132,46 @@ def _collecting_stack(boot: DayBootstrap, history_dir=None):
     writer = None
     if history_dir is not None:
         writer = HistoryWriter(
-            SegmentStore(history_dir), list(boot.spots), boot.grid
+            SegmentStore(history_dir), boot.spots, boot.grid
         )
         monitor.subscribe(writer.absorb)
-    return monitor, snapshot, writer, results, versions
+    checkpointer = None
+    resumed_from = None
+    if checkpoint_dir is not None:
+        checkpointer = ServiceCheckpointer(
+            CheckpointManager(checkpoint_dir),
+            monitor,
+            snapshot,
+            history=writer,
+            every_records=checkpoint_every,
+        )
+        resumed_from = checkpointer.restore_latest()
+    # An iterator: the replayer would put a sequence back in order.
+    feed = iter(records)
+    if crash_after is not None:
+        feed = ChaosStream(feed, FaultPlan(crash_after=crash_after))
+    replayer = StreamReplayer(
+        monitor,
+        feed,
+        speedup=None,
+        reorder=reorder,
+        checkpointer=checkpointer,
+        skip_records=resumed_from or 0,
+    )
+    replayer.run()
+    if replayer.error is not None:
+        raise replayer.error
+    digests = None
+    if writer is not None:
+        writer.flush_all()
+        digests = writer.store.digests()
+    return StreamingRun(
+        state=streaming_state(snapshot),
+        results=results,
+        versions=versions,
+        history_digests=digests,
+        resumed_from=resumed_from,
+    )
 
 
 def run_streaming(
@@ -140,42 +194,21 @@ def run_streaming(
     only comparable against an *equally buffered* ordered run — the
     buffer deduplicates, an unbuffered monitor does not.
     """
-    feed = list(records)
     if disorder_seed is not None:
-        from repro.resilience.chaos import disordered_copy
-
-        feed = disordered_copy(
-            feed,
+        records = disordered_copy(
+            records,
             seed=disorder_seed,
             window_s=disorder_window_s,
             duplicate_rate=duplicate_rate,
         )
-    monitor, snapshot, writer, results, versions = _collecting_stack(
-        boot, history_dir
-    )
-    buffer = (
-        ReorderBuffer(window_s=buffer_window_s)
-        if buffer_window_s > 0
-        else None
-    )
-    for record in feed:
-        if buffer is None:
-            monitor.feed(record)
-        else:
-            for released in buffer.feed(record):
-                monitor.feed(released)
-    if buffer is not None:
-        for released in buffer.flush():
-            monitor.feed(released)
-    monitor.finish()
-    if writer is not None:
-        writer.flush_all()
-    return StreamingRun(
-        state=streaming_state(snapshot),
-        results=results,
-        versions=versions,
-        history_digests=(
-            None if history_dir is None else history_digests(history_dir)
+    return _replay(
+        boot,
+        records,
+        history_dir=history_dir,
+        reorder=(
+            ReorderBuffer(window_s=buffer_window_s)
+            if buffer_window_s > 0
+            else None
         ),
     )
 
@@ -197,65 +230,25 @@ def run_kill_restart(
     restores the latest checkpoint and replays from the recorded stream
     position.  The history writer's cursor rides inside the checkpoint,
     so segment files must come out byte-identical to a straight run.
+    Both phases start the way ``serve --checkpoint-dir`` starts, from
+    the latest checkpoint in ``checkpoint_dir``, so it must start empty.
 
     Raises:
         RuntimeError: when the crash did not fire (``crash_after`` past
             the end of the stream would silently degrade to a plain run).
     """
-    feed = list(records)
-    monitor, snapshot, writer, _, _ = _collecting_stack(boot, history_dir)
-    checkpointer = ServiceCheckpointer(
-        CheckpointManager(checkpoint_dir),
-        monitor,
-        snapshot,
-        history=writer,
-        every_records=checkpoint_every,
+    phase = dict(
+        history_dir=history_dir,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
     )
-    crashing = StreamReplayer(
-        monitor,
-        ChaosStream(iter(feed), FaultPlan(crash_after=crash_after)),
-        speedup=None,
-        checkpointer=checkpointer,
-    )
-    crashing.run()
-    if not isinstance(crashing.error, InjectedCrash):
+    try:
+        _replay(boot, records, crash_after=crash_after, **phase)
+    except InjectedCrash:
+        pass
+    else:
         raise RuntimeError(
             f"injected crash after {crash_after} records did not fire "
-            f"(stream has {len(feed)})"
+            f"(stream has {len(records)})"
         )
-
-    monitor2, snapshot2, writer2, results, versions = _collecting_stack(
-        boot, history_dir
-    )
-    checkpointer2 = ServiceCheckpointer(
-        CheckpointManager(checkpoint_dir),
-        monitor2,
-        snapshot2,
-        history=writer2,
-        every_records=checkpoint_every,
-    )
-    resumed_from = checkpointer2.restore_latest()
-    StreamReplayer(
-        monitor2,
-        feed,
-        speedup=None,
-        checkpointer=checkpointer2,
-        skip_records=resumed_from or 0,
-    ).run()
-    monitor2.finish()
-    if writer2 is not None:
-        writer2.flush_all()
-    return StreamingRun(
-        state=streaming_state(snapshot2),
-        results=results,
-        versions=versions,
-        history_digests=(
-            None if history_dir is None else history_digests(history_dir)
-        ),
-        resumed_from=resumed_from,
-    )
-
-
-def history_digests(history_dir) -> Dict[str, str]:
-    """SHA-256 per history segment file in a directory (byte identity)."""
-    return SegmentStore(history_dir).digests()
+    return _replay(boot, records, **phase)

@@ -5,10 +5,10 @@ For each case day, :func:`run_case`
 1. runs the batch class (the serial engine) and checks it against the
    brute-force DBSCAN and direct WTE/QCD oracles;
 2. freezes the serial run's tier-1 context into a
-   :class:`~repro.conformance.canonical.DayBootstrap` and runs the
-   streaming class: plain replay, kill/restart replay (state *and*
-   history segments must match), and buffered ordered-vs-disordered
-   replay;
+   :class:`~repro.service.app.DayBootstrap` and runs the streaming
+   class on ``serve``'s stack, loop and replay order: plain replay,
+   kill/restart replay (state *and* history segments must match), and
+   buffered ordered-vs-disordered replay;
 3. checks the single-run invariants (WTE ordering, Little's law,
    version monotonicity);
 4. on the first divergence, ddmin-shrinks the day down to a minimal
@@ -16,6 +16,10 @@ For each case day, :func:`run_case`
    (committed-fixture CSV shape), ``bootstrap.json`` (the frozen
    context) and ``repro.sh`` (one command that exits 1 on the same
    divergence).
+
+Each check is one function returning its problem list; the case and
+the shrink predicate both call it, and a path that raises is a
+divergence.
 
 Shrinking verifies the divergence survives a CSV round-trip first —
 simulated days carry sub-second timestamps the fixture format
@@ -32,47 +36,31 @@ import shlex
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.conformance import faults as faults_mod
 from repro.conformance import invariants, oracles
-from repro.conformance.canonical import (
-    DayBootstrap,
-    canonical_json,
-    make_bootstrap,
-)
+from repro.conformance.canonical import DayBootstrap, make_bootstrap
 from repro.conformance.diff import diff_values
 from repro.conformance.matrix import ConformanceCase
 from repro.conformance.paths import (
-    canonical_records,
+    BatchRun,
+    StreamingRun,
     run_kill_restart,
     run_serial,
     run_streaming,
 )
-from repro.conformance.shrink import ShrinkResult, shrink_records
+from repro.conformance.shrink import shrink_records
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
 from repro.core.spots import SpotDetectionParams
 from repro.geo.bbox import BBox
 from repro.geo.point import LocalProjection
 from repro.geo.zones import four_zone_partition
+from repro.service.replay import replay_order
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
-
-#: Every check the harness knows, in execution order.
-ALL_CHECKS = (
-    "oracle-spots",
-    "oracle-batch",
-    "stream-restart",
-    "stream-disorder",
-    "oracle-stream",
-    "invariants",
-)
-
-#: Checks whose predicate is a pure function of the record set, so a
-#: diverging day can be ddmin-shrunk against them.
-SHRINKABLE_CHECKS = frozenset(ALL_CHECKS) - {"invariants"}
-
 
 @dataclass
 class CheckOutcome:
@@ -217,15 +205,14 @@ def run_case(
         if store is None:
             with _span(tracer, "conformance.simulate", seed=case.seed):
                 store = case.simulate()
-        _execute_checks(
+        day = _execute_checks(
             case, store, bootstrap, enabled, report, workdir, tracer
         )
         # Shrink while the fault (if any) is still patched in — the
         # predicate must see the same world the divergence arose in.
-        if report.divergent and shrink:
+        if report.divergent and shrink and day is not None:
             _shrink_first_divergence(
-                case, store, bootstrap, report, shrink_max_runs,
-                metrics, tracer,
+                day, report, shrink_max_runs, metrics, tracer
             )
 
     report.seconds = time.perf_counter() - started
@@ -266,6 +253,158 @@ def run_matrix(
 # -- check execution --------------------------------------------------------
 
 
+@dataclass
+class _Day:
+    """One day as every check sees it.
+
+    Holds the frozen bootstrap and the rows each streaming path
+    replays; the serial run and the plain replay are made on first use,
+    so a shrink probe runs only the paths its check needs.
+    """
+
+    case: ConformanceCase
+    boot: DayBootstrap
+    engine: QueueAnalyticEngine
+    store: MdtLogStore
+    """The raw day the serial run cleans."""
+    records: List[MdtRecord]
+    """The replay rows, in :func:`~repro.service.replay.replay_order`."""
+    workdir: Path
+    tracer: object = None
+
+    @classmethod
+    def fixed(
+        cls,
+        case: ConformanceCase,
+        boot: DayBootstrap,
+        store: MdtLogStore,
+        workdir: Path,
+        tracer=None,
+    ) -> "_Day":
+        """A day checked under a given bootstrap (repro mode and shrink
+        probes).  Its records are already cleaned, and re-cleaning a
+        subset can drop records (the state-transition chain is
+        trajectory-dependent), so the day is replayed raw."""
+        return cls(
+            case, boot, boot.build_engine(), store,
+            replay_order(store.iter_records()), workdir, tracer,
+        )
+
+    @cached_property
+    def serial(self) -> BatchRun:
+        with _span(self.tracer, "conformance.serial"):
+            return run_serial(self.engine, self.store, self.boot.grid)
+
+    @cached_property
+    def plain(self) -> StreamingRun:
+        with _span(self.tracer, "conformance.stream"):
+            return run_streaming(
+                self.boot,
+                self.records,
+                history_dir=self.history_dir("history-straight"),
+            )
+
+    def history_dir(self, name: str) -> Optional[Path]:
+        return self.workdir / name if self.case.history else None
+
+
+def _check_oracle_spots(day: _Day) -> List[str]:
+    with _span(day.tracer, "conformance.oracle_spots"):
+        return oracles.check_bruteforce_spots(
+            day.engine,
+            MdtLogStore.from_batch(day.serial.cleaned),
+            day.serial.detection,
+        )
+
+
+def _check_oracle_batch(day: _Day) -> List[str]:
+    return oracles.check_batch_recompute(
+        day.serial.analyses, day.serial.grid, day.engine.amplification
+    )
+
+
+def _check_stream_restart(day: _Day) -> List[str]:
+    n = len(day.records)
+    if n < 2:
+        return []  # a one-record stream has no kill point
+    crash_after = max(1, min(n - 1, int(n * day.case.kill_frac)))
+    with _span(
+        day.tracer, "conformance.kill_restart", crash_after=crash_after
+    ):
+        restarted = run_kill_restart(
+            day.boot,
+            day.records,
+            crash_after=crash_after,
+            checkpoint_every=day.case.checkpoint_every,
+            checkpoint_dir=day.workdir / "checkpoints",
+            history_dir=day.history_dir("history-restart"),
+        )
+    return diff_values(
+        day.plain.state, restarted.state
+    ) + invariants.check_history_identity(
+        day.plain.history_digests, restarted.history_digests
+    )
+
+
+def _check_stream_disorder(day: _Day) -> List[str]:
+    case = day.case
+    with _span(
+        day.tracer, "conformance.disorder", window=case.disorder_window_s
+    ):
+        ordered = run_streaming(
+            day.boot, day.records, buffer_window_s=case.disorder_window_s
+        )
+        disordered = run_streaming(
+            day.boot,
+            day.records,
+            disorder_seed=case.seed,
+            disorder_window_s=case.disorder_window_s,
+            duplicate_rate=case.duplicate_rate,
+            buffer_window_s=case.disorder_window_s,
+        )
+    return diff_values(ordered.state, disordered.state)
+
+
+def _check_oracle_stream(day: _Day) -> List[str]:
+    return oracles.check_streaming_labels(day.plain.results, day.boot)
+
+
+def _check_invariants(day: _Day) -> List[str]:
+    serial, plain = day.serial, day.plain
+    return (
+        invariants.check_wait_events(serial.analyses)
+        + invariants.check_littles_law_batch(serial.analyses, serial.grid)
+        + invariants.check_littles_law_streaming(plain.results, day.boot.grid)
+        + invariants.check_version_monotonic(plain.versions)
+    )
+
+
+#: Every check the harness knows, in execution order; each returns its
+#: problem list (empty when conformant).
+_CHECKS: Dict[str, Callable[[_Day], List[str]]] = {
+    "oracle-spots": _check_oracle_spots,
+    "oracle-batch": _check_oracle_batch,
+    "stream-restart": _check_stream_restart,
+    "stream-disorder": _check_stream_disorder,
+    "oracle-stream": _check_oracle_stream,
+    "invariants": _check_invariants,
+}
+ALL_CHECKS = tuple(_CHECKS)
+
+#: Checks whose predicate is a pure function of the record set, so a
+#: diverging day can be ddmin-shrunk against them.
+SHRINKABLE_CHECKS = frozenset(ALL_CHECKS) - {"invariants"}
+
+
+def _run_check(name: str, day: _Day) -> List[str]:
+    """One check's problems on one day.  A path that raises is a
+    divergence: one problem line naming the exception."""
+    try:
+        return _CHECKS[name](day)
+    except Exception as exc:
+        return [f"a path raised {type(exc).__name__}: {exc}"]
+
+
 def _execute_checks(
     case: ConformanceCase,
     store: MdtLogStore,
@@ -274,126 +413,41 @@ def _execute_checks(
     report: CaseReport,
     workdir: Path,
     tracer,
-) -> None:
-    engine = (
-        bootstrap.build_engine()
-        if bootstrap is not None
-        else build_engine(store, case)
-    )
-    with _span(tracer, "conformance.serial"):
-        serial = run_serial(
-            engine, store, None if bootstrap is None else bootstrap.grid
-        )
-    if bootstrap is None:
-        # Tier 1 cleaned the day; every streaming path replays its rows.
-        records = canonical_records(serial.cleaned.iter_rows())
-    else:
-        # Repro mode: a minimal day is made of already-cleaned records;
-        # re-cleaning a *subset* can drop records (the state-transition
-        # chain is trajectory-dependent), so stream it exactly the way
-        # the shrink predicate did — raw.
-        records = canonical_records(store)
-    report.records = len(records)
-    if not records:
-        report.checks.append(
-            CheckOutcome("oracle-spots", False, ["day is empty after cleaning"])
-        )
-        return
-    grid = serial.grid
-    report.spots = len(serial.detection.spots)
-
-    if "oracle-spots" in enabled:
-        with _span(tracer, "conformance.oracle_spots"):
-            problems = oracles.check_bruteforce_spots(
-                engine,
-                MdtLogStore.from_batch(serial.cleaned),
-                serial.detection,
-            )
-        report.checks.append(
-            CheckOutcome("oracle-spots", not problems, problems)
-        )
-
-    if "oracle-batch" in enabled:
-        problems = oracles.check_batch_recompute(
-            serial.analyses, grid, engine.amplification
-        )
-        report.checks.append(
-            CheckOutcome("oracle-batch", not problems, problems)
-        )
-
+) -> Optional[_Day]:
+    """Run the enabled checks into ``report``; returns the checked day
+    (None when cleaning left no record)."""
     if bootstrap is not None:
-        boot = bootstrap
+        day = _Day.fixed(case, bootstrap, store, workdir, tracer)
     else:
-        boot = _with_grace(
-            make_bootstrap(engine, serial.detection, serial.analyses, grid),
-            case.grace_s,
-        )
-    history_a = workdir / "history-straight" if case.history else None
-    with _span(tracer, "conformance.stream"):
-        plain = run_streaming(boot, records, history_dir=history_a)
-
-    if "stream-restart" in enabled:
-        crash_after = max(1, min(len(records) - 1, int(len(records) * case.kill_frac)))
-        history_b = workdir / "history-restart" if case.history else None
-        with _span(tracer, "conformance.kill_restart", crash_after=crash_after):
-            restarted = run_kill_restart(
-                boot,
-                records,
-                crash_after=crash_after,
-                checkpoint_every=case.checkpoint_every,
-                checkpoint_dir=workdir / "checkpoints",
-                history_dir=history_b,
+        # Tier 1 cleans the day once; every streaming path replays its
+        # rows under the bootstrap frozen from this run.
+        engine = build_engine(store, case)
+        with _span(tracer, "conformance.serial"):
+            serial = run_serial(engine, store)
+        records = replay_order(serial.cleaned.iter_rows())
+        if not records:
+            report.checks.append(
+                CheckOutcome(
+                    "oracle-spots", False, ["day is empty after cleaning"]
+                )
             )
-        problems = diff_values(plain.state, restarted.state)
-        problems += invariants.check_history_identity(
-            plain.history_digests, restarted.history_digests
+            return None
+        boot = make_bootstrap(
+            engine, serial.detection, serial.analyses, serial.grid,
+            grace_s=case.grace_s,
         )
-        report.checks.append(
-            CheckOutcome("stream-restart", not problems, problems)
-        )
-
-    if "stream-disorder" in enabled and case.disorder_window_s > 0:
-        with _span(tracer, "conformance.disorder", window=case.disorder_window_s):
-            ordered = run_streaming(
-                boot, records, buffer_window_s=case.disorder_window_s
-            )
-            disordered = run_streaming(
-                boot,
-                records,
-                disorder_seed=case.seed,
-                disorder_window_s=case.disorder_window_s,
-                duplicate_rate=case.duplicate_rate,
-                buffer_window_s=case.disorder_window_s,
-            )
-        problems = diff_values(ordered.state, disordered.state)
-        report.checks.append(
-            CheckOutcome("stream-disorder", not problems, problems)
-        )
-
-    if "oracle-stream" in enabled:
-        problems = oracles.check_streaming_labels(plain.results, boot)
-        report.checks.append(
-            CheckOutcome("oracle-stream", not problems, problems)
-        )
-
-    if "invariants" in enabled:
-        problems = (
-            invariants.check_wait_events(serial.analyses)
-            + invariants.check_littles_law_batch(serial.analyses, grid)
-            + invariants.check_littles_law_streaming(plain.results, boot.grid)
-            + invariants.check_version_monotonic(plain.versions)
-        )
-        report.checks.append(
-            CheckOutcome("invariants", not problems, problems)
-        )
-
-
-def _with_grace(boot: DayBootstrap, grace_s: float) -> DayBootstrap:
-    if boot.grace_s == grace_s:
-        return boot
-    import dataclasses
-
-    return dataclasses.replace(boot, grace_s=grace_s)
+        day = _Day(case, boot, engine, store, records, workdir, tracer)
+        day.serial = serial  # already run: fills the cached property
+    report.records = len(day.records)
+    report.spots = len(day.serial.detection.spots)
+    for name in ALL_CHECKS:
+        if name not in enabled:
+            continue
+        if name == "stream-disorder" and case.disorder_window_s <= 0:
+            continue
+        problems = _run_check(name, day)
+        report.checks.append(CheckOutcome(name, not problems, problems))
+    return day
 
 
 # -- shrinking and artifacts ------------------------------------------------
@@ -407,9 +461,10 @@ def divergence_predicate(
     """"Does this record subset still fail ``check``?" — the fixed-
     context predicate the shrinker probes with.
 
-    The bootstrap (spot set, thresholds, grid, engine geometry) is held
-    frozen: re-deriving spots from a 30-record subset would detect
-    nothing and the divergence would vanish for the wrong reason.
+    It runs the case's own check function on the subset.  The bootstrap
+    (spot set, thresholds, grid, engine geometry) is held frozen:
+    re-deriving spots from a 30-record subset would detect nothing and
+    the divergence would vanish for the wrong reason.
     """
     if check not in SHRINKABLE_CHECKS:
         raise ValueError(f"check {check!r} is not shrinkable")
@@ -417,65 +472,9 @@ def divergence_predicate(
     def diverges(subset: List[MdtRecord]) -> bool:
         if not subset:
             return False
-        sub = MdtLogStore(subset)
-        records = canonical_records(subset)
-        try:
-            if check in ("oracle-spots", "oracle-batch"):
-                engine = boot.build_engine()
-                serial = run_serial(engine, sub, boot.grid)
-                if check == "oracle-spots":
-                    return bool(
-                        oracles.check_bruteforce_spots(
-                            engine,
-                            MdtLogStore.from_batch(serial.cleaned),
-                            serial.detection,
-                        )
-                    )
-                return bool(
-                    oracles.check_batch_recompute(
-                        serial.analyses, boot.grid, engine.amplification
-                    )
-                )
-            plain = run_streaming(boot, records)
-            if check == "oracle-stream":
-                return bool(
-                    oracles.check_streaming_labels(plain.results, boot)
-                )
-            if check == "stream-disorder":
-                ordered = run_streaming(
-                    boot, records, buffer_window_s=case.disorder_window_s
-                )
-                disordered = run_streaming(
-                    boot,
-                    records,
-                    disorder_seed=case.seed,
-                    disorder_window_s=case.disorder_window_s,
-                    duplicate_rate=case.duplicate_rate,
-                    buffer_window_s=case.disorder_window_s,
-                )
-                return ordered.state != disordered.state
-            # stream-restart
-            with tempfile.TemporaryDirectory(
-                prefix="conformance-shrink-"
-            ) as tmp:
-                tmp = Path(tmp)
-                crash_after = max(
-                    1,
-                    min(len(records) - 1, int(len(records) * case.kill_frac)),
-                )
-                if crash_after >= len(records):
-                    return False
-                restarted = run_kill_restart(
-                    boot,
-                    records,
-                    crash_after=crash_after,
-                    checkpoint_every=case.checkpoint_every,
-                    checkpoint_dir=tmp / "checkpoints",
-                )
-            return plain.state != restarted.state
-        except Exception:
-            # A subset that crashes a path is itself a reproduction.
-            return True
+        with tempfile.TemporaryDirectory(prefix="conformance-shrink-") as tmp:
+            day = _Day.fixed(case, boot, MdtLogStore(subset), Path(tmp))
+            return bool(_run_check(check, day))
 
     return diverges
 
@@ -487,9 +486,7 @@ def csv_roundtrip(records: Sequence[MdtRecord]) -> List[MdtRecord]:
 
 
 def _shrink_first_divergence(
-    case: ConformanceCase,
-    store: MdtLogStore,
-    bootstrap: Optional[DayBootstrap],
+    day: _Day,
     report: CaseReport,
     max_runs: int,
     metrics,
@@ -501,24 +498,11 @@ def _shrink_first_divergence(
     )
     if target is None:
         return
-    if bootstrap is not None:
-        boot = bootstrap
-        records = canonical_records(store)
-    else:
-        engine = build_engine(store, case)
-        serial = run_serial(engine, store)
-        records = canonical_records(serial.cleaned.iter_rows())
-        boot = _with_grace(
-            make_bootstrap(
-                engine, serial.detection, serial.analyses, serial.grid
-            ),
-            case.grace_s,
-        )
-    predicate = divergence_predicate(case, boot, target.name)
+    predicate = divergence_predicate(day.case, day.boot, target.name)
 
-    roundtripped = csv_roundtrip(records)
+    roundtripped = csv_roundtrip(day.records)
     csv_stable = predicate(roundtripped)
-    to_shrink = roundtripped if csv_stable else records
+    to_shrink = roundtripped if csv_stable else day.records
     with _span(tracer, "conformance.shrink", check=target.name):
         try:
             result = shrink_records(
@@ -545,7 +529,7 @@ def _shrink_first_divergence(
         "csv_roundtrip_stable": csv_stable,
     }
     report._minimal_records = result.records  # type: ignore[attr-defined]
-    report._bootstrap = boot  # type: ignore[attr-defined]
+    report._bootstrap = day.boot  # type: ignore[attr-defined]
 
 
 def _write_artifacts(

@@ -7,30 +7,215 @@ system runs (paper section 7.1):
 1. **batch bootstrap**: tier 1 cleans the day and detects the spot
    set, tier 2 derives the per-spot QCD thresholds (the monitor needs
    both up front, exactly as the production deployment bootstraps from
-   historical days);
-2. **live path**: a :class:`StreamingQueueMonitor` re-labels tier 1's
-   cleaned rows record by record, publishing finalized slots into a
+   historical days); :func:`make_bootstrap` freezes them into a
+   :class:`DayBootstrap`;
+2. **live path**: :meth:`DayBootstrap.build_stack` wires a
+   :class:`StreamingQueueMonitor` that re-labels tier 1's cleaned rows
+   record by record, publishing finalized slots into a
    :class:`SnapshotStore` through a subscription callback;
 3. **serving path**: a :class:`QueueStateServer` exposes the snapshot
    over HTTP with ETag revalidation and TTL response caching, while a
    :class:`StreamReplayer` paces ingestion at a configurable speedup.
+
+The conformance harness and the golden fixtures build their streaming
+stacks from the same :class:`DayBootstrap`, so they check the stack
+``serve`` runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+import json
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional, Tuple, Union
 
 from repro.columnar import RecordBatch
-from repro.core.engine import QueueAnalyticEngine
+from repro.core.engine import EngineConfig, QueueAnalyticEngine, SpotAnalysis
+from repro.core.features import AmplificationPolicy
+from repro.core.spots import SpotDetectionParams, SpotDetectionResult
 from repro.core.thresholds import QcdThresholds
-from repro.core.types import TimeSlotGrid
+from repro.core.types import QueueSpot, TimeSlotGrid
+from repro.geo.bbox import BBox
+from repro.geo.point import LocalProjection
+from repro.geo.zones import four_zone_partition
 from repro.service.http import QueueStateServer
 from repro.service.metrics import MetricsRegistry
-from repro.service.replay import StreamReplayer
+from repro.service.replay import StreamReplayer, replay_order
 from repro.service.snapshot import SnapshotStore
 from repro.stream.monitor import StreamingQueueMonitor
 from repro.trace.log_store import MdtLogStore
+
+#: Format version stamped into every bootstrap JSON.
+BOOTSTRAP_VERSION = 1
+
+
+@dataclass(frozen=True)
+class DayBootstrap:
+    """The frozen tier-1/tier-2 context a streaming stack runs under.
+
+    Everything needed to rebuild the engine and the streaming stack
+    *without* the original full day.  ``serve`` freezes one from its
+    batch run; the conformance harness holds one fixed while shrinking
+    and serializes it next to the minimal CSV, so the repro script
+    reconstructs the exact same run.
+    """
+
+    bbox: BBox
+    min_pts: int
+    coverage: float
+    slot_seconds: float
+    assign_radius_m: float
+    grace_s: float
+    grid: TimeSlotGrid
+    spots: Tuple[QueueSpot, ...]
+    thresholds: Dict[str, Optional[QcdThresholds]]
+
+    # -- construction ------------------------------------------------------
+
+    def build_engine(self) -> QueueAnalyticEngine:
+        """The batch engine this bootstrap's day was analyzed with."""
+        return QueueAnalyticEngine(
+            zones=four_zone_partition(self.bbox),
+            projection=LocalProjection(*self.bbox.center),
+            config=EngineConfig(
+                detection=SpotDetectionParams(min_pts=self.min_pts),
+                slot_seconds=self.slot_seconds,
+                assign_radius_m=self.assign_radius_m,
+                observed_fraction=self.coverage,
+            ),
+            city_bbox=self.bbox,
+        )
+
+    def stream_thresholds(self) -> Dict[str, QcdThresholds]:
+        """Per-spot thresholds with undecidable (None) spots dropped —
+        the monitor labels those UNIDENTIFIED."""
+        return {
+            spot_id: th
+            for spot_id, th in self.thresholds.items()
+            if th is not None
+        }
+
+    def build_stack(
+        self, metrics: Optional[MetricsRegistry] = None
+    ) -> Tuple[StreamingQueueMonitor, SnapshotStore]:
+        """A fresh monitor and a snapshot store subscribed to it.
+
+        ``metrics`` is the registry the snapshot store records into.
+        """
+        monitor = StreamingQueueMonitor(
+            spots=self.spots,
+            thresholds=self.stream_thresholds(),
+            grid=self.grid,
+            projection=LocalProjection(*self.bbox.center),
+            amplification=AmplificationPolicy.for_coverage(self.coverage),
+            assign_radius_m=self.assign_radius_m,
+            grace_s=self.grace_s,
+        )
+        snapshot = SnapshotStore(self.spots, self.grid, metrics=metrics)
+        monitor.subscribe(snapshot.apply)
+        return monitor, snapshot
+
+    # -- serialization -----------------------------------------------------
+
+    def to_json_dict(self) -> Dict:
+        return {
+            "version": BOOTSTRAP_VERSION,
+            "bbox": asdict(self.bbox),
+            "min_pts": self.min_pts,
+            "coverage": self.coverage,
+            "slot_seconds": self.slot_seconds,
+            "assign_radius_m": self.assign_radius_m,
+            "grace_s": self.grace_s,
+            "grid": {
+                "start_ts": self.grid.start_ts,
+                "end_ts": self.grid.end_ts,
+                "slot_seconds": self.grid.slot_seconds,
+            },
+            "spots": [asdict(spot) for spot in self.spots],
+            "thresholds": {
+                spot_id: None if th is None else asdict(th)
+                for spot_id, th in self.thresholds.items()
+            },
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: Dict) -> "DayBootstrap":
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises:
+            ValueError: on an unknown format version or missing keys.
+        """
+        try:
+            version = data["version"]
+            if version != BOOTSTRAP_VERSION:
+                raise ValueError(
+                    f"unsupported bootstrap version {version!r}"
+                )
+            return cls(
+                bbox=BBox(**data["bbox"]),
+                min_pts=int(data["min_pts"]),
+                coverage=float(data["coverage"]),
+                slot_seconds=float(data["slot_seconds"]),
+                assign_radius_m=float(data["assign_radius_m"]),
+                grace_s=float(data["grace_s"]),
+                grid=TimeSlotGrid(**data["grid"]),
+                spots=tuple(
+                    QueueSpot(**spot) for spot in data["spots"]
+                ),
+                thresholds={
+                    spot_id: None if th is None else QcdThresholds(**th)
+                    for spot_id, th in data["thresholds"].items()
+                },
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed bootstrap JSON: {exc}")
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path) -> "DayBootstrap":
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json_dict(json.load(fh))
+
+
+def make_bootstrap(
+    engine: QueueAnalyticEngine,
+    detection: SpotDetectionResult,
+    analyses: Dict[str, SpotAnalysis],
+    grid: TimeSlotGrid,
+    grace_s: float = 900.0,
+) -> DayBootstrap:
+    """Freeze one batch run's tier-1/tier-2 context into a bootstrap.
+
+    Raises:
+        ValueError: when the engine has no city bbox, or its projection
+            is not centred on that bbox — :meth:`DayBootstrap.build_stack`
+            rebuilds the projection from the bbox, so any other one
+            would label the stream in a different metre plane.
+    """
+    if engine.city_bbox is None:
+        raise ValueError("a bootstrap engine must carry a city bbox")
+    if engine.projection != LocalProjection(*engine.city_bbox.center):
+        raise ValueError(
+            "a bootstrap engine's projection must be centred on its "
+            "city bbox"
+        )
+    return DayBootstrap(
+        bbox=engine.city_bbox,
+        min_pts=engine.config.detection.min_pts,
+        coverage=engine.config.observed_fraction,
+        slot_seconds=engine.config.slot_seconds,
+        assign_radius_m=engine.config.assign_radius_m,
+        grace_s=grace_s,
+        grid=grid,
+        spots=tuple(detection.spots),
+        thresholds={
+            spot_id: analysis.thresholds
+            for spot_id, analysis in analyses.items()
+        },
+    )
 
 
 @dataclass
@@ -146,7 +331,7 @@ class QueueService:
                 :class:`~repro.columnar.RecordBatch` (parsed from CSV)
                 or an :class:`MdtLogStore` (simulated).  Pass them
                 uncleaned: tier 1 cleans the day once, and the replay
-                feeds tier 1's cleaned rows in timestamp order.
+                feeds tier 1's cleaned rows in :func:`replay_order`.
             engine: a configured batch engine; runs tiers 1 and 2 once
                 to obtain the spot set and per-spot thresholds.
             config: serving knobs.
@@ -161,6 +346,8 @@ class QueueService:
 
         Raises:
             EmptyDayError: when cleaning leaves no record to replay.
+            ValueError: when the engine cannot be frozen into a
+                :class:`DayBootstrap` (see :func:`make_bootstrap`).
         """
         config = config or ServiceConfig()
         metrics = metrics if metrics is not None else MetricsRegistry()
@@ -186,28 +373,16 @@ class QueueService:
                     lo, hi, engine.config.slot_seconds
                 )
             analyses = engine.disambiguate(data, detection, grid)
-            thresholds: Dict[str, QcdThresholds] = {
-                spot_id: analysis.thresholds
-                for spot_id, analysis in analyses.items()
-                if analysis.thresholds is not None
-            }
-            records = sorted(cleaned.iter_rows(), key=lambda r: r.ts)
+            boot = make_bootstrap(
+                engine, detection, analyses, grid, grace_s=config.grace_s
+            )
+            records = replay_order(cleaned.iter_rows())
             root.set(spots=len(detection.spots), records=len(records))
 
         metrics.gauge("bootstrap.spots").set(len(detection.spots))
         metrics.gauge("bootstrap.records").set(len(records))
 
-        snapshot = SnapshotStore(detection.spots, grid, metrics=metrics)
-        monitor = StreamingQueueMonitor(
-            spots=detection.spots,
-            thresholds=thresholds,
-            grid=grid,
-            projection=engine.projection,
-            amplification=engine.amplification,
-            assign_radius_m=engine.config.assign_radius_m,
-            grace_s=config.grace_s,
-        )
-        monitor.subscribe(lambda results: snapshot.apply(results))
+        monitor, snapshot = boot.build_stack(metrics)
 
         history_writer = None
         history_compactor = None

@@ -8,9 +8,10 @@ seconds.  With ``speedup=None`` the replay runs flat out (warm-up,
 benchmarks, tests).
 
 **Ordering contract.**  Pacing and the monitor's slot clock assume a
-monotonically non-decreasing timestamp sequence.  A list input is
-sorted up front (as before); a *live* iterator cannot be sorted, so a
-disordered feed must be fronted by a
+monotonically non-decreasing timestamp sequence.  A list input is put
+in :func:`replay_order` up front, the one order every replay of a day
+uses (``serve``, the conformance paths, the golden fixtures); a *live*
+iterator cannot be sorted, so a disordered feed must be fronted by a
 :class:`~repro.resilience.ReorderBuffer` (the ``reorder`` argument):
 raw records then pass through the buffer and the monitor — and the
 pacer — only ever see the buffer's ordered releases.  Without a buffer,
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.service.metrics import MetricsRegistry
 from repro.stream.monitor import StreamingQueueMonitor
@@ -52,6 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: stretch in the feed should not freeze the serving layer's progress
 #: reporting for minutes.
 MAX_SLEEP_S = 5.0
+
+
+def replay_order(records: Iterable[MdtRecord]) -> List[MdtRecord]:
+    """A day's records in the order a replay feeds them.
+
+    Stable by timestamp: one taxi's same-second records keep the order
+    the batch engine read them in (tier 1's cleaned rows are grouped
+    by taxi and time-ordered within each taxi).
+    """
+    return sorted(records, key=lambda r: r.ts)
 
 
 class _WindowAccounting:
@@ -143,9 +154,9 @@ class StreamReplayer:
 
     Args:
         monitor: the streaming monitor to feed (subscribers attached).
-        records: the day's records.  A sequence is sorted by timestamp
-            internally; any other iterable is consumed lazily and must
-            either be time-ordered or fronted by ``reorder``.
+        records: the day's records.  A sequence is put in
+            :func:`replay_order`; any other iterable is consumed lazily
+            and must either be time-ordered or fronted by ``reorder``.
         speedup: stream-seconds per wall-second (e.g. 600 replays a day
             in ~2.4 minutes); None disables pacing entirely.
         metrics: optional registry; maintains ``replay.records`` /
@@ -185,9 +196,7 @@ class StreamReplayer:
         self.tracer = tracer
         self.monitor = monitor
         if isinstance(records, Sequence):
-            self.records: Iterable[MdtRecord] = sorted(
-                records, key=lambda r: r.ts
-            )
+            self.records: Iterable[MdtRecord] = replay_order(records)
         else:
             self.records = records
         self.speedup = speedup

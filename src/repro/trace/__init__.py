@@ -12,7 +12,7 @@ from repro.trace.record import (
     format_timestamp,
     parse_timestamp,
 )
-from repro.trace.trajectory import Trajectory, SubTrajectory
+from repro.trace.trajectory import Trajectory
 from repro.trace.log_store import MdtLogStore
 from repro.trace.cleaning import CleaningReport, clean_batch
 
@@ -22,7 +22,6 @@ __all__ = [
     "format_timestamp",
     "parse_timestamp",
     "Trajectory",
-    "SubTrajectory",
     "MdtLogStore",
     "CleaningReport",
     "clean_batch",

@@ -1,14 +1,12 @@
-"""Trajectories and sub-trajectories (paper Definitions 1-4).
+"""Trajectories (paper Definition 1).
 
 * Definition 1 — an individual taxi's *trajectory* is the temporally
   ordered sequence of its trimmed MDT records ``p_1 -> ... -> p_n``.
-* Definition 2 — a *sub-trajectory* ``R(s, e)`` is a contiguous segment.
+* Definition 2 — a *sub-trajectory* ``R(s, e)`` is a contiguous segment;
+  the ones the pipeline uses are PEA's pickup events,
+  :class:`repro.core.pea.PickupEvent`.
 * Definitions 3/4 — per-taxi and multi-taxi sub-trajectory sets are plain
   Python lists in this implementation.
-
-:class:`SubTrajectory` keeps a reference into its parent trajectory rather
-than copying records, so extracting hundreds of thousands of pickup events
-(section 6.1.2) stays cheap.
 """
 
 from __future__ import annotations
@@ -44,85 +42,6 @@ class Trajectory:
     def __iter__(self) -> Iterator[MdtRecord]:
         return iter(self.records)
 
-    @property
-    def span_seconds(self) -> float:
-        """Time covered by the trajectory (0 for fewer than 2 records)."""
-        if len(self.records) < 2:
-            return 0.0
-        return self.records[-1].ts - self.records[0].ts
-
-    def states(self) -> List[TaxiState]:
-        """The state sequence of the trajectory."""
-        return [rec.state for rec in self.records]
-
     def timeline(self) -> List[Tuple[float, TaxiState]]:
         """``(timestamp, state)`` pairs, as consumed by job segmentation."""
         return [(rec.ts, rec.state) for rec in self.records]
-
-    def sub(self, start: int, end: int) -> "SubTrajectory":
-        """The sub-trajectory ``R(start, end)`` with inclusive bounds."""
-        return SubTrajectory(self, start, end)
-
-
-class SubTrajectory:
-    """A contiguous segment ``R(s, e)`` of a trajectory (Definition 2).
-
-    Bounds are inclusive indices into the parent trajectory, matching the
-    paper's ``p_s -> ... -> p_e`` notation.
-    """
-
-    __slots__ = ("trajectory", "start", "end")
-
-    def __init__(self, trajectory: Trajectory, start: int, end: int):
-        if not 0 <= start <= end < len(trajectory):
-            raise IndexError(
-                f"sub-trajectory bounds [{start}, {end}] out of range for "
-                f"trajectory of length {len(trajectory)}"
-            )
-        self.trajectory = trajectory
-        self.start = start
-        self.end = end
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
-
-    def __iter__(self) -> Iterator[MdtRecord]:
-        for i in range(self.start, self.end + 1):
-            yield self.trajectory.records[i]
-
-    def __getitem__(self, i: int) -> MdtRecord:
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("sub-trajectory index out of range")
-        return self.trajectory.records[self.start + i]
-
-    @property
-    def taxi_id(self) -> str:
-        """The taxi the segment belongs to."""
-        return self.trajectory.taxi_id
-
-    @property
-    def first(self) -> MdtRecord:
-        """``p_s``, the first record of the segment."""
-        return self.trajectory.records[self.start]
-
-    @property
-    def last(self) -> MdtRecord:
-        """``p_e``, the last record of the segment."""
-        return self.trajectory.records[self.end]
-
-    def states(self) -> List[TaxiState]:
-        """The state sequence of the segment."""
-        return [rec.state for rec in self]
-
-    def centroid(self) -> Tuple[float, float]:
-        """Central GPS location: the mean of lon and lat (section 4.3)."""
-        n = len(self)
-        lon = sum(rec.lon for rec in self) / n
-        lat = sum(rec.lat for rec in self) / n
-        return lon, lat
-
-    def duration_seconds(self) -> float:
-        """Elapsed time between first and last record of the segment."""
-        return self.last.ts - self.first.ts

@@ -13,16 +13,17 @@ features -> thresholds -> QCD chain against any future refactor.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.conformance.canonical import streaming_state
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
 from repro.core.spots import SpotDetectionParams
 from repro.core.types import TimeSlotGrid
 from repro.geo.bbox import BBox
 from repro.geo.point import LocalProjection
 from repro.geo.zones import four_zone_partition
-from repro.service.snapshot import SnapshotStore
-from repro.stream.monitor import StreamingQueueMonitor
+from repro.service.app import DayBootstrap, make_bootstrap
+from repro.service.replay import StreamReplayer, replay_order
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
@@ -88,70 +89,23 @@ def pipeline_snapshot(engine, store: MdtLogStore) -> Dict:
 
 def streaming_bootstrap(
     engine: QueueAnalyticEngine, store: MdtLogStore
-) -> Dict:
-    """The batch outputs the streaming monitor is configured from.
+) -> Tuple[DayBootstrap, List[MdtRecord]]:
+    """The frozen context the streaming monitor is configured from, and
+    the rows it replays.
 
     Runs tiers 1 and 2 exactly the way :meth:`QueueService.from_day`
     does (the spot set, the per-spot thresholds, a day-spanning slot
-    grid, tier 1's cleaned rows in time order).  The batch tiers
+    grid, tier 1's cleaned rows in replay order).  The batch tiers
     dominate the cost, so tests bootstrap once and build many fresh
-    stacks from the result via :func:`streaming_stack`.
+    stacks from the result via :meth:`DayBootstrap.build_stack`.
     """
     detection = engine.detect_spots(store)
     analyses = engine.disambiguate(store, detection)
     cleaned = detection.cleaned_for(store)
-    thresholds = {
-        spot_id: analysis.thresholds
-        for spot_id, analysis in analyses.items()
-        if analysis.thresholds is not None
-    }
     lo, hi = cleaned.time_span
     grid = TimeSlotGrid.covering(lo, hi, engine.config.slot_seconds)
-    return {
-        "engine": engine,
-        "detection": detection,
-        "thresholds": thresholds,
-        "grid": grid,
-        "records": sorted(cleaned.iter_rows(), key=lambda r: r.ts),
-    }
-
-
-def streaming_stack(
-    bootstrap: Dict, grace_s: float = 900.0
-) -> Tuple[StreamingQueueMonitor, SnapshotStore]:
-    """A fresh monitor + subscribed snapshot store from one bootstrap."""
-    engine = bootstrap["engine"]
-    detection = bootstrap["detection"]
-    grid = bootstrap["grid"]
-    monitor = StreamingQueueMonitor(
-        spots=detection.spots,
-        thresholds=bootstrap["thresholds"],
-        grid=grid,
-        projection=engine.projection,
-        amplification=engine.amplification,
-        assign_radius_m=engine.config.assign_radius_m,
-        grace_s=grace_s,
-    )
-    snapshot = SnapshotStore(detection.spots, grid)
-    monitor.subscribe(lambda results: snapshot.apply(results))
-    return monitor, snapshot
-
-
-def snapshot_state(snapshot: SnapshotStore) -> Dict:
-    """Reduce a snapshot store to a JSON-able, bit-exact state dict.
-
-    Covers the version (so resumed runs must converge to the same
-    snapshot id, not just the same labels) and every serving payload
-    derived from the finalized slot results.
-    """
-    return {
-        "version": snapshot.version,
-        "citywide": snapshot.citywide_payload(),
-        "spots": {
-            spot_id: snapshot.spot_slots_payload(spot_id)
-            for spot_id in sorted(snapshot.spot_ids)
-        },
-    }
+    boot = make_bootstrap(engine, detection, analyses, grid)
+    return boot, replay_order(cleaned.iter_rows())
 
 
 def streaming_snapshot(
@@ -160,12 +114,13 @@ def streaming_snapshot(
     """Replay the whole day through the streaming monitor and return
     the final serving state (the streaming analogue of
     :func:`pipeline_snapshot`)."""
-    bootstrap = streaming_bootstrap(engine, store)
-    monitor, snapshot = streaming_stack(bootstrap)
-    for record in bootstrap["records"]:
-        monitor.feed(record)
-    monitor.finish()
-    return snapshot_state(snapshot)
+    boot, records = streaming_bootstrap(engine, store)
+    monitor, snapshot = boot.build_stack()
+    replayer = StreamReplayer(monitor, records, speedup=None)
+    replayer.run()
+    if replayer.error is not None:
+        raise replayer.error
+    return streaming_state(snapshot)
 
 
 def prometheus_exposition(

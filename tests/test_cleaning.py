@@ -224,11 +224,11 @@ class TestOnSimulatedData:
         )
         cleaned = MdtLogStore.from_batch(batch)
         raw_violations = sum(
-            len(transition_violations(t.states()))
+            len(transition_violations([r.state for r in t]))
             for t in small_day.store.iter_trajectories()
         )
         remaining = sum(
-            len(transition_violations(t.states()))
+            len(transition_violations([r.state for r in t]))
             for t in cleaned.iter_trajectories()
         )
         assert remaining < raw_violations * 0.2

@@ -259,22 +259,19 @@ class TestParity:
             ]
 
     def test_streaming_feed_batch_matches_feed(self, golden_store):
-        from tests._golden import (
-            snapshot_state,
-            streaming_bootstrap,
-            streaming_stack,
-        )
+        from repro.conformance.canonical import streaming_state
+        from tests._golden import streaming_bootstrap
 
         engine = golden_engine(golden_store)
-        bootstrap = streaming_bootstrap(engine, golden_store)
-        by_record, snap_a = streaming_stack(bootstrap)
-        by_batch, snap_b = streaming_stack(bootstrap)
-        for record in bootstrap["records"]:
+        boot, records = streaming_bootstrap(engine, golden_store)
+        by_record, snap_a = boot.build_stack()
+        by_batch, snap_b = boot.build_stack()
+        for record in records:
             by_record.feed(record)
         by_record.finish()
-        by_batch.feed_batch(RecordBatch.from_rows(bootstrap["records"]))
+        by_batch.feed_batch(RecordBatch.from_rows(records))
         by_batch.finish()
-        assert snapshot_state(snap_a) == snapshot_state(snap_b)
+        assert streaming_state(snap_a) == streaming_state(snap_b)
 
 
 class TestConformancePin:

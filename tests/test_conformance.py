@@ -271,6 +271,126 @@ class TestFaultInjection:
                    for c in report.failed_checks for d in c.details)
 
 
+class TestStreamingClassRunsServe:
+    """The streaming class checks the state ``serve`` serves: its stack,
+    its replay loop and its replay order."""
+
+    def test_plain_replay_is_what_serve_serves(
+        self, golden_store, monkeypatch
+    ):
+        import repro.conformance.runner as runner_mod
+        from repro.conformance.canonical import streaming_state
+        from repro.service.app import QueueService, ServiceConfig
+        from repro.stream.monitor import StreamingQueueMonitor
+
+        fed = []
+        real_feed = StreamingQueueMonitor.feed
+
+        def recording_feed(monitor, record):
+            fed.append(record)
+            return real_feed(monitor, record)
+
+        monkeypatch.setattr(StreamingQueueMonitor, "feed", recording_feed)
+        plain = []
+        real_run_streaming = runner_mod.run_streaming
+
+        def keep_plain(*args, **kwargs):
+            plain.append(real_run_streaming(*args, **kwargs))
+            return plain[-1]
+
+        monkeypatch.setattr(runner_mod, "run_streaming", keep_plain)
+
+        case = csv_case("golden_day")
+        report = run_case(
+            case, store=golden_store, checks=["oracle-stream"], shrink=False
+        )
+        assert not report.divergent
+        (conformance_run,) = plain
+        conformance_fed, fed[:] = list(fed), []
+
+        service = QueueService.from_day(
+            golden_store,
+            build_engine(golden_store, case),
+            ServiceConfig(speedup=None),
+        )
+        try:
+            service.warm()
+        finally:
+            # The HTTP listener was bound but never started; release it.
+            service.server._httpd.server_close()
+        assert len(conformance_fed) == report.records == len(fed)
+        assert conformance_fed == fed
+        assert conformance_run.state == streaming_state(service.store)
+
+
+class TestRestartCheck:
+    """``stream-restart``: one check function for the case and the
+    shrink predicate, which a crash in any path fails."""
+
+    def test_crash_in_the_resumed_replay_is_a_divergence(
+        self, golden_store, monkeypatch
+    ):
+        from repro.resilience.checkpoint import ServiceCheckpointer
+
+        last_ts = max(r.ts for r in golden_store.iter_records())
+        real_restore = ServiceCheckpointer.restore_latest
+
+        def restore_then_break(checkpointer):
+            position = real_restore(checkpointer)
+            monitor = checkpointer.monitor
+            real_feed = monitor.feed
+
+            def feed(record):
+                if record.ts == last_ts:
+                    raise RuntimeError("injected failure on the last record")
+                return real_feed(record)
+
+            monitor.feed = feed
+            return position
+
+        monkeypatch.setattr(
+            ServiceCheckpointer, "restore_latest", restore_then_break
+        )
+        report = run_case(
+            csv_case("golden_day"), store=golden_store,
+            checks=["stream-restart"], shrink=False,
+        )
+        (outcome,) = report.checks
+        assert not outcome.ok
+        assert any(
+            "RuntimeError" in d and "injected failure on the last record" in d
+            for d in outcome.details
+        ), outcome.details
+
+    def test_history_only_divergence_is_shrunk(
+        self, golden_store, monkeypatch
+    ):
+        from repro.history.writer import HistoryWriter
+
+        real_restore = HistoryWriter.restore_state
+
+        def lossy_restore(writer, state):
+            state = dict(state)
+            state["by_day"] = {
+                day: list(records)[:-1]
+                for day, records in state["by_day"].items()
+            }
+            real_restore(writer, state)
+
+        monkeypatch.setattr(HistoryWriter, "restore_state", lossy_restore)
+        report = run_case(
+            csv_case("golden_day"), store=golden_store,
+            checks=["stream-restart"], shrink_max_runs=8,
+        )
+        (outcome,) = report.checks
+        assert not outcome.ok
+        assert all(".seg" in d for d in outcome.details), outcome.details
+        assert report.shrink is not None
+        assert "error" not in report.shrink, report.shrink
+        assert report.shrink["minimal_records"] < \
+            report.shrink["initial_records"]
+
+
 class TestSimulatedCaseSmoke:
     def test_one_small_matrix_case_is_conformant(self):
         # One genuinely simulated seed (small fleet to keep tier-1

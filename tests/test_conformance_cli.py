@@ -73,6 +73,20 @@ class TestConformantRun:
         assert payload[0]["divergent"] is False
         assert payload[0]["checks"][0]["name"] == "oracle-batch"
 
+    def test_one_record_day_runs_every_check(self, tmp_path, capsys):
+        # One record has no kill point: the restart check has nothing
+        # to compare, and must not crash.
+        lines = Path(GOLDEN_CSV).read_text().splitlines()[:2]
+        path = tmp_path / "one.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["conformance", "run", "--input", str(path),
+                     "--no-shrink", "--json"])
+        assert code == 0
+        (case,) = json.loads(capsys.readouterr().out)
+        assert case["records"] == 1
+        assert len(case["checks"]) == 6
+        assert all(check["ok"] for check in case["checks"])
+
 
 class TestFaultLoop:
     @pytest.fixture(scope="class")

@@ -20,7 +20,7 @@ from repro.service.http import QueueStateServer
 from repro.service.metrics import MetricsRegistry
 from repro.trace.log_store import MdtLogStore
 
-from ._golden import golden_engine, streaming_bootstrap, streaming_stack
+from ._golden import golden_engine, streaming_bootstrap
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_CSV = str(DATA_DIR / "golden_day.csv")
@@ -132,13 +132,13 @@ class TestTraceSummarize:
 def live_server():
     """An in-process queue-state server over the golden day's snapshot."""
     store = MdtLogStore.from_csv(GOLDEN_CSV)
-    bootstrap = streaming_bootstrap(golden_engine(store), store)
-    monitor, snapshot = streaming_stack(bootstrap)
-    for record in bootstrap["records"]:
+    boot, records = streaming_bootstrap(golden_engine(store), store)
+    monitor, snapshot = boot.build_stack()
+    for record in records:
         monitor.feed(record)
     monitor.finish()
     metrics = MetricsRegistry()
-    metrics.counter("replay.records").inc(len(bootstrap["records"]))
+    metrics.counter("replay.records").inc(len(records))
     server = QueueStateServer(snapshot, metrics=metrics, port=0)
     server.start()
     yield server

@@ -22,18 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conformance.canonical import streaming_state
 from repro.obs.export import InMemorySink
 from repro.obs.tracer import Tracer
 from repro.service.replay import StreamReplayer
 from repro.trace.log_store import MdtLogStore
 
-from ._golden import (
-    golden_engine,
-    pipeline_snapshot,
-    snapshot_state,
-    streaming_bootstrap,
-    streaming_stack,
-)
+from ._golden import golden_engine, pipeline_snapshot, streaming_bootstrap
 
 DATA_DIR = Path(__file__).parent / "data"
 CSV_PATH = DATA_DIR / "golden_day.csv"
@@ -108,14 +103,13 @@ class TestSpanCoverage:
             assert by_id[span["parent_id"]]["name"] == "stage.cluster"
 
     def test_streaming_replay_emits_window_traces(self, golden_store):
-        bootstrap = streaming_bootstrap(
+        boot, records = streaming_bootstrap(
             golden_engine(golden_store), golden_store
         )
-        monitor, _ = streaming_stack(bootstrap)
+        monitor, _ = boot.build_stack()
         sink = InMemorySink()
         replayer = StreamReplayer(
-            monitor, bootstrap["records"], speedup=None,
-            tracer=Tracer(sink),
+            monitor, records, speedup=None, tracer=Tracer(sink),
         )
         replayer.run()
         assert replayer.finished.is_set()
@@ -128,7 +122,7 @@ class TestSpanCoverage:
         # accounted to exactly one window.
         assert [r["attrs"]["window"] for r in roots] == list(range(len(roots)))
         fed = sum(root["attrs"]["records"] for root in roots)
-        assert fed == len(bootstrap["records"])
+        assert fed == len(records)
         child_names = {
             span["name"] for span in sink.spans if span["parent_id"]
         }
@@ -139,14 +133,14 @@ class TestSpanCoverage:
     def test_streaming_trace_is_output_neutral(self, golden_store):
         states = []
         for tracer in (None, Tracer(InMemorySink())):
-            bootstrap = streaming_bootstrap(
+            boot, records = streaming_bootstrap(
                 golden_engine(golden_store), golden_store
             )
-            monitor, snapshot = streaming_stack(bootstrap)
+            monitor, snapshot = boot.build_stack()
             StreamReplayer(
-                monitor, bootstrap["records"], speedup=None, tracer=tracer
+                monitor, records, speedup=None, tracer=tracer
             ).run()
-            states.append(snapshot_state(snapshot))
+            states.append(streaming_state(snapshot))
         assert states[0] == states[1]
 
 

@@ -1,16 +1,18 @@
-"""Tests for MDT records (Table 2) and trajectories (Definitions 1-2)."""
+"""Tests for MDT records (Table 2), trajectories (Definition 1) and
+pickup events, the sub-trajectories of Definition 2."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pea import PickupEvent
 from repro.states.states import TaxiState
 from repro.trace.record import (
     MdtRecord,
     format_timestamp,
     parse_timestamp,
 )
-from repro.trace.trajectory import SubTrajectory, Trajectory
+from repro.trace.trajectory import Trajectory
 
 
 def rec(ts=0.0, taxi="SH0001A", lon=103.8, lat=1.33, speed=0.0, state=TaxiState.FREE):
@@ -78,7 +80,6 @@ class TestTrajectory:
     def test_span_and_iteration(self):
         traj = Trajectory("SH0001A", [rec(ts=0.0), rec(ts=30.0), rec(ts=90.0)])
         assert len(traj) == 3
-        assert traj.span_seconds == 90.0
         assert [r.ts for r in traj] == [0.0, 30.0, 90.0]
 
     def test_states_and_timeline(self):
@@ -86,62 +87,24 @@ class TestTrajectory:
             "SH0001A",
             [rec(ts=0.0, state=TaxiState.FREE), rec(ts=5.0, state=TaxiState.POB)],
         )
-        assert traj.states() == [TaxiState.FREE, TaxiState.POB]
         assert traj.timeline() == [(0.0, TaxiState.FREE), (5.0, TaxiState.POB)]
 
     def test_empty_trajectory(self):
         traj = Trajectory("SH0001A", [])
         assert len(traj) == 0
-        assert traj.span_seconds == 0.0
+        assert list(traj) == []
 
 
-class TestSubTrajectory:
-    traj = Trajectory(
-        "SH0001A",
-        [
-            rec(ts=0.0, lon=103.80, lat=1.30),
-            rec(ts=30.0, lon=103.82, lat=1.32),
-            rec(ts=60.0, lon=103.84, lat=1.34, state=TaxiState.POB),
-        ],
-    )
-
-    def test_bounds_inclusive(self):
-        sub = self.traj.sub(0, 2)
-        assert len(sub) == 3
-        assert sub.first.ts == 0.0
-        assert sub.last.ts == 60.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            self.traj.sub(1, 3)
-        with pytest.raises(IndexError):
-            self.traj.sub(-1, 1)
-        with pytest.raises(IndexError):
-            self.traj.sub(2, 1)
-
+class TestPickupEvent:
     def test_centroid_is_mean(self):
-        sub = self.traj.sub(0, 2)
-        lon, lat = sub.centroid()
+        event = PickupEvent(
+            "SH0001A",
+            (
+                rec(ts=0.0, lon=103.80, lat=1.30),
+                rec(ts=30.0, lon=103.82, lat=1.32),
+                rec(ts=60.0, lon=103.84, lat=1.34, state=TaxiState.POB),
+            ),
+        )
+        lon, lat = event.centroid()
         assert lon == pytest.approx(103.82)
         assert lat == pytest.approx(1.32)
-
-    def test_duration(self):
-        assert self.traj.sub(0, 1).duration_seconds() == 30.0
-
-    def test_indexing_and_negative_index(self):
-        sub = self.traj.sub(1, 2)
-        assert sub[0].ts == 30.0
-        assert sub[-1].ts == 60.0
-        with pytest.raises(IndexError):
-            sub[2]
-
-    def test_is_view_not_copy(self):
-        sub = SubTrajectory(self.traj, 0, 2)
-        assert sub.trajectory is self.traj
-        assert sub.taxi_id == "SH0001A"
-
-    def test_states(self):
-        assert self.traj.sub(1, 2).states() == [
-            TaxiState.FREE,
-            TaxiState.POB,
-        ]

@@ -22,15 +22,11 @@ from repro.resilience import (
     ReorderBuffer,
     ServiceCheckpointer,
 )
+from repro.conformance.canonical import streaming_state
 from repro.service.metrics import MetricsRegistry
 from repro.service.replay import StreamReplayer
 from repro.trace.log_store import MdtLogStore
-from tests._golden import (
-    golden_engine,
-    snapshot_state,
-    streaming_bootstrap,
-    streaming_stack,
-)
+from tests._golden import golden_engine, streaming_bootstrap
 from tests.test_resilience_chaos import make_monitor, pickup_stream
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -171,7 +167,7 @@ class TestServiceCheckpointer:
         for record in records[cut:]:
             assert monitor.feed(record) == monitor2.feed(record)
         assert monitor.finish() == monitor2.finish()
-        assert snapshot_state(store2) == snapshot_state(store)
+        assert streaming_state(store2) == streaming_state(store)
 
     def test_restore_skips_parallel_stage_checkpoints(self, tmp_path):
         records = pickup_stream(0.0, 10)
@@ -210,21 +206,22 @@ class TestGoldenCrashRecovery:
     def test_uninterrupted_run_matches_fixture(
         self, golden_boot, golden_streaming_fixture
     ):
-        monitor, snapshot = streaming_stack(golden_boot)
-        replayer = StreamReplayer(monitor, golden_boot["records"], speedup=None)
+        boot, records = golden_boot
+        monitor, snapshot = boot.build_stack()
+        replayer = StreamReplayer(monitor, records, speedup=None)
         replayer.run()
         assert replayer.finished.is_set()
-        assert canonical(snapshot_state(snapshot)) == golden_streaming_fixture
+        assert canonical(streaming_state(snapshot)) == golden_streaming_fixture
 
     @pytest.mark.parametrize("kill_seed", [0, 1, 2, 3, 4])
     def test_kill_and_restore_is_bit_identical(
         self, kill_seed, tmp_path, golden_boot, golden_streaming_fixture
     ):
-        records = golden_boot["records"]
+        boot, records = golden_boot
         offset = random.Random(kill_seed).randrange(1, len(records))
 
         # Run with periodic checkpoints until the injected kill.
-        monitor, snapshot = streaming_stack(golden_boot)
+        monitor, snapshot = boot.build_stack()
         manager = CheckpointManager(tmp_path)
         checkpointer = ServiceCheckpointer(
             manager, monitor, snapshot, every_records=CADENCE
@@ -240,7 +237,7 @@ class TestGoldenCrashRecovery:
         assert not replayer.finished.is_set()
 
         # Restore the newest checkpoint into a fresh stack and resume.
-        monitor2, snapshot2 = streaming_stack(golden_boot)
+        monitor2, snapshot2 = boot.build_stack()
         checkpointer2 = ServiceCheckpointer(
             manager, monitor2, snapshot2, every_records=CADENCE
         )
@@ -259,5 +256,5 @@ class TestGoldenCrashRecovery:
         replayer2.run()
         assert replayer2.finished.is_set()
         assert (
-            canonical(snapshot_state(snapshot2)) == golden_streaming_fixture
+            canonical(streaming_state(snapshot2)) == golden_streaming_fixture
         )

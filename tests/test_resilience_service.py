@@ -373,7 +373,7 @@ class TestQueueServiceResume:
         self, tmp_path, small_day, small_engine
     ):
         from repro.service.app import QueueService
-        from tests._golden import snapshot_state
+        from repro.conformance.canonical import streaming_state
 
         config = self._config(tmp_path)
         grid = small_day.ground_truth.grid
@@ -384,7 +384,7 @@ class TestQueueServiceResume:
         assert first.checkpointer is not None
         assert first.watchdog is not None
         first.warm()
-        reference = snapshot_state(first.store)
+        reference = streaming_state(first.store)
         assert reference["version"] > 0
 
         # "Restart": a second bootstrap over the same checkpoint dir
@@ -396,7 +396,7 @@ class TestQueueServiceResume:
         assert second.resumed_from > 0
         assert second.store.version > 0  # restored, not cold
         second.warm()
-        assert snapshot_state(second.store) == reference
+        assert streaming_state(second.store) == reference
 
     def test_without_checkpoint_dir_nothing_is_written(
         self, tmp_path, small_day, small_engine

@@ -274,6 +274,25 @@ class TestStreamReplayer:
         with pytest.raises(ValueError):
             StreamReplayer(monitor, [], speedup=0.0)
 
+    def test_replay_order_is_stable_by_timestamp(self):
+        # Same-second records keep their input order (one taxi's rows
+        # as tier 1 read them), across taxis and within one taxi.
+        from repro.service.replay import replay_order
+        from repro.states.states import TaxiState
+        from repro.trace.record import MdtRecord
+
+        def rec(ts, taxi, speed):
+            return MdtRecord(ts, taxi, LON, LAT, speed, TaxiState.FREE)
+
+        records = [
+            rec(5.0, "B", 1.0), rec(10.0, "B", 2.0), rec(10.0, "B", 0.5),
+            rec(10.0, "A", 3.0), rec(0.0, "A", 4.0),
+        ]
+        expected = [records[i] for i in (4, 0, 1, 2, 3)]
+        assert replay_order(records) == expected
+        monitor, _ = self._monitor()
+        assert StreamReplayer(monitor, records).records == expected
+
     def test_background_stop(self):
         from repro.trace.record import MdtRecord
         from repro.states.states import TaxiState
@@ -445,6 +464,31 @@ class TestFromDayCleansOnce:
         finally:
             # The HTTP listener was bound but never started; release it.
             service.server._httpd.server_close()
+
+
+class TestBootstrapEngineGuard:
+    """``build_stack`` rebuilds the projection from the bootstrap's
+    bbox, so an engine projecting around any other point must be
+    refused, not served in a different metre plane."""
+
+    def test_projection_off_the_bbox_centre_is_rejected(
+        self, small_day, small_engine, small_detection, small_analyses
+    ):
+        import copy
+
+        from repro.service import QueueService, ServiceConfig
+        from repro.service.app import make_bootstrap
+
+        engine = copy.copy(small_engine)
+        lon, lat = engine.city_bbox.center
+        engine.projection = LocalProjection(lon + 0.01, lat)
+        grid = small_day.ground_truth.grid
+        with pytest.raises(ValueError, match="centred on its city bbox"):
+            make_bootstrap(engine, small_detection, small_analyses, grid)
+        with pytest.raises(ValueError, match="centred on its city bbox"):
+            QueueService.from_day(
+                small_day.store, engine, ServiceConfig(speedup=None), grid
+            )
 
 
 class TestStdlibRejections:
