@@ -5,7 +5,10 @@ Measures what the durable history sustains on one box:
 * ``HistoryWriter.absorb`` throughput (finalized slot records per
   second, including the atomic rewrite of the touched day segment);
 * cold and warm (segment-cache hit) latency of the three query
-  endpoints over a multi-week store, as p50/p95 over repeated calls.
+  endpoints over a multi-week store, as p50/p95 over repeated calls;
+* ``patterns`` latency right after a rewrite of the newest day — the
+  traffic ``serve --history-dir`` makes, where the rewritten day is the
+  one segment the query re-reads.
 
 Run as part of the ``history`` CI job; results land in
 ``benchmarks/results/history.txt`` and every reported number is
@@ -15,8 +18,10 @@ the job.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
+from dataclasses import replace
 
 from conftest import emit
 
@@ -27,12 +32,7 @@ from repro.core.types import (
     SlotLabel,
     TimeSlotGrid,
 )
-from repro.history import (
-    HistoryQueryEngine,
-    HistoryWriter,
-    SegmentStore,
-    compact_store,
-)
+from repro.history import HistoryQueryEngine, HistoryWriter, SegmentStore
 from repro.service.metrics import nearest_rank
 from repro.stream.monitor import SlotResult
 
@@ -106,16 +106,13 @@ def test_history_append_and_query_latency(tmp_path):
     assert store.days() == list(range(N_DAYS))
     appends_per_s = n_records / append_s
 
-    compact_start = time.perf_counter()
-    compact_store(store)
-    compact_s = time.perf_counter() - compact_start
-
     engine = HistoryQueryEngine(store)
     spot_ids = [spot.spot_id for spot in spots]
 
-    def timed(fn):
+    def timed(fn, before=lambda: None):
         samples = []
         for _ in range(QUERY_ROUNDS):
+            before()
             t0 = time.perf_counter()
             payload = fn()
             samples.append(time.perf_counter() - t0)
@@ -128,6 +125,15 @@ def test_history_append_and_query_latency(tmp_path):
         lambda: engine.spot_history(
             rng.choice(spot_ids), per_page=200, downsample=4
         )
+    )
+    # Each rewrite changes the newest day's bytes, as serve's do; the
+    # even round count leaves the full day on disk.
+    newest = store.read_day(N_DAYS - 1)
+    rewrites = itertools.cycle(
+        [replace(newest, records=newest.records[:-1]), newest]
+    )
+    after_write_s = timed(
+        engine.patterns, before=lambda: store.write_day(next(rewrites))
     )
 
     def row(name, samples):
@@ -145,12 +151,12 @@ def test_history_append_and_query_latency(tmp_path):
         "",
         f"append throughput      {appends_per_s:>12,.0f} records/s "
         f"({append_s:.2f} s total)",
-        f"compaction pass        {compact_s * 1e3:>12.1f} ms",
         "",
         f"{'query':<22} {'p50 ms':>9} {'p95 ms':>9} {'max ms':>9}",
         row("patterns", patterns_s),
         row("citywide", citywide_s),
         row("spot_history", spot_s),
+        row("patterns after write", after_write_s),
     ]
     emit("history", lines)
 
@@ -158,7 +164,7 @@ def test_history_append_and_query_latency(tmp_path):
     assert n_records == N_DAYS * SLOTS_PER_DAY * N_SPOTS
     assert appends_per_s > 0
     assert store.total_bytes() > 0
-    for samples in (patterns_s, citywide_s, spot_s):
+    for samples in (patterns_s, citywide_s, spot_s, after_write_s):
         assert len(samples) == QUERY_ROUNDS
         assert all(s > 0 for s in samples)
     payload = engine.patterns()

@@ -17,9 +17,8 @@ Subcommands mirror the deployed system's workflow (paper section 7.1):
   text format;
 * ``trace summarize`` — per-stage latency/throughput digest of a JSONL
   trace file (see ``docs/observability.md``);
-* ``history compact|query|export`` — maintain and query the durable
-  multi-day history written by ``serve --history-dir`` (see
-  ``docs/history.md``).
+* ``history query|export`` — query and dump the durable multi-day
+  history written by ``serve --history-dir`` (see ``docs/history.md``).
 
 ``detect``, ``analyze`` and ``serve`` accept ``--trace-out FILE`` (plus
 ``--trace-sample N``) to record pipeline trace spans; an unwritable
@@ -411,11 +410,6 @@ def _validate_serve_args(args: argparse.Namespace) -> Optional[str]:
         return f"--cache-ttl must be >= 0 seconds, got {args.cache_ttl:g}"
     if args.grace < 0:
         return f"--grace must be >= 0 seconds, got {args.grace:g}"
-    if args.history_compact_interval <= 0:
-        return (
-            f"--history-compact-interval must be positive seconds, "
-            f"got {args.history_compact_interval:g}"
-        )
     if args.max_inflight is not None and args.max_inflight < 1:
         return (
             f"--max-inflight must admit at least one request, "
@@ -486,7 +480,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         stale_after_s=args.stale_after,
         history_dir=args.history_dir,
         history_day_of_week=args.history_day,
-        history_compact_interval_s=args.history_compact_interval,
     )
     print(f"bootstrapping spots and thresholds from {source} ...")
     try:
@@ -626,49 +619,27 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_history_compact(args: argparse.Namespace) -> int:
-    """Roll the day segments of a history directory into the weekly
-    aggregate (same pass the in-service compactor runs periodically)."""
-    from repro.history import SegmentStore, compact_store
-
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        print(
-            f"error: history directory not found: {directory}\n"
-            "hint: produce one with 'taxiqueue serve --history-dir "
-            f"{directory}'",
-            file=sys.stderr,
-        )
-        return 2
-    store = SegmentStore(directory)
-    aggregate = compact_store(store)
-    print(
-        f"compacted {len(aggregate['days'])} day segments into "
-        f"{store.aggregate_path}"
-    )
-    for day, reason in sorted(store.corrupt_days.items()):
-        print(f"  skipped corrupt day {day}: {reason}", file=sys.stderr)
-    return 1 if store.corrupt_days else 0
-
-
 def _history_engine_for(path: Path, stack):
     """A query engine over ``path`` — a history directory, or a
     JSONL(.gz) dump from ``history export`` (reconstructed into a
     temporary segment store registered on ``stack``)."""
     import tempfile
+    from dataclasses import fields
 
-    from repro.core.types import QueueSpot, QueueType
+    from repro.core.types import QueueType
     from repro.history import (
         DaySegment,
         HistoryQueryEngine,
         SegmentStore,
         SlotRecord,
     )
+    from repro.history.format import spot_from_header
     from repro.obs.export import open_text
 
     if path.is_dir():
         return HistoryQueryEngine(SegmentStore(path))
 
+    slot_fields = [f.name for f in fields(SlotRecord)]
     days: dict = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -684,37 +655,23 @@ def _history_engine_for(path: Path, stack):
                     "spots": [],
                     "records": [],
                 }
-            elif kind == "spot":
-                days[entry["day"]]["spots"].append(
-                    QueueSpot(
-                        spot_id=entry["spot_id"],
-                        lon=entry["lon"],
-                        lat=entry["lat"],
-                        zone=entry["zone"],
-                        pickup_count=entry["pickup_count"],
-                        radius_m=entry["radius_m"],
-                    )
-                )
-            elif kind == "slot":
-                days[entry["day"]]["records"].append(
-                    SlotRecord(
-                        spot_id=entry["spot_id"],
-                        slot=entry["slot"],
-                        label=QueueType(entry["label"]),
-                        routine=entry["routine"],
-                        mean_wait_s=entry["mean_wait_s"],
-                        n_arrivals=entry["n_arrivals"],
-                        queue_length=entry["queue_length"],
-                        mean_departure_interval_s=(
-                            entry["mean_departure_interval_s"]
-                        ),
-                        n_departures=entry["n_departures"],
-                    )
-                )
-            else:
+                continue
+            if kind not in ("spot", "slot"):
                 raise ValueError(
                     f"line {lineno}: unknown dump line kind {kind!r}"
                 )
+            parts = days.get(entry.get("day"))
+            if parts is None:
+                raise ValueError(
+                    f"line {lineno}: {kind} line comes before the line "
+                    f"of its day {entry.get('day')!r}"
+                )
+            if kind == "spot":
+                parts["spots"].append(spot_from_header(entry))
+            else:
+                values = {name: entry[name] for name in slot_fields}
+                values["label"] = QueueType(values["label"])
+                parts["records"].append(SlotRecord(**values))
     tmp = stack.enter_context(
         tempfile.TemporaryDirectory(prefix="taxiqueue-history-")
     )
@@ -784,7 +741,10 @@ def cmd_history_query(args: argparse.Namespace) -> int:
 def cmd_history_export(args: argparse.Namespace) -> int:
     """Dump a history directory as JSONL(.gz) — one ``day`` line per
     segment followed by its ``spot`` and ``slot`` lines."""
-    from repro.history import SegmentStore
+    from dataclasses import fields
+
+    from repro.history import SegmentStore, SlotRecord
+    from repro.history.format import spot_to_header
     from repro.obs.export import open_text
 
     directory = Path(args.dir)
@@ -794,11 +754,16 @@ def cmd_history_export(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    try:
+        fh = open_text(args.output, "wt")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return 2
     store = SegmentStore(directory)
-    segments = store.read_all()
+    slot_fields = [f.name for f in fields(SlotRecord)]
     days = written = 0
-    with open_text(args.output, "wt") as fh:
-        for segment in segments:
+    with fh:
+        for segment in store.read_all():
             fh.write(json.dumps({
                 "kind": "day",
                 "day": segment.day,
@@ -806,32 +771,15 @@ def cmd_history_export(args: argparse.Namespace) -> int:
                 "slot_seconds": segment.slot_seconds,
             }, sort_keys=True) + "\n")
             for spot in segment.spots:
-                fh.write(json.dumps({
-                    "kind": "spot",
-                    "day": segment.day,
-                    "spot_id": spot.spot_id,
-                    "lon": spot.lon,
-                    "lat": spot.lat,
-                    "zone": spot.zone,
-                    "pickup_count": spot.pickup_count,
-                    "radius_m": spot.radius_m,
-                }, sort_keys=True) + "\n")
+                line = spot_to_header(spot)
+                line.update(kind="spot", day=segment.day)
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
             for record in segment.records:
-                fh.write(json.dumps({
-                    "kind": "slot",
-                    "day": segment.day,
-                    "spot_id": record.spot_id,
-                    "slot": record.slot,
-                    "label": record.label.value,
-                    "routine": record.routine,
-                    "mean_wait_s": record.mean_wait_s,
-                    "n_arrivals": record.n_arrivals,
-                    "queue_length": record.queue_length,
-                    "mean_departure_interval_s": (
-                        record.mean_departure_interval_s
-                    ),
-                    "n_departures": record.n_departures,
-                }, sort_keys=True) + "\n")
+                line = {name: getattr(record, name) for name in slot_fields}
+                line.update(
+                    kind="slot", day=segment.day, label=record.label.value
+                )
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
                 written += 1
             days += 1
     print(f"exported {days} days ({written} slot records) to {args.output}")
@@ -1193,11 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="day of week (0=Mon..6=Sun) of the stream's first day in "
         "the history; defaults to the calendar weekday of the epoch day",
     )
-    p_srv.add_argument(
-        "--history-compact-interval", type=float, default=300.0,
-        help="seconds between background week-level compaction passes "
-        "(default %(default)s)",
-    )
     _add_trace_args(p_srv)
     p_srv.set_defaults(func=cmd_serve)
 
@@ -1394,16 +1337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser(
         "history",
-        help="maintain and query the durable multi-day history "
+        help="query and dump the durable multi-day history "
         "(see docs/history.md)",
     )
     hist_sub = p_hist.add_subparsers(dest="history_command", required=True)
-    p_hc = hist_sub.add_parser(
-        "compact",
-        help="roll day segments into the weekly pattern aggregate",
-    )
-    p_hc.add_argument("dir", help="history directory (from serve --history-dir)")
-    p_hc.set_defaults(func=cmd_history_compact)
     p_hq = hist_sub.add_parser(
         "query",
         help="query a history directory or an exported JSONL(.gz) dump",

@@ -1,4 +1,4 @@
-"""Durable multi-day queue history: segment store, compactor, queries.
+"""Durable multi-day queue history: segment store, writer, queries.
 
 The package turns the streaming monitor's transient slot finalizations
 into a durable, queryable record:
@@ -6,22 +6,14 @@ into a durable, queryable record:
 * :mod:`repro.history.format` — the binary day-segment codec (packed
   records, JSON header, SHA-256 footer, atomic writes);
 * :mod:`repro.history.segments` — :class:`SegmentStore`, one directory
-  of ``day-*.seg`` files plus the weekly aggregate;
+  of ``day-*.seg`` files;
 * :mod:`repro.history.writer` — :class:`HistoryWriter`, subscribed to
   slot finalization and checkpointed for exactly-once capture;
-* :mod:`repro.history.compact` — :class:`HistoryCompactor` /
-  :func:`compact_store`, crash-safe week-level rollups;
 * :mod:`repro.history.query` — :class:`HistoryQueryEngine`, the
-  time-range / citywide / pattern queries behind ``/v1/history/*``.
+  time-range / citywide / pattern queries behind ``/v1/history/*``;
+  the pattern queries fold the cached day segments.
 """
 
-from repro.history.compact import (
-    HistoryCompactor,
-    compact_store,
-    empty_aggregate,
-    fold_segment,
-    fold_segments,
-)
 from repro.history.format import (
     SegmentFormatError,
     SlotRecord,
@@ -30,25 +22,27 @@ from repro.history.format import (
     encode_segment,
     write_bytes_atomic,
 )
-from repro.history.query import HistoryQueryEngine, QueryError
+from repro.history.query import (
+    HistoryQueryEngine,
+    QueryError,
+    empty_aggregate,
+    fold_segment,
+)
 from repro.history.segments import DaySegment, SegmentStore
 from repro.history.writer import HistoryWriter
 
 __all__ = [
     "DaySegment",
-    "HistoryCompactor",
     "HistoryQueryEngine",
     "HistoryWriter",
     "QueryError",
     "SegmentFormatError",
     "SegmentStore",
     "SlotRecord",
-    "compact_store",
     "day_of_week_of",
     "decode_segment",
     "empty_aggregate",
     "encode_segment",
     "fold_segment",
-    "fold_segments",
     "write_bytes_atomic",
 ]

@@ -42,9 +42,6 @@ from repro.core.types import QueueSpot, QueueType
 #: Segment file magic; bump when the layout changes.
 SEGMENT_MAGIC = b"TQHSEG1\n"
 
-#: Weekly aggregate file magic (JSON payload, same envelope/footer).
-AGGREGATE_MAGIC = b"TQHAGG1\n"
-
 #: One packed record: spot index, slot-in-day, label code, routine,
 #: then the 5-tuple (mean_wait_s NaN-encoded when None).
 RECORD_STRUCT = struct.Struct("<HHBBddddd")
@@ -88,7 +85,7 @@ class SlotRecord:
 
 
 class SegmentFormatError(ValueError):
-    """A segment/aggregate file failed structural validation."""
+    """A segment file failed structural validation."""
 
 
 # -- record block codec ------------------------------------------------------------
@@ -175,7 +172,9 @@ def decode_records(
 # -- whole-segment codec -----------------------------------------------------------
 
 
-def _spot_to_header(spot: QueueSpot) -> dict:
+def spot_to_header(spot: QueueSpot) -> dict:
+    """One spot as a JSON object (the segment header's spot table and
+    the ``spot`` lines of a history dump)."""
     return {
         "spot_id": spot.spot_id,
         "lon": spot.lon,
@@ -186,7 +185,8 @@ def _spot_to_header(spot: QueueSpot) -> dict:
     }
 
 
-def _spot_from_header(entry: dict) -> QueueSpot:
+def spot_from_header(entry: dict) -> QueueSpot:
+    """Inverse of :func:`spot_to_header`; extra keys are ignored."""
     return QueueSpot(
         spot_id=entry["spot_id"],
         lon=entry["lon"],
@@ -211,7 +211,7 @@ def encode_segment(
         "day": int(day),
         "day_of_week": int(day_of_week),
         "slot_seconds": float(slot_seconds),
-        "spots": [_spot_to_header(s) for s in spots],
+        "spots": [spot_to_header(s) for s in spots],
         "n_records": len(records),
     }
     body = (
@@ -235,7 +235,7 @@ def decode_segment(raw: bytes) -> Tuple[dict, List[QueueSpot], List[SlotRecord]]
     """
     header, payload = _verify_envelope(raw, SEGMENT_MAGIC)
     try:
-        spots = [_spot_from_header(e) for e in header["spots"]]
+        spots = [spot_from_header(e) for e in header["spots"]]
     except (KeyError, TypeError) as exc:
         raise SegmentFormatError(f"bad spot table: {exc}") from exc
     records = decode_records(payload, [s.spot_id for s in spots])
@@ -247,32 +247,8 @@ def decode_segment(raw: bytes) -> Tuple[dict, List[QueueSpot], List[SlotRecord]]
     return header, spots, records
 
 
-def encode_json_payload(magic: bytes, payload: dict) -> bytes:
-    """Serialize a JSON document under the same envelope (used by the
-    weekly aggregate)."""
-    body = (
-        magic
-        + json.dumps({"version": 1}, sort_keys=True).encode("utf-8")
-        + b"\n"
-        + json.dumps(payload, sort_keys=True).encode("utf-8")
-    )
-    return body + hashlib.sha256(body).hexdigest().encode("ascii")
-
-
-def decode_json_payload(raw: bytes, magic: bytes) -> dict:
-    """Parse and verify a JSON-payload file (aggregate)."""
-    _, payload = _verify_envelope(raw, magic)
-    try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SegmentFormatError(f"bad JSON payload: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SegmentFormatError("JSON payload must be an object")
-    return document
-
-
 def _verify_envelope(raw: bytes, magic: bytes) -> Tuple[dict, bytes]:
-    """Shared magic + header + SHA-256 footer validation."""
+    """Magic + header + SHA-256 footer validation."""
     if not raw.startswith(magic):
         raise SegmentFormatError("bad magic")
     if len(raw) < len(magic) + 64:

@@ -12,13 +12,11 @@ from the segment store:
   counts and C1–C4 mixes per day of week, plus per-spot day-of-week ×
   slot profiles (``GET /v1/history/patterns``).
 
-**Pattern determinism.**  ``patterns`` starts from the compactor's
-``weekly.agg`` when its per-day SHA footers still match the segments on
-disk, folds the not-yet-compacted days on top, and falls back to a
-from-scratch fold when the aggregate is stale or absent.  Every
-aggregated quantity is an integer count, so all three paths produce
-*byte-identical* JSON — compaction timing (never ran, ran mid-day,
-ran after a crash) can never change a query answer.
+**Pattern queries.**  ``patterns`` and ``spot_profile`` fold every
+intact day segment into integer counts (:func:`fold_segment`), reading
+each day through the engine's segment cache.  A cache entry is keyed on
+the day's write version (:meth:`SegmentStore.day_version`), so a
+rewrite of one day re-reads that day alone.
 
 Payload values derived from floats are rounded to 6 decimals, matching
 the live ``/v1/citywide`` endpoint.
@@ -26,12 +24,10 @@ the live ``/v1/citywide`` endpoint.
 
 from __future__ import annotations
 
-import copy
 import threading
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
-from repro.history.compact import empty_aggregate, fold_segment
 from repro.history.format import SlotRecord
 from repro.history.segments import DaySegment, SegmentStore
 from repro.service.metrics import MetricsRegistry
@@ -63,6 +59,57 @@ def _round6(value: float) -> float:
     return round(value, 6)
 
 
+def empty_aggregate() -> dict:
+    """A zero-day pattern aggregate (keys are strings, as in the JSON
+    payloads built from it)."""
+    return {
+        "days": [],
+        "dow_days": {},          # dow -> number of days folded
+        "zone_spots": {},        # zone -> dow -> summed spot count
+        "type_counts": {},       # dow -> label value -> slot-record count
+        "spot_profiles": {},     # spot -> dow -> slot -> label -> count
+        "spot_meta": {},         # spot -> {day, zone, lon, lat}
+    }
+
+
+def fold_segment(aggregate: dict, segment: DaySegment) -> dict:
+    """Fold one day into the aggregate (in place; returns it).
+
+    Every quantity is an integer count, so the counts depend only on
+    the set of days folded.  Folding the same day twice would
+    double-count: callers fold each day at most once.
+    """
+    dow = str(segment.day_of_week)
+    aggregate["days"].append(segment.day)
+    aggregate["dow_days"][dow] = aggregate["dow_days"].get(dow, 0) + 1
+    zone_spots = aggregate["zone_spots"]
+    meta = aggregate["spot_meta"]
+    for spot in segment.spots:
+        per_dow = zone_spots.setdefault(spot.zone, {})
+        per_dow[dow] = per_dow.get(dow, 0) + 1
+        # Newest day wins, whatever the fold order.
+        known = meta.get(spot.spot_id)
+        if known is None or segment.day >= known["day"]:
+            meta[spot.spot_id] = {
+                "day": segment.day,
+                "zone": spot.zone,
+                "lon": spot.lon,
+                "lat": spot.lat,
+            }
+    type_counts = aggregate["type_counts"].setdefault(dow, {})
+    profiles = aggregate["spot_profiles"]
+    for record in segment.records:
+        label = record.label.value
+        type_counts[label] = type_counts.get(label, 0) + 1
+        slot_counts = (
+            profiles.setdefault(record.spot_id, {})
+            .setdefault(dow, {})
+            .setdefault(str(record.slot), {})
+        )
+        slot_counts[label] = slot_counts.get(label, 0) + 1
+    return aggregate
+
+
 class HistoryQueryEngine:
     """Query facade over a :class:`SegmentStore`.
 
@@ -86,8 +133,7 @@ class HistoryQueryEngine:
         self.tracer = tracer
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._cache_version = -1
-        self._segment_cache: Dict[int, DaySegment] = {}
+        self._segment_cache: Dict[int, Tuple[int, DaySegment]] = {}
 
     # -- shared plumbing ---------------------------------------------------------
 
@@ -105,19 +151,22 @@ class HistoryQueryEngine:
         return timer
 
     def _segment(self, day: int) -> Optional[DaySegment]:
-        """Read-through segment cache, invalidated on store writes."""
-        version = self.store.version
+        """Read-through segment cache; an entry is used only while its
+        day's write version is current.
+
+        The version is read before the file, so a write racing the read
+        can only leave an entry tagged older than its bytes, which the
+        next call re-reads.  Corrupt days are not cached.
+        """
+        version = self.store.day_version(day)
         with self._lock:
-            if version != self._cache_version:
-                self._segment_cache.clear()
-                self._cache_version = version
-            if day in self._segment_cache:
-                return self._segment_cache[day]
+            cached = self._segment_cache.get(day)
+        if cached is not None and cached[0] == version:
+            return cached[1]
         segment = self.store.read_day(day)
         if segment is not None:
             with self._lock:
-                if self._cache_version == version:
-                    self._segment_cache[day] = segment
+                self._segment_cache[day] = (version, segment)
         return segment
 
     def _segments_in(
@@ -149,7 +198,8 @@ class HistoryQueryEngine:
 
         ``downsample=k`` folds each run of ``k`` consecutive slots
         (within one day) into a single item carrying the majority label
-        (earliest-slot wins ties) and count-weighted mean features.
+        (earliest-slot wins ties) and the plain mean of each feature
+        over the run (``mean_wait_s`` over the slots that have a wait).
 
         Returns None for a spot id the history has never seen (404).
 
@@ -331,31 +381,10 @@ class HistoryQueryEngine:
 
     # -- patterns ----------------------------------------------------------------
 
-    def _fresh_aggregate(self) -> dict:
-        """The weekly aggregate, guaranteed current.
-
-        Starts from the compacted ``weekly.agg`` when every folded
-        day's SHA footer still matches its segment file, then folds the
-        remaining days; otherwise folds everything from scratch.  Both
-        paths produce identical integer counts (see module docstring).
-        """
-        days_on_disk = self.store.days()
-        aggregate = self.store.read_aggregate()
-        if aggregate is not None:
-            footers = aggregate.get("day_footers", {})
-            for day in aggregate.get("days", ()):
-                on_disk = self.store.read_footer(day)
-                if on_disk is not None and on_disk != footers.get(str(day)):
-                    aggregate = None  # stale: a folded day was rewritten
-                    break
-        if aggregate is None:
-            aggregate = empty_aggregate()
-        else:
-            aggregate = copy.deepcopy(aggregate)
-        included = set(aggregate["days"])
-        for day in days_on_disk:
-            if day in included:
-                continue
+    def _aggregate(self) -> dict:
+        """Every intact day on disk folded, ascending by day."""
+        aggregate = empty_aggregate()
+        for day in self.store.days():
             segment = self._segment(day)
             if segment is not None:
                 fold_segment(aggregate, segment)
@@ -366,7 +395,7 @@ class HistoryQueryEngine:
         with self.tracer.span(
             "history.query", endpoint="patterns"
         ), self._observe("patterns"):
-            aggregate = self._fresh_aggregate()
+            aggregate = self._aggregate()
             dow_days: Dict[str, int] = aggregate["dow_days"]
 
             zone_spots = {}
@@ -413,7 +442,7 @@ class HistoryQueryEngine:
         with self.tracer.span(
             "history.query", endpoint="spot_profile", spot=spot_id
         ), self._observe("spot_profile"):
-            aggregate = self._fresh_aggregate()
+            aggregate = self._aggregate()
             profile = aggregate["spot_profiles"].get(spot_id)
             meta = aggregate["spot_meta"].get(spot_id)
             if profile is None and meta is None:

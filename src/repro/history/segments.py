@@ -1,16 +1,17 @@
 """The durable day-segment store.
 
 A :class:`SegmentStore` owns one directory of ``day-<epochday>.seg``
-files (see :mod:`repro.history.format` for the binary layout) plus the
-compactor's ``weekly.agg`` aggregate.  All writes are atomic, all reads
-verify the embedded SHA-256 footer, and a corrupt segment is *skipped
-with accounting* (``history.corrupt_segments`` counter plus the
+files (see :mod:`repro.history.format` for the binary layout); any
+other file in it is ignored.  All writes are atomic, all reads verify
+the embedded SHA-256 footer, and a corrupt segment is *skipped with
+accounting* (``history.corrupt_segments`` counter plus the
 :attr:`corrupt_days` listing) rather than raised through a query path —
 the same degrade-don't-die posture as the checkpoint manager.
 
 The store keeps an in-process **version** that increments on every
-segment write; the HTTP layer uses it as the history ETag and the query
-engine as its read-cache key.
+segment write; the HTTP layer uses it as the history ETag.  Each write
+also stamps that version on the day it wrote (:meth:`day_version`),
+which the query engine uses as the key of its per-day read cache.
 """
 
 from __future__ import annotations
@@ -23,22 +24,15 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.types import QueueSpot
 from repro.history.format import (
-    AGGREGATE_MAGIC,
     SegmentFormatError,
     SlotRecord,
-    decode_json_payload,
     decode_segment,
-    encode_json_payload,
     encode_segment,
     write_bytes_atomic,
 )
 from repro.service.metrics import MetricsRegistry
 
 _SEGMENT_RE = re.compile(r"^day-(\d+)\.seg$")
-
-#: The compactor's single output file (atomic replace keeps exactly one
-#: intact generation at any kill point).
-AGGREGATE_NAME = "weekly.agg"
 
 
 @dataclass
@@ -52,10 +46,6 @@ class DaySegment:
     slot_seconds: float
     spots: List[QueueSpot] = field(default_factory=list)
     records: List[SlotRecord] = field(default_factory=list)
-    footer: Optional[str] = None
-    """The on-disk SHA-256 footer (set when loaded from a file); the
-    compactor stores it per folded day so the query engine can detect a
-    stale aggregate without re-reading whole segments."""
 
     @property
     def day_start_ts(self) -> float:
@@ -84,8 +74,10 @@ class SegmentStore:
         self._metrics = metrics
         self._lock = threading.Lock()
         self._version = 0
+        self._day_versions: Dict[int, int] = {}
         self.corrupt_days: Dict[int, str] = {}
-        """Day -> reason of every corrupt segment seen by this store."""
+        """Day -> reason of every segment this store last read as
+        corrupt (dropped once the day is rewritten or reads intact)."""
 
     # -- identity ----------------------------------------------------------------
 
@@ -95,12 +87,14 @@ class SegmentStore:
         with self._lock:
             return self._version
 
+    def day_version(self, day: int) -> int:
+        """The :attr:`version` of this store's last write of ``day``
+        (0 when this store never wrote it)."""
+        with self._lock:
+            return self._day_versions.get(day, 0)
+
     def path_of(self, day: int) -> Path:
         return self.directory / f"day-{int(day)}.seg"
-
-    @property
-    def aggregate_path(self) -> Path:
-        return self.directory / AGGREGATE_NAME
 
     def days(self) -> List[int]:
         """Every day with a segment file on disk, ascending."""
@@ -114,7 +108,8 @@ class SegmentStore:
     # -- segments ----------------------------------------------------------------
 
     def write_day(self, segment: DaySegment) -> Path:
-        """Persist one day segment atomically; bumps the version."""
+        """Persist one day segment atomically; bumps the version and
+        stamps it on the day."""
         data = encode_segment(
             day=segment.day,
             day_of_week=segment.day_of_week,
@@ -125,6 +120,8 @@ class SegmentStore:
         path = write_bytes_atomic(self.path_of(segment.day), data)
         with self._lock:
             self._version += 1
+            self._day_versions[segment.day] = self._version
+            self.corrupt_days.pop(segment.day, None)
         if self._metrics is not None:
             self._metrics.counter("history.segments_written").inc()
             self._metrics.counter("history.records_written").inc(
@@ -147,29 +144,15 @@ class SegmentStore:
         except SegmentFormatError as exc:
             self._account_corrupt(day, str(exc))
             return None
+        with self._lock:
+            self.corrupt_days.pop(day, None)
         return DaySegment(
             day=header["day"],
             day_of_week=header["day_of_week"],
             slot_seconds=header["slot_seconds"],
             spots=spots,
             records=records,
-            footer=raw[-64:].decode("ascii", errors="replace"),
         )
-
-    def read_footer(self, day: int) -> Optional[str]:
-        """Just the 64-char SHA-256 footer of a day's segment file, or
-        None when the file is missing or too short.  Reads 64 bytes —
-        the staleness probe of the pattern query."""
-        try:
-            with open(self.path_of(day), "rb") as handle:
-                handle.seek(0, 2)
-                size = handle.tell()
-                if size < 64:
-                    return None
-                handle.seek(size - 64)
-                return handle.read(64).decode("ascii", errors="replace")
-        except OSError:
-            return None
 
     def read_all(self) -> List[DaySegment]:
         """Every intact day segment, ascending by day."""
@@ -217,26 +200,3 @@ class SegmentStore:
             self.corrupt_days[day] = reason
         if fresh and self._metrics is not None:
             self._metrics.counter("history.corrupt_segments").inc()
-
-    # -- aggregate ---------------------------------------------------------------
-
-    def write_aggregate(self, payload: dict) -> Path:
-        """Persist the compactor's weekly aggregate atomically."""
-        return write_bytes_atomic(
-            self.aggregate_path,
-            encode_json_payload(AGGREGATE_MAGIC, payload),
-        )
-
-    def read_aggregate(self) -> Optional[dict]:
-        """The intact weekly aggregate, or None (missing or corrupt —
-        the query path then folds day segments directly)."""
-        try:
-            raw = self.aggregate_path.read_bytes()
-        except OSError:
-            return None
-        try:
-            return decode_json_payload(raw, AGGREGATE_MAGIC)
-        except SegmentFormatError:
-            if self._metrics is not None:
-                self._metrics.counter("history.corrupt_aggregates").inc()
-            return None

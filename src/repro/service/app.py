@@ -244,9 +244,7 @@ class ServiceConfig:
       the service checkpoint so a kill/restart never loses or
       double-writes a record;
     * ``history_day_of_week`` — 0=Mon..6=Sun of the stream's first
-      day; None derives the calendar weekday from the epoch day;
-    * ``history_compact_interval_s`` — cadence of the background
-      week-level compactor.
+      day; None derives the calendar weekday from the epoch day.
 
     The admission knobs (see ``docs/load.md``):
 
@@ -277,7 +275,6 @@ class ServiceConfig:
     watchdog_interval_s: float = 1.0
     history_dir: Optional[str] = None
     history_day_of_week: Optional[int] = None
-    history_compact_interval_s: float = 300.0
 
 
 class EmptyDayError(ValueError):
@@ -297,7 +294,6 @@ class QueueService:
         watchdog=None,
         checkpointer=None,
         history_writer=None,
-        history_compactor=None,
         history_engine=None,
     ):
         self.store = store
@@ -308,7 +304,6 @@ class QueueService:
         self.watchdog = watchdog
         self.checkpointer = checkpointer
         self.history_writer = history_writer
-        self.history_compactor = history_compactor
         self.history_engine = history_engine
         self.resumed_from: Optional[int] = None
         """Stream position restored from a checkpoint, None on cold
@@ -385,11 +380,9 @@ class QueueService:
         monitor, snapshot = boot.build_stack(metrics)
 
         history_writer = None
-        history_compactor = None
         history_engine = None
         if config.history_dir is not None:
             from repro.history import (
-                HistoryCompactor,
                 HistoryQueryEngine,
                 HistoryWriter,
                 SegmentStore,
@@ -405,12 +398,6 @@ class QueueService:
                 tracer=tracer,
             )
             monitor.subscribe(history_writer.absorb)
-            history_compactor = HistoryCompactor(
-                segment_store,
-                interval_s=config.history_compact_interval_s,
-                metrics=metrics,
-                tracer=tracer,
-            )
             history_engine = HistoryQueryEngine(
                 segment_store, metrics=metrics, tracer=tracer
             )
@@ -480,7 +467,6 @@ class QueueService:
             watchdog=watchdog,
             checkpointer=checkpointer,
             history_writer=history_writer,
-            history_compactor=history_compactor,
             history_engine=history_engine,
         )
         service.resumed_from = resumed_from
@@ -493,18 +479,14 @@ class QueueService:
         self.server.start()
         if self.watchdog is not None:
             self.watchdog.start()
-        if self.history_compactor is not None:
-            self.history_compactor.start()
         self.replayer.start()
 
     def stop(self) -> None:
         self.replayer.stop()
         if self.history_writer is not None:
             # One last flush so segments cover everything finalized
-            # before shutdown, then fold them into the aggregate.
+            # before shutdown.
             self.history_writer.flush_all()
-        if self.history_compactor is not None:
-            self.history_compactor.stop(final_pass=True)
         if self.watchdog is not None:
             self.watchdog.stop()
         self.server.stop()

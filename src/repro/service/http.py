@@ -36,10 +36,12 @@ remembers the last successfully serialized body per path and, when a
 payload build raises (a fault mid-ingest, a poisoned snapshot), serves
 that last-good body with an ``X-Degraded: stale`` header instead of an
 error — the behaviour a city-facing frontend wants from a telemetry
-backend.  Degradations are counted in ``http.degraded``; pair the
-server with a :class:`~repro.resilience.ServiceWatchdog` so staleness
-is visible at ``/v1/metrics`` and ``/v1/healthz`` while the ingest
-path recovers.
+backend.  A history body depends on the query string, so a history
+route's last-good body is served only to the query that built it; any
+other query gets the explicit empty degraded payload.  Degradations
+are counted in ``http.degraded``; pair the server with a
+:class:`~repro.resilience.ServiceWatchdog` so staleness is visible at
+``/v1/metrics`` and ``/v1/healthz`` while the ingest path recovers.
 
 **Admission control.**  With ``max_inflight`` / ``rate_limit`` /
 ``route_caps`` set, every route except ``/v1/healthz`` passes through
@@ -361,7 +363,8 @@ class QueueStateServer:
                 route_caps=route_caps,
                 metrics=self.metrics,
             )
-        self._last_good: Dict[str, bytes] = {}
+        # path -> (query the body answers, None for any query; body)
+        self._last_good: Dict[str, Tuple[Optional[str], bytes]] = {}
         self._last_good_lock = threading.Lock()
         self._httpd = _BoundedThreadingHTTPServer((host, port), _Handler)
         if max_connections is not None:
@@ -451,7 +454,7 @@ class QueueStateServer:
         except Exception:
             # Reads must never 5xx; fall back to the freshest body
             # this path ever served (see "Degraded serving" above).
-            return self._degraded_response(path)
+            return self._degraded_response(path, query)
 
     def _shed_response(self, decision) -> Response:
         """429 + Retry-After: the explicit backpressure answer."""
@@ -620,7 +623,7 @@ class QueueStateServer:
         body = _json_body(payload)
         self.cache.put(cache_key, version, body)
         with self._last_good_lock:
-            self._last_good[path] = body
+            self._last_good[path] = (query, body)
         return Response(200, body, etag=etag)
 
     def _metrics_response(self, query: str) -> Response:
@@ -678,16 +681,16 @@ class QueueStateServer:
         built_version = payload.get("snapshot", version)
         self.cache.put(path, built_version, body)
         with self._last_good_lock:
-            self._last_good[path] = body
+            self._last_good[path] = (None, body)
         return Response(200, body, etag=f'"{built_version}"')
 
-    def _degraded_response(self, path: str) -> Response:
-        """Serve the last-good body for ``path`` (or an explicit empty
-        degraded payload) instead of a 5xx."""
+    def _degraded_response(self, path: str, query: str = "") -> Response:
+        """Serve the last-good body for ``path`` and ``query`` (or an
+        explicit empty degraded payload) instead of a 5xx."""
         self.metrics.counter("http.degraded").inc()
         with self._last_good_lock:
-            body = self._last_good.get(path)
-        if body is None:
+            good_query, body = self._last_good.get(path, (None, None))
+        if body is None or good_query not in (None, query):
             body = _json_body({"snapshot": 0, "degraded": True})
         return Response(200, body, headers={"X-Degraded": "stale"})
 

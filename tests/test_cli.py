@@ -43,6 +43,7 @@ class TestParser:
         [
             ["analyze", "logs.csv", "--workers", "2"],
             ["detect", "logs.csv", "--checkpoint-dir", "ckpt"],
+            ["serve", "--history-compact-interval", "60"],
         ],
     )
     def test_removed_flags_are_unknown(self, argv, capsys):

@@ -3,7 +3,7 @@
 Covers the serve-knob fail-fast validation (exit 2 before any pipeline
 work), gzip JSONL transparency (``--trace-out foo.jsonl.gz``, ``trace
 summarize`` and ``history query`` read ``.gz``), and the ``taxiqueue
-history compact|query|export`` round trip.
+history query|export`` round trip.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class TestServeKnobValidation:
             (["--disorder-window", "-1"], "--disorder-window"),
             (["--cache-ttl", "-0.5"], "--cache-ttl"),
             (["--grace", "-1"], "--grace"),
-            (["--history-compact-interval", "0"],
-             "--history-compact-interval"),
         ],
     )
     def test_invalid_knob_exits_2(self, flags, message, capsys):
@@ -78,11 +76,9 @@ class TestServeKnobValidation:
             "serve", "--checkpoint-every", "100", "--grace", "0",
             "--cache-ttl", "0", "--disorder-window", "0",
             "--history-dir", "h", "--history-day", "4",
-            "--history-compact-interval", "60",
         ])
         assert args.history_dir == "h"
         assert args.history_day == 4
-        assert args.history_compact_interval == 60.0
 
 
 class TestGzipTraces:
@@ -117,33 +113,6 @@ class TestGzipTraces:
         code = main(["trace", "summarize", str(bad)])
         assert code == 1
         assert "error" in capsys.readouterr().err
-
-
-class TestHistoryCompactCommand:
-    def test_compacts_directory(self, history_dir, capsys):
-        code = main(["history", "compact", str(history_dir)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "compacted 2 day segments" in out
-        assert (history_dir / "weekly.agg").exists()
-
-    def test_missing_directory_exits_2(self, tmp_path, capsys):
-        code = main(["history", "compact", str(tmp_path / "nope")])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_corrupt_segment_reported_exit_1(self, tmp_path, capsys):
-        store = SegmentStore(tmp_path)
-        from tests.test_history_store import make_segment
-
-        store.write_day(make_segment(1))
-        store.write_day(make_segment(2))
-        store.path_of(1).write_bytes(b"garbage")
-        code = main(["history", "compact", str(tmp_path)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "compacted 1 day segments" in captured.out
-        assert "skipped corrupt day 1" in captured.err
 
 
 class TestHistoryQueryCommand:
@@ -237,9 +206,32 @@ class TestHistoryExportRoundTrip:
         ])
         assert code == 2
 
+    def test_export_to_unwritable_path_exits_2(
+        self, history_dir, tmp_path, capsys
+    ):
+        output = tmp_path / "nope" / "d.jsonl"
+        code = main([
+            "history", "export", str(history_dir), "--output", str(output),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {output}")
+        assert len(err.splitlines()) == 1
+
     def test_corrupt_dump_line_is_clean_error(self, tmp_path, capsys):
         dump = tmp_path / "dump.jsonl"
         dump.write_text('{"kind": "mystery"}\n')
         code = main(["history", "query", str(dump)])
         assert code == 1
         assert "cannot load" in capsys.readouterr().err
+
+    def test_line_before_its_day_names_the_line(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text(
+            '{"kind": "day", "day": 1, "day_of_week": 0, '
+            '"slot_seconds": 1800.0}\n'
+            '{"kind": "spot", "day": 2, "spot_id": "QS000"}\n'
+        )
+        code = main(["history", "query", str(dump)])
+        assert code == 1
+        assert "line 2: spot line comes before" in capsys.readouterr().err

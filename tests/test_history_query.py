@@ -1,24 +1,25 @@
 """The online query engine over the durable history.
 
-The determinism matrix is the key contract: ``patterns()`` must return
-byte-identical JSON whether compaction never ran, ran over a prefix of
-the days, ran over everything, or left a stale aggregate behind.
+The per-day segment cache is the key contract: a warm engine, however
+its queries and writes interleave, answers exactly what a fresh engine
+over the same directory answers, and a rewrite of one day re-reads that
+day alone.
 """
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.types import QueueSpot, QueueType
+from repro.core.types import QueueType
 from repro.history import (
     DaySegment,
     HistoryQueryEngine,
     QueryError,
     SegmentStore,
     SlotRecord,
-    compact_store,
-    empty_aggregate,
-    fold_segments,
 )
 from repro.service.metrics import MetricsRegistry
 from tests.test_history_store import make_records, make_segment, make_spots
@@ -156,51 +157,27 @@ class TestCitywide:
         assert [d["day"] for d in payload["days"]] == [731]
         assert payload["corrupt_days"] == [730]
 
+    def test_repaired_day_leaves_corrupt_days(self, tmp_path):
+        store = seeded_store(tmp_path, days=(732, 733))
+        intact = store.path_of(733).read_bytes()
+        for day in (732, 733):
+            store.path_of(day).write_bytes(b"garbage")
+        engine = HistoryQueryEngine(store)
+        assert engine.citywide()["corrupt_days"] == [732, 733]
+        # Repaired by a rewrite ...
+        store.write_day(make_segment(732, spots=make_spots(3), seed=732))
+        payload = engine.citywide()
+        assert [d["day"] for d in payload["days"]] == [732]
+        assert payload["corrupt_days"] == [733]
+        # ... or by an operator restoring the file.
+        store.path_of(733).write_bytes(intact)
+        payload = engine.patterns()
+        assert payload["days"] == [732, 733]
+        assert payload["corrupt_days"] == []
+
 
 class TestPatternDeterminism:
-    """patterns() is byte-identical across all compaction timings."""
-
-    def _patterns_json(self, store):
-        return json.dumps(HistoryQueryEngine(store).patterns(),
-                          sort_keys=True)
-
-    def test_never_partial_full_compaction_identical(self, tmp_path):
-        days = (740, 741, 742, 743, 744)
-
-        never = seeded_store(tmp_path / "never", days=days)
-        reference = self._patterns_json(never)
-
-        partial = seeded_store(tmp_path / "partial", days=days[:2])
-        compact_store(partial)  # aggregate covers only the first 2 days
-        for day in days[2:]:
-            partial.write_day(
-                make_segment(day, spots=make_spots(3), seed=day)
-            )
-        assert self._patterns_json(partial) == reference
-
-        full = seeded_store(tmp_path / "full", days=days)
-        compact_store(full)
-        assert self._patterns_json(full) == reference
-
-    def test_stale_aggregate_detected_via_footer(self, tmp_path):
-        days = (750, 751)
-        store = seeded_store(tmp_path, days=days)
-        compact_store(store)
-        # Rewrite a folded day with different records: the aggregate is
-        # now stale and must be ignored, not merged on top of.
-        store.write_day(make_segment(750, spots=make_spots(3), seed=9999))
-        fresh = seeded_store(tmp_path / "fresh", days=(751,))
-        fresh.write_day(make_segment(750, spots=make_spots(3), seed=9999))
-        assert self._patterns_json(store) == self._patterns_json(fresh)
-
-    def test_corrupt_aggregate_falls_back_to_segments(self, tmp_path):
-        store = seeded_store(tmp_path)
-        reference = self._patterns_json(store)
-        compact_store(store)
-        raw = bytearray(store.aggregate_path.read_bytes())
-        raw[-1] ^= 0x01
-        store.aggregate_path.write_bytes(bytes(raw))
-        assert self._patterns_json(store) == reference
+    """patterns() folds the intact days on disk into exact counts."""
 
     def test_patterns_payload_shape(self, tmp_path):
         store = seeded_store(tmp_path, days=(760, 761))  # Wed, Thu
@@ -276,6 +253,76 @@ class TestEngineCacheAndMetrics:
         assert (before, after) == (6, 2)
         assert engine.version == store.version
 
+    def test_rewrite_rereads_only_its_day(self, tmp_path):
+        days = (781, 782, 783, 784)
+        store = seeded_store(tmp_path, days=days)
+        engine = HistoryQueryEngine(store)
+        engine.patterns()
+        reads = []
+        read_day = store.read_day
+
+        def counting_read_day(day):
+            reads.append(day)
+            return read_day(day)
+
+        store.read_day = counting_read_day
+        engine.patterns()
+        assert reads == []
+        store.write_day(make_segment(782, spots=make_spots(3), seed=1))
+        engine.patterns()
+        assert reads == [782]
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("write"),
+                    st.integers(0, 3),  # day offset
+                    st.integers(1, 4),  # spots
+                    st.integers(0, 5),  # label seed
+                ),
+                st.tuples(
+                    st.sampled_from(
+                        ["patterns", "citywide", "profile", "history"]
+                    ),
+                    st.integers(0, 4),  # spot index
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warm_engine_answers_like_a_fresh_one(self, ops):
+        def query(engine, op):
+            kind = op[0]
+            spot_id = f"QS{op[1]:03d}"
+            if kind == "patterns":
+                payload = engine.patterns()
+            elif kind == "citywide":
+                payload = engine.citywide()
+            elif kind == "profile":
+                payload = engine.spot_profile(spot_id)
+            else:
+                payload = engine.spot_history(spot_id, per_page=1000)
+            return json.dumps(payload, sort_keys=True)
+
+        with tempfile.TemporaryDirectory() as directory:
+            store = SegmentStore(directory)
+            warm = HistoryQueryEngine(store)
+            for op in ops:
+                if op[0] == "write":
+                    _, offset, n_spots, seed = op
+                    store.write_day(
+                        make_segment(
+                            800 + offset, spots=make_spots(n_spots),
+                            seed=seed,
+                        )
+                    )
+                    continue
+                fresh = HistoryQueryEngine(SegmentStore(directory))
+                assert query(warm, op) == query(fresh, op)
+
     def test_query_metrics_observed(self, tmp_path):
         metrics = MetricsRegistry()
         store = seeded_store(tmp_path, days=(790,))
@@ -286,20 +333,3 @@ class TestEngineCacheAndMetrics:
         snap = metrics.snapshot()
         assert snap["counters"]["history.queries"] == 3
         assert snap["histograms"]["history.query_seconds"]["count"] == 3
-
-
-def test_aggregate_json_round_trip_preserves_fold(tmp_path):
-    """An aggregate survives its on-disk JSON encoding: folding more
-    days onto a reloaded aggregate equals a from-scratch fold."""
-    store = seeded_store(tmp_path, days=(795, 796))
-    compact_store(store)
-    reloaded = store.read_aggregate()
-    extra = make_segment(797, spots=make_spots(3), seed=797)
-    store.write_day(extra)
-    merged = fold_segments(reloaded, [store.read_day(797)])
-    scratch = fold_segments(
-        empty_aggregate(), [store.read_day(d) for d in (795, 796, 797)]
-    )
-    # day_footers only exist for segments loaded from disk; both paths
-    # here load from disk so the dicts must agree exactly.
-    assert merged == scratch

@@ -336,6 +336,27 @@ class TestHistoryEndpoints:
         assert status == 200
         assert headers.get("X-Degraded") == "stale"
 
+    def test_degraded_history_body_only_for_its_query(self, history_server):
+        history_server.cache.ttl_s = 0.0
+        base = history_server.url + "/v1/spots/QS001/history"
+        status, _, profile = get_json(base + "?view=profile")
+        assert status == 200
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("poisoned history")
+
+        history_server.history.spot_history = boom
+        history_server.history.spot_profile = boom
+        # Another query on the same path never gets the profile body...
+        status, headers, body = get_json(base + "?per_page=5&page=2")
+        assert status == 200
+        assert headers.get("X-Degraded") == "stale"
+        assert body == {"snapshot": 0, "degraded": True}
+        # ... the query that built it still does.
+        status, headers, body = get_json(base + "?view=profile")
+        assert headers.get("X-Degraded") == "stale"
+        assert body == profile
+
 
 class TestQueueServiceHistory:
     def _config(self, tmp_path):
@@ -360,7 +381,6 @@ class TestQueueServiceHistory:
             small_day.store, small_engine, config, grid
         )
         assert service.history_writer is not None
-        assert service.history_compactor is not None
         service.warm()
         service.history_writer.flush_all()
 
@@ -387,7 +407,6 @@ class TestQueueServiceHistory:
         assert second.resumed_from is not None
         second.warm()
         second.history_writer.flush_all()
-        second.history_compactor.compact_once()
         after_store = second.history_engine.store
         assert {
             day: after_store.path_of(day).read_bytes()

@@ -1,13 +1,9 @@
-"""Segment store, compaction merge equality, and crash-safety.
+"""Segment store, the pattern fold, and crash-safety.
 
-The seeded kill matrix at the bottom is the satellite guarantee of the
-history subsystem: a kill at *any* point of a compaction (or segment
-flush) loses no segment and double-counts no record — after a restart,
-recompaction converges to exactly the uninterrupted run's aggregate
-and pattern output.
+The kill tests at the bottom pin the atomic segment write: a kill
+inside a segment flush leaves the previous generation on disk, intact.
 """
 
-import json
 import random
 
 import pytest
@@ -15,13 +11,10 @@ import pytest
 from repro.core.types import QueueSpot, QueueType
 from repro.history import (
     DaySegment,
-    HistoryCompactor,
-    HistoryQueryEngine,
     SegmentStore,
     SlotRecord,
-    compact_store,
     empty_aggregate,
-    fold_segments,
+    fold_segment,
 )
 from repro.service.metrics import MetricsRegistry
 
@@ -84,7 +77,6 @@ class TestSegmentStore:
         assert loaded.day_of_week == segment.day_of_week
         assert loaded.spots == segment.spots
         assert loaded.records == segment.records
-        assert loaded.footer is not None and len(loaded.footer) == 64
 
     def test_days_listing_and_version(self, tmp_path):
         store = SegmentStore(tmp_path)
@@ -95,6 +87,9 @@ class TestSegmentStore:
         store.write_day(make_segment(3))  # rewrite bumps again
         assert store.days() == [1, 3]
         assert store.version == 3
+        # Each day carries the version of its last write.
+        assert (store.day_version(1), store.day_version(3)) == (2, 3)
+        assert store.day_version(99) == 0
 
     def test_missing_day_is_none(self, tmp_path):
         assert SegmentStore(tmp_path).read_day(999) is None
@@ -131,66 +126,34 @@ class TestSegmentStore:
         assert snap["gauges"]["history.segment_bytes"] == store.total_bytes()
         assert store.total_bytes() == store.path_of(7).stat().st_size
 
-    def test_read_footer_matches_file_tail(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        store.write_day(make_segment(11))
-        raw = store.path_of(11).read_bytes()
-        assert store.read_footer(11) == raw[-64:].decode("ascii")
-        assert store.read_footer(999) is None
-
     def test_stray_temp_files_ignored(self, tmp_path):
-        # A real kill leaves the atomic writer's temp file behind; the
-        # store must never read it as a segment or aggregate.
+        # A real kill leaves the atomic writer's temp file behind, and
+        # older versions left a weekly.agg; the store lists neither.
         store = SegmentStore(tmp_path)
         store.write_day(make_segment(2))
         (tmp_path / ".day-9.seg-abc123.tmp").write_bytes(b"torn")
-        (tmp_path / ".weekly.agg-xyz.tmp").write_bytes(b"torn")
+        (tmp_path / "weekly.agg").write_bytes(b"left by an old version")
         assert store.days() == [2]
-        assert store.read_aggregate() is None
 
-    def test_aggregate_round_trip_and_corruption(self, tmp_path):
-        metrics = MetricsRegistry()
-        store = SegmentStore(tmp_path, metrics=metrics)
-        assert store.read_aggregate() is None
-        payload = {"days": [1, 2], "dow_days": {"0": 2}}
-        store.write_aggregate(payload)
-        assert store.read_aggregate() == payload
-        raw = bytearray(store.aggregate_path.read_bytes())
-        raw[10] ^= 0x01
-        store.aggregate_path.write_bytes(bytes(raw))
-        assert store.read_aggregate() is None
-        counters = metrics.snapshot()["counters"]
-        assert counters["history.corrupt_aggregates"] == 1
+
+def fold_all(segments):
+    aggregate = empty_aggregate()
+    for segment in segments:
+        fold_segment(aggregate, segment)
+    return aggregate
 
 
 class TestFoldMergeEquality:
-    """aggregate(all) == fold(aggregate(some), rest), exactly."""
-
-    def _segments(self, n=6):
-        return [make_segment(day=100 + d, seed=d) for d in range(n)]
-
-    def test_incremental_fold_equals_from_scratch(self):
-        segments = self._segments()
-        full = fold_segments(empty_aggregate(), list(segments))
-        for split in range(len(segments) + 1):
-            partial = fold_segments(empty_aggregate(), segments[:split])
-            merged = fold_segments(partial, segments[split:])
-            assert merged == full, f"split at {split} diverged"
-
-    def test_fold_is_idempotent_per_day(self):
-        segments = self._segments(3)
-        once = fold_segments(empty_aggregate(), segments)
-        twice = fold_segments(
-            fold_segments(empty_aggregate(), segments), segments
-        )
-        assert twice == once
+    """The fold's counts depend only on the set of days folded."""
 
     def test_fold_order_independent(self):
-        segments = self._segments(5)
-        forward = fold_segments(empty_aggregate(), segments)
+        segments = [make_segment(day=100 + d, seed=d) for d in range(5)]
+        forward = fold_all(segments)
         shuffled = list(segments)
         random.Random(9).shuffle(shuffled)
-        assert fold_segments(empty_aggregate(), shuffled) == forward
+        aggregate = fold_all(shuffled)
+        aggregate["days"].sort()  # in fold order; patterns() sorts it
+        assert aggregate == forward
 
     def test_counts_are_exact(self):
         spots = make_spots(2, zone_of=lambda i: "Central")
@@ -198,7 +161,7 @@ class TestFoldMergeEquality:
             day=200, day_of_week=4, slot_seconds=1800.0, spots=spots,
             records=make_records(spots, slots=3, label=QueueType.C1),
         )
-        aggregate = fold_segments(empty_aggregate(), [seg, ])
+        aggregate = fold_all([seg])
         assert aggregate["dow_days"] == {"4": 1}
         assert aggregate["zone_spots"] == {"Central": {"4": 2}}
         assert aggregate["type_counts"] == {"4": {QueueType.C1.value: 6}}
@@ -210,53 +173,15 @@ class TestFoldMergeEquality:
         }
 
 
-class TestCompactStore:
-    def test_compacts_all_intact_days(self, tmp_path):
-        metrics = MetricsRegistry()
-        store = SegmentStore(tmp_path, metrics=metrics)
-        for day in (300, 301, 302):
-            store.write_day(make_segment(day))
-        aggregate = compact_store(store, metrics=metrics)
-        assert aggregate["days"] == [300, 301, 302]
-        assert store.read_aggregate() == aggregate
-        snap = metrics.snapshot()
-        assert snap["counters"]["history.compactions"] == 1
-        assert snap["gauges"]["history.compacted_days"] == 3
-        assert snap["histograms"]["history.compaction_seconds"]["count"] == 1
-
-    def test_corrupt_day_contributes_nothing(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        store.write_day(make_segment(310))
-        store.write_day(make_segment(311))
-        store.path_of(310).write_bytes(b"garbage")
-        aggregate = compact_store(store)
-        assert aggregate["days"] == [311]
-        assert 310 in store.corrupt_days
-
-    def test_aggregate_records_day_footers(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        store.write_day(make_segment(320))
-        aggregate = compact_store(store)
-        assert aggregate["day_footers"]["320"] == store.read_footer(320)
-
-
 class InjectedKill(BaseException):
     """Raised by the fault hooks to simulate a hard process kill."""
 
 
-class TestKillDuringCompaction:
-    """Seeded kill matrix: no segment loss, no double counting."""
-
-    KILL_MODES = ("during_temp_write", "at_rename", "after_rename")
-
-    def _armed_store(self, tmp_path, n_days=4):
-        store = SegmentStore(tmp_path)
-        for day in range(400, 400 + n_days):
-            store.write_day(make_segment(day, seed=day))
-        return store
+class TestKilledSegmentFlush:
+    """A kill inside the atomic segment write keeps the old bytes."""
 
     def _kill(self, monkeypatch, mode):
-        """Arm one kill point inside the atomic aggregate write."""
+        """Arm one kill point inside the atomic segment write."""
         import repro.history.format as fmt
 
         if mode == "during_temp_write":
@@ -267,61 +192,13 @@ class TestKillDuringCompaction:
 
             monkeypatch.setattr(fmt.os, "fsync", fsync_kill)
             return lambda: monkeypatch.setattr(fmt.os, "fsync", real_fsync)
-        if mode == "at_rename":
-            real_replace = fmt.os.replace
+        real_replace = fmt.os.replace
 
-            def replace_kill(src, dst):
-                raise InjectedKill("killed before rename")
+        def replace_kill(src, dst):
+            raise InjectedKill("killed before rename")
 
-            monkeypatch.setattr(fmt.os, "replace", replace_kill)
-            return lambda: monkeypatch.setattr(
-                fmt.os, "replace", real_replace
-            )
-        # after_rename: the write completes, the kill lands after —
-        # nothing to patch; the "crash" is just not running anything
-        # else afterwards.
-        return lambda: None
-
-    @pytest.mark.parametrize("kill_seed", [0, 1, 2, 3, 4])
-    def test_recompaction_converges_after_any_kill(
-        self, kill_seed, tmp_path, monkeypatch
-    ):
-        mode = random.Random(kill_seed).choice(self.KILL_MODES)
-        store = self._armed_store(tmp_path / "killed")
-        segment_bytes = {
-            day: store.path_of(day).read_bytes() for day in store.days()
-        }
-
-        heal = self._kill(monkeypatch, mode)
-        try:
-            compact_store(store)
-        except InjectedKill:
-            assert mode != "after_rename"
-        else:
-            assert mode == "after_rename"
-        heal()
-
-        # No segment was lost or altered by the kill.
-        assert {
-            day: store.path_of(day).read_bytes() for day in store.days()
-        } == segment_bytes
-        # Whatever aggregate is on disk is intact or absent, never torn.
-        aggregate = store.read_aggregate()
-        assert aggregate is None or aggregate["days"] == store.days()
-
-        # "Restart": a fresh store over the same directory recompacts
-        # to exactly the uninterrupted run's aggregate...
-        restarted = SegmentStore(tmp_path / "killed")
-        recompacted = compact_store(restarted)
-        clean_store = self._armed_store(tmp_path / "clean")
-        clean = compact_store(clean_store)
-        assert recompacted == clean
-        # ... and the pattern query output is byte-identical.
-        assert json.dumps(
-            HistoryQueryEngine(restarted).patterns(), sort_keys=True
-        ) == json.dumps(
-            HistoryQueryEngine(clean_store).patterns(), sort_keys=True
-        )
+        monkeypatch.setattr(fmt.os, "replace", replace_kill)
+        return lambda: monkeypatch.setattr(fmt.os, "replace", real_replace)
 
     @pytest.mark.parametrize("mode", ["during_temp_write", "at_rename"])
     def test_killed_segment_flush_keeps_previous_generation(
@@ -343,48 +220,3 @@ class TestKillDuringCompaction:
         second = make_segment(500, seed=2)
         store.write_day(second)
         assert store.read_day(500).records == second.records
-
-
-class TestHistoryCompactor:
-    def test_interval_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            HistoryCompactor(SegmentStore(tmp_path), interval_s=0.0)
-
-    def test_compact_once(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        store.write_day(make_segment(600))
-        compactor = HistoryCompactor(store)
-        aggregate = compactor.compact_once()
-        assert aggregate["days"] == [600]
-
-    def test_thread_lifecycle_and_final_pass(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        store.write_day(make_segment(601))
-        compactor = HistoryCompactor(store, interval_s=3600.0)
-        compactor.start()
-        compactor.start()  # idempotent
-        compactor.stop(final_pass=True)
-        compactor.stop(final_pass=False)
-        assert store.read_aggregate()["days"] == [601]
-
-    def test_failing_pass_counts_and_keeps_thread_alive(self, tmp_path):
-        import threading
-
-        metrics = MetricsRegistry()
-        store = SegmentStore(tmp_path, metrics=metrics)
-        failures = threading.Event()
-
-        def explode(payload):
-            failures.set()
-            raise OSError("disk full")
-
-        store.write_aggregate = explode
-        compactor = HistoryCompactor(
-            store, interval_s=0.01, metrics=metrics
-        )
-        compactor.start()
-        assert failures.wait(5.0)
-        assert compactor._thread.is_alive()
-        compactor.stop(final_pass=False)
-        counters = metrics.snapshot()["counters"]
-        assert counters["history.compaction_errors"] >= 1
