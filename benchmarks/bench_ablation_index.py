@@ -2,8 +2,10 @@
 
 The paper warns the naive O(n^2) DBSCAN is "significantly slow" on the
 daily location set and recommends grid or R-tree spatial indexes.  This
-bench times all three backends on the same pickup-centroid set and checks
-they detect identical spot counts.
+bench times the sequential DBSCAN walk over all three backends, and the
+array kernel the engine runs (``array``: the grid's cell pruning without
+a per-point loop), on the same pickup-centroid set, and checks they
+detect identical spots.
 """
 
 import time
@@ -18,10 +20,12 @@ from repro.cluster.neighbors import (
     RTreeNeighbors,
 )
 
+#: ``None`` selects the array kernel; a backend, the walk over it.
 BACKENDS = [
     ("brute", BruteForceNeighbors),
     ("grid", GridNeighbors),
     ("rtree", RTreeNeighbors),
+    ("array", None),
 ]
 
 
@@ -33,6 +37,7 @@ def test_ablation_neighbor_backends(benchmark, bench_day, bench_engine):
 
     timings = {}
     counts = {}
+    spots = {}
 
     def run_all():
         for name, backend in BACKENDS:
@@ -43,6 +48,7 @@ def test_ablation_neighbor_backends(benchmark, bench_day, bench_engine):
             )
             timings[name] = time.perf_counter() - start
             counts[name] = len(result.spots)
+            spots[name] = result.spots
         return counts
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -61,7 +67,10 @@ def test_ablation_neighbor_backends(benchmark, bench_day, bench_engine):
         )
     emit("ablation_index", lines)
 
-    # All backends agree on the outcome.
-    assert counts["brute"] == counts["grid"] == counts["rtree"]
-    # The indexes beat brute force (the paper's point).
+    # All backends agree on the outcome, the kernel spot for spot.
+    assert counts["brute"] == counts["grid"] == counts["rtree"] == counts["array"]
+    assert spots["array"] == spots["brute"]
+    # The indexes beat brute force (the paper's point), and the kernel
+    # beats the walk over the same grid.
     assert timings["grid"] < timings["brute"]
+    assert timings["array"] < timings["grid"]

@@ -76,8 +76,9 @@ def _load_batch(path_str: str) -> Optional[RecordBatch]:
     """Parse a log CSV into columns, or print a clear error and return
     None.
 
-    Subcommands taking an input CSV share this so a missing path yields
-    a one-line message and a non-zero exit instead of a traceback.
+    Subcommands taking an input CSV share this so a missing path or a
+    file that is not a log CSV (an empty file, a wrong header) yields a
+    one-line message and a non-zero exit instead of a traceback.
     Malformed lines are skipped and counted in ``skipped_lines``.
     """
     path = Path(path_str)
@@ -89,7 +90,11 @@ def _load_batch(path_str: str) -> Optional[RecordBatch]:
             file=sys.stderr,
         )
         return None
-    return RecordBatch.from_csv(path, on_error="skip")
+    try:
+        return RecordBatch.from_csv(path, on_error="skip")
+    except ValueError as exc:  # in skip mode, only a bad header raises
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _report_malformed(batch: RecordBatch, engine=None, file=None) -> None:

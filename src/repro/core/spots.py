@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cluster.centroids import cluster_centroids
 from repro.cluster.dbscan import dbscan
-from repro.cluster.neighbors import GridNeighbors, NeighborsFactory
+from repro.cluster.neighbors import NeighborsFactory
 from repro.columnar import RecordBatch
 from repro.core.pea import PickupEvent
 from repro.core.types import QueueSpot
@@ -98,13 +98,16 @@ def cluster_zone(
     zone_lonlat: np.ndarray,
     projection: LocalProjection,
     params: SpotDetectionParams = SpotDetectionParams(),
-    neighbors_factory: NeighborsFactory = GridNeighbors,
+    neighbors_factory: Optional[NeighborsFactory] = None,
 ) -> Tuple[List[Tuple[float, float, int, float]], int]:
     """DBSCAN one zone's pickup centroids (the per-zone unit of work of
     :func:`detect_from_centroids`).
 
     Args:
         zone_lonlat: ``(n, 2)`` lon/lat of the zone's pickup centroids.
+        neighbors_factory: None for the array DBSCAN kernel, or a
+            neighbour backend for the sequential walk (see
+            :func:`~repro.cluster.dbscan.dbscan`).
 
     Returns:
         ``(clusters, noise)`` where each cluster is a
@@ -150,7 +153,7 @@ def detect_from_centroids(
     zones: ZonePartition,
     projection: LocalProjection,
     params: SpotDetectionParams = SpotDetectionParams(),
-    neighbors_factory: NeighborsFactory = GridNeighbors,
+    neighbors_factory: Optional[NeighborsFactory] = None,
     events: Optional[List[PickupEvent]] = None,
     tracer=None,
 ) -> SpotDetectionResult:
@@ -158,7 +161,9 @@ def detect_from_centroids(
 
     The clustering half of tier 1, apart from PEA so parameter sweeps
     (the Fig. 6 bench) can reuse one PEA pass across many DBSCAN
-    settings.
+    settings.  ``neighbors_factory`` runs the sequential DBSCAN walk over
+    that backend (the spot oracle's brute force, the index ablation);
+    the default is the array kernel.
     """
     if tracer is None:
         from repro.obs.tracer import NULL_TRACER as tracer

@@ -156,7 +156,7 @@ class MdtLogStore:
         """Load a store from a CSV file written by :meth:`to_csv`.
 
         Parsing is :meth:`RecordBatch.from_csv
-        <repro.columnar.RecordBatch.from_csv>`, the one CSV parser; the
+        <repro.columnar.RecordBatch.from_csv>`, the one CSV reader; the
         store is built from that batch.
 
         Args:

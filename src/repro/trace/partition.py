@@ -20,7 +20,7 @@ splits a batch into per-taxi sub-batches with the same two functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 if TYPE_CHECKING:  # cycle-free: log_store imports this module
     from repro.columnar import RecordBatch
@@ -130,12 +130,15 @@ def canonical_order(batch: RecordBatch) -> List[int]:
 
 def partition_batch_by_taxi(
     batch: RecordBatch,
-) -> List[Tuple[str, RecordBatch]]:
-    """Split a batch into per-taxi sub-batches, sorted by taxi id.
+) -> Iterator[Tuple[str, RecordBatch]]:
+    """Yield a batch's per-taxi sub-batches, one at a time, sorted by
+    taxi id.
 
     Rows within each taxi come out in stable timestamp order — the
     canonical order, so the columnar pipeline and the row view of
     :meth:`MdtLogStore.records_of` scan identical per-taxi sequences.
+    Only the sub-batch in hand is alive, so a caller that keeps less
+    than the whole input holds less than a second copy of it.
 
     Already-grouped batches (cleaning output, a store's own batch)
     split in one linear pass; arbitrary row orders (a raw CSV day
@@ -143,17 +146,14 @@ def partition_batch_by_taxi(
     """
     runs = grouped_runs(batch)
     if runs is not None:
-        return [
-            (batch.taxi_table[code], batch.slice(start, stop))
-            for code, start, stop in runs
-        ]
+        for code, start, stop in runs:
+            yield batch.taxi_table[code], batch.slice(start, stop)
+        return
     taxi = batch.taxi
     order = canonical_order(batch)
-    groups: List[Tuple[str, RecordBatch]] = []
     start = 0
     for i in range(1, len(order) + 1):
         if i == len(order) or taxi[order[i]] != taxi[order[start]]:
             taxi_id = batch.taxi_table[taxi[order[start]]]
-            groups.append((taxi_id, batch.take(order[start:i])))
+            yield taxi_id, batch.take(order[start:i])
             start = i
-    return groups

@@ -119,6 +119,26 @@ class TestMalformedLine:
         assert SKIPPED_ONE in out
         assert "serving" in out
 
+    def test_byte_that_is_not_utf8_is_one_malformed_line(
+        self, tmp_path, capsys
+    ):
+        lines = GOLDEN_CSV.read_bytes().split(b"\n")
+        fields = lines[700].split(b",")
+        fields[1] += b"\xe9"  # Latin-1 e-acute in the taxi id
+        lines[700] = b",".join(fields)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"\n".join(lines))
+        del lines[700]
+        without = tmp_path / "without.csv"
+        without.write_bytes(b"\n".join(lines))
+        assert main(["analyze", str(without)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["analyze", str(latin1)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out.replace(f"  {SKIPPED_ONE}\n", "") == expected
+        assert SKIPPED_ONE in captured.out
+
     def test_clean_file_prints_no_count(self, capsys):
         assert main(["detect", str(GOLDEN_CSV)]) == 0
         assert "malformed" not in capsys.readouterr().out
@@ -241,3 +261,46 @@ class TestEmptyDay:
             assert "detected 0 queue spots" in captured.out
         elif command == "analyze":
             assert "Unidentified   0.0%" in captured.out
+
+
+class TestBadHeader:
+    """A file that is not a log CSV — empty, a wrong header, a UTF-8 BOM
+    before the header — is one ``error:`` line and exit 2 in every
+    command that reads a CSV, as a missing file is."""
+
+    @pytest.fixture(
+        scope="class", params=["zero-byte", "wrong-header", "bom"]
+    )
+    def bad_csv(self, request, tmp_path_factory) -> Path:
+        data = {
+            "zero-byte": b"",
+            "wrong-header": b"time,id,x,y,v,s\n" + GOLDEN_CSV.read_bytes().split(b"\n", 1)[1],
+            "bom": b"\xef\xbb\xbf" + GOLDEN_CSV.read_bytes(),
+        }[request.param]
+        path = tmp_path_factory.mktemp("header") / f"{request.param}.csv"
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize(
+        "command", ["detect", "analyze", "export", "serve", "conformance"]
+    )
+    def test_one_error_line_and_exit_2(self, command, bad_csv, tmp_path, capsys):
+        argv = {
+            "export": ["export", str(bad_csv), "--outdir", str(tmp_path / "out")],
+            "serve": [
+                "serve", str(bad_csv), "--port", "0", "--speedup", "0",
+                "--max-seconds", "5",
+            ],
+            "conformance": ["conformance", "run", "--input", str(bad_csv)],
+        }.get(command, [command, str(bad_csv)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines() if line.startswith("error:")
+        ]
+        assert errors == [
+            line for line in captured.err.splitlines() if line.strip()
+        ]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {bad_csv}: unexpected CSV header")

@@ -153,9 +153,9 @@ class TestPrimitives:
         # are stable over the same (reversed) insertion order, so
         # ts-tied rows must come out in the same order from each.
         reversed_rows = grouped.to_rows()[::-1]
-        slow = partition_batch_by_taxi(
+        slow = list(partition_batch_by_taxi(
             RecordBatch.from_rows(reversed_rows)
-        )
+        ))
         store = MdtLogStore(reversed_rows)
         assert [taxi for taxi, _ in slow] == store.taxi_ids
         for taxi_id, sub in slow:

@@ -1,10 +1,16 @@
 """Tests for the from-scratch DBSCAN (section 4.3).
 
-Includes a tiny reference implementation used as a property-test oracle:
-our DBSCAN must produce the same partition (same noise set and the same
-point groupings, up to cluster-id renaming) on random data, for every
-neighbour backend.
+Two oracles:
+
+* a tiny set-based reference: every implementation must produce the
+  same partition (same noise set and the same point groupings, up to
+  cluster-id renaming) on random data, for every neighbour backend;
+* the sequential neighbour walk: the array kernel must equal it exactly
+  (labels with border assignment, core mask, cluster count), on point
+  sets with ties at exactly eps and points on cell edges.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -21,6 +27,9 @@ from repro.cluster.neighbors import (
 )
 
 BACKENDS = [BruteForceNeighbors, GridNeighbors, RTreeNeighbors]
+
+# The module itself: ``repro.cluster.dbscan`` names the function.
+dbscan_module = importlib.import_module("repro.cluster.dbscan")
 
 
 def reference_dbscan(points: np.ndarray, eps: float, min_pts: int):
@@ -187,3 +196,103 @@ class TestAgainstReference:
                 result.labels == NOISE, ref_labels == NOISE
             )
             assert partitions_equal(result.labels[core], ref_labels[core])
+
+
+# -- the array kernel against the walk -----------------------------------------
+
+
+@st.composite
+def point_sets(draw):
+    """``(points, eps)``: float coordinates, integer metres (distance
+    ties at exactly eps), or multiples of eps nudged by an ulp (points
+    on and beside cell edges)."""
+    eps = draw(st.one_of(st.floats(0.5, 20.0), st.sampled_from([1.0, 2.0, 5.0, 15.0])))
+    kind = draw(st.sampled_from(["float", "integer", "cell-edge"]))
+    if kind == "float":
+        coord = st.floats(-50, 50)
+    elif kind == "integer":
+        coord = st.integers(-12, 12).map(float)
+    else:
+        coord = st.builds(
+            lambda k, nudge: float(np.nextafter(k * eps, nudge * np.inf))
+            if nudge else k * eps,
+            st.integers(-6, 6),
+            st.sampled_from([0, 0, -1, 1]),
+        )
+    coords = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=80))
+    return np.asarray(coords, dtype=np.float64), eps
+
+
+def assert_same_result(kernel: DbscanResult, walk: DbscanResult) -> None:
+    assert kernel.n_clusters == walk.n_clusters
+    assert np.array_equal(kernel.core_mask, walk.core_mask)
+    assert np.array_equal(kernel.labels, walk.labels)
+
+
+class TestArrayKernelEqualsWalk:
+    @given(point_sets(), st.integers(min_value=1, max_value=10))
+    # The ulp boundary of TestAgainstReference: the kernel's cell
+    # ranges must keep the pair the rounded distance test accepts.
+    @example(
+        (np.array([(1.0, 0.0), (-3.4327220035756265e-135, 0.0)]), 1.0), 1
+    )
+    # The same pair with the far point a border point: only its own
+    # query, whose cell range needs the rounding slack, can reach the
+    # core point.
+    @example(
+        (
+            np.array(
+                [(1.0, 0.0), (-3.4327220035756265e-135, 0.0), (-0.5, 0.0)]
+            ),
+            1.0,
+        ),
+        3,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_labels_core_mask_and_count(self, points_eps, min_pts):
+        points, eps = points_eps
+        kernel = dbscan(points, eps, min_pts)
+        for backend in (BruteForceNeighbors, GridNeighbors):
+            assert_same_result(
+                kernel, dbscan(points, eps, min_pts, neighbors_factory=backend)
+            )
+
+    def test_border_point_joins_the_first_cluster(self):
+        # Two dense columns 2 apart and one point between them, within
+        # eps of both: it is a border point of each, and the walk gives
+        # it to cluster 0, which it discovers first.
+        left = [(0.0, 0.1 * i) for i in range(5)]
+        right = [(2.0, 0.1 * i) for i in range(5)]
+        points = np.array(right + [(1.0, 0.2)] + left)
+        result = dbscan(points, eps=1.0, min_pts=5)
+        assert result.n_clusters == 2
+        assert not result.core_mask[5]
+        assert result.labels[5] == 0
+        assert_same_result(
+            result, dbscan(points, 1.0, 5, neighbors_factory=BruteForceNeighbors)
+        )
+
+    def test_pair_blocks_stay_bounded(self, monkeypatch):
+        # A blob where every point neighbours every other: far more
+        # neighbour pairs than one block may hold.
+        points = three_blobs(seed=5, spread=0.2, n=60)
+        expected = dbscan(points, 2.0, 5)
+        monkeypatch.setattr(dbscan_module, "PAIR_BLOCK", 16)
+        sizes = []
+        pairs = dbscan_module._SortedCells.pairs
+
+        def recording(self, queries, after, among=None):
+            for p, q in pairs(self, queries, after, among):
+                sizes.append(len(p))
+                yield p, q
+
+        monkeypatch.setattr(dbscan_module._SortedCells, "pairs", recording)
+        assert_same_result(dbscan(points, 2.0, 5), expected)
+        # A block holds at most one query beyond the budget: here each
+        # point has < 60 candidates.
+        assert sum(sizes) > 30 * 16
+        assert max(sizes) < 16 + 60
+
+    def test_rejects_non_finite_points(self):
+        with pytest.raises(ValueError, match="finite"):
+            dbscan(np.array([[0.0, 0.0], [np.nan, 1.0]]), eps=1.0, min_pts=1)
