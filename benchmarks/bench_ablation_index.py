@@ -2,10 +2,10 @@
 
 The paper warns the naive O(n^2) DBSCAN is "significantly slow" on the
 daily location set and recommends grid or R-tree spatial indexes.  This
-bench times the sequential DBSCAN walk over all three backends, and the
-array kernel the engine runs (``array``: the grid's cell pruning without
-a per-point loop), on the same pickup-centroid set, and checks they
-detect identical spots.
+bench times the sequential DBSCAN walk over brute force and over the grid
+index, and the array kernel the engine runs (``array``: a sorted
+grid-cell index, without a per-point loop), on the same pickup-centroid
+set, and checks they detect identical spots.
 """
 
 import time
@@ -14,17 +14,12 @@ from conftest import emit
 
 from repro.core.pea import extract_pickup_events_batch
 from repro.core.spots import detect_from_centroids, pickup_centroids
-from repro.cluster.neighbors import (
-    BruteForceNeighbors,
-    GridNeighbors,
-    RTreeNeighbors,
-)
+from repro.cluster.neighbors import BruteForceNeighbors, GridNeighbors
 
 #: ``None`` selects the array kernel; a backend, the walk over it.
 BACKENDS = [
     ("brute", BruteForceNeighbors),
     ("grid", GridNeighbors),
-    ("rtree", RTreeNeighbors),
     ("array", None),
 ]
 
@@ -68,7 +63,7 @@ def test_ablation_neighbor_backends(benchmark, bench_day, bench_engine):
     emit("ablation_index", lines)
 
     # All backends agree on the outcome, the kernel spot for spot.
-    assert counts["brute"] == counts["grid"] == counts["rtree"] == counts["array"]
+    assert counts["brute"] == counts["grid"] == counts["array"]
     assert spots["array"] == spots["brute"]
     # The indexes beat brute force (the paper's point), and the kernel
     # beats the walk over the same grid.

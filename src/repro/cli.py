@@ -29,13 +29,16 @@ A ``.jsonl.gz`` trace path writes gzip; ``trace summarize`` and
 Invalid serving knobs (non-positive ``--checkpoint-every``, negative
 ``--disorder-window`` / ``--cache-ttl`` / ``--grace``) fail the same
 way: one clear message on stderr and exit code 2, before any pipeline
-work runs.
+work runs.  So do a ``--coverage`` outside (0, 1], a ``--bbox`` that is
+not four finite numbers ``west,south,east,north`` with west <= east and
+south <= north, and an ``export --outdir`` that cannot be created.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -53,7 +56,7 @@ from repro.core.types import TimeSlotGrid
 from repro.geo.bbox import BBox
 from repro.geo.zones import four_zone_partition
 from repro.geo.point import LocalProjection
-from repro.sim.city import DEFAULT_CITY_BBOX, City
+from repro.sim.city import DEFAULT_CITY_BBOX
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import simulate_day
 from repro.trace.log_store import MdtLogStore
@@ -340,13 +343,18 @@ def cmd_export(args: argparse.Namespace) -> int:
     if len(batch) == 0:
         print(f"error: {args.input}: no records to export", file=sys.stderr)
         return 2
+    # Before the pipeline, so a bad --outdir costs no analysis.
+    out_dir = Path(args.outdir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     engine = _engine_for_bbox(_bbox_from_args(args, batch), args.coverage)
     detection = engine.detect_spots(batch)
     grid = _tier2_grid(batch, detection, engine)
     analyses = engine.disambiguate(batch, detection, grid)
 
-    out_dir = Path(args.outdir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dump_geojson(spots_to_geojson(detection.spots), out_dir / "spots.geojson")
     dump_geojson(
         labels_to_geojson(analyses.values(), grid), out_dir / "labels.geojson"
@@ -1008,12 +1016,38 @@ def cmd_conformance_report(args: argparse.Namespace) -> int:
     return 1 if any(r.get("divergent") for r in reports) else 0
 
 
+def _coverage_arg(text: str) -> float:
+    """``--coverage``: the observed fleet fraction, in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a fleet fraction in (0, 1], got {text!r}"
+        )
+    return value
+
+
+def _bbox_arg(text: str) -> BBox:
+    """``--bbox``: ``west,south,east,north`` in degrees."""
+    try:
+        values = [float(x) for x in text.split(",")]
+        if len(values) != 4 or not all(map(math.isfinite, values)):
+            raise ValueError
+        return BBox(*values)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be four finite numbers 'west,south,east,north' with "
+            f"west <= east and south <= north, got {text!r}"
+        ) from None
+
+
 def _bbox_from_args(args: argparse.Namespace, batch: RecordBatch) -> BBox:
     """``--bbox``, else the records' extent from column min/max plus a
     0.01-degree margin."""
-    if args.bbox:
-        west, south, east, north = (float(x) for x in args.bbox.split(","))
-        return BBox(west, south, east, north)
+    if args.bbox is not None:
+        return args.bbox
     if len(batch) == 0:
         return DEFAULT_CITY_BBOX
     return BBox(
@@ -1039,9 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="detect queue spots from a log CSV")
     p_det.add_argument("input", help="MDT log CSV")
-    p_det.add_argument("--coverage", type=float, default=1.0,
+    p_det.add_argument("--coverage", type=_coverage_arg, default=1.0,
                        help="observed fleet fraction (default 1.0)")
-    p_det.add_argument("--bbox", default=None,
+    p_det.add_argument("--bbox", type=_bbox_arg, default=None,
                        help="city bbox 'west,south,east,north'")
     p_det.add_argument("--top", type=int, default=20,
                        help="how many spots to print")
@@ -1050,8 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser("analyze", help="detect spots and label queue contexts")
     p_ana.add_argument("input", help="MDT log CSV")
-    p_ana.add_argument("--coverage", type=float, default=1.0)
-    p_ana.add_argument("--bbox", default=None)
+    p_ana.add_argument("--coverage", type=_coverage_arg, default=1.0)
+    p_ana.add_argument("--bbox", type=_bbox_arg, default=None)
     p_ana.add_argument("--spot", default=None,
                        help="print the transition report of one spot id")
     _add_trace_args(p_ana)
@@ -1061,8 +1095,8 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="analyze and write GeoJSON/CSV/HTML artefacts"
     )
     p_exp.add_argument("input", help="MDT log CSV")
-    p_exp.add_argument("--coverage", type=float, default=1.0)
-    p_exp.add_argument("--bbox", default=None)
+    p_exp.add_argument("--coverage", type=_coverage_arg, default=1.0)
+    p_exp.add_argument("--bbox", type=_bbox_arg, default=None)
     p_exp.add_argument("--outdir", default="queue_report",
                        help="output directory for the artefacts")
     p_exp.set_defaults(func=cmd_export)
@@ -1077,8 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="MDT log CSV (omit to simulate a day)",
     )
     _add_sim_args(p_srv)
-    p_srv.add_argument("--coverage", type=float, default=1.0)
-    p_srv.add_argument("--bbox", default=None,
+    p_srv.add_argument("--coverage", type=_coverage_arg, default=1.0)
+    p_srv.add_argument("--bbox", type=_bbox_arg, default=None,
                        help="city bbox 'west,south,east,north'")
     p_srv.add_argument("--host", default="127.0.0.1", help="bind address")
     p_srv.add_argument("--port", type=int, default=8080,
@@ -1268,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="DBSCAN min_pts for --input days (default %(default)s)",
         )
         p.add_argument(
-            "--coverage", type=float, default=1.0,
+            "--coverage", type=_coverage_arg, default=1.0,
             help="observed fleet fraction of --input days "
             "(default %(default)s)",
         )

@@ -1,11 +1,15 @@
-"""Clustering substrate: DBSCAN with pluggable spatial-index backends.
+"""Clustering substrate: DBSCAN and its neighbour-query backends.
 
 Section 4.3 clusters pickup-event centroids with DBSCAN [Ester et al. 1996]
 and recommends an R-tree or grid spatial index to avoid the naive O(n^2)
 neighbourhood cost.  This package provides a faithful from-scratch DBSCAN
-(:mod:`repro.cluster.dbscan`) whose neighbour queries are served by one of
-three interchangeable backends (:mod:`repro.cluster.neighbors`), plus
-cluster centroiding (:mod:`repro.cluster.centroids`).
+(:mod:`repro.cluster.dbscan`), whose default array kernel prunes pairs by
+a sorted grid-cell index and whose reference walk is served by one of two
+backends (:mod:`repro.cluster.neighbors`), plus cluster centroiding
+(:mod:`repro.cluster.centroids`) and OPTICS (:mod:`repro.cluster.optics`).
+
+The ``dbscan`` and ``optics`` functions are imported from their
+submodules, so that ``repro.cluster.dbscan`` stays the module.
 """
 
 from repro.cluster.neighbors import (
@@ -13,24 +17,18 @@ from repro.cluster.neighbors import (
     UNCLASSIFIED,
     BruteForceNeighbors,
     GridNeighbors,
-    RTreeNeighbors,
-    make_neighbors,
 )
-from repro.cluster.dbscan import dbscan, DbscanResult
+from repro.cluster.dbscan import DbscanResult
 from repro.cluster.centroids import cluster_centroids, ClusterSummary
-from repro.cluster.optics import optics, OpticsResult
+from repro.cluster.optics import OpticsResult
 
 __all__ = [
     "NOISE",
     "UNCLASSIFIED",
     "BruteForceNeighbors",
     "GridNeighbors",
-    "RTreeNeighbors",
-    "make_neighbors",
-    "dbscan",
     "DbscanResult",
     "cluster_centroids",
     "ClusterSummary",
-    "optics",
     "OpticsResult",
 ]

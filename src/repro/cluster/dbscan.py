@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -323,11 +323,3 @@ def _flatten(parent: np.ndarray) -> None:
         if np.array_equal(up, parent):
             return
         parent[:] = up
-
-
-def cluster_sizes(result: DbscanResult) -> List[int]:
-    """Sizes of the clusters, ordered by cluster id."""
-    return [
-        int(np.count_nonzero(result.labels == cid))
-        for cid in range(result.n_clusters)
-    ]

@@ -2,14 +2,14 @@
 
 All backends expose the same interface: ``query_radius_index(i, radius)``
 returns the indices of points within ``radius`` of point ``i`` (including
-``i`` itself).  Three implementations are provided:
+``i`` itself).  Two implementations are provided:
 
 * :class:`BruteForceNeighbors` — O(n) per query, the reference baseline
   (and the configuration the paper calls "significantly slow").
 * :class:`GridNeighbors` — uniform grid, expected O(1) per query.
-* :class:`RTreeNeighbors` — STR-packed R-tree.
 
-The ablation bench ``bench_ablation_index`` compares the three.
+The ablation bench ``bench_ablation_index`` compares the two walks with
+the array kernel that :func:`repro.cluster.dbscan.dbscan` runs by default.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from repro.geo.grid_index import GridIndex
-from repro.geo.rtree import StrRTree
 
 #: DBSCAN label for noise points.
 NOISE = -1
@@ -51,36 +50,5 @@ class GridNeighbors:
         return self._index.query_radius_index(i, radius)
 
 
-class RTreeNeighbors:
-    """STR R-tree backend."""
-
-    def __init__(self, points: np.ndarray, radius: float):
-        self._index = StrRTree(points)
-
-    def query_radius_index(self, i: int, radius: float) -> np.ndarray:
-        return self._index.query_radius_index(i, radius)
-
-
 #: Factory signature: ``(points, radius) -> backend``.
 NeighborsFactory = Callable[[np.ndarray, float], object]
-
-_BACKENDS = {
-    "brute": BruteForceNeighbors,
-    "grid": GridNeighbors,
-    "rtree": RTreeNeighbors,
-}
-
-
-def make_neighbors(name: str) -> NeighborsFactory:
-    """Look a backend factory up by name (``brute``, ``grid``, ``rtree``).
-
-    Raises:
-        KeyError: for an unknown backend name.
-    """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown neighbour backend {name!r}; "
-            f"choose from {sorted(_BACKENDS)}"
-        ) from None

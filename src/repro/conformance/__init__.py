@@ -26,7 +26,7 @@ systematically:
 Wired into ``taxiqueue conformance run|shrink|report``.
 """
 
-from repro.conformance.canonical import DayBootstrap, canonical_json
+from repro.conformance.canonical import DayBootstrap
 from repro.conformance.matrix import ConformanceCase, default_matrix
 from repro.conformance.runner import CaseReport, run_case, run_matrix
 
@@ -34,7 +34,6 @@ __all__ = [
     "CaseReport",
     "ConformanceCase",
     "DayBootstrap",
-    "canonical_json",
     "default_matrix",
     "run_case",
     "run_matrix",

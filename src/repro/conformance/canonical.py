@@ -21,21 +21,11 @@ find nothing and the repro would be vacuous.
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from repro.core.types import TimeSlotGrid
 from repro.service.app import DayBootstrap, make_bootstrap  # noqa: F401
 from repro.service.snapshot import SnapshotStore
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace.
-
-    Floats are emitted with Python's shortest-roundtrip repr, so equal
-    text means bit-for-bit equal values.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def streaming_state(snapshot: SnapshotStore) -> Dict:

@@ -9,7 +9,7 @@ divergence strings (empty = conformant):
   of Algorithm 1 and its section-4.2 constraints, on
   :class:`~repro.states.states.TaxiState` sets) and DBSCAN over the
   O(n^2) :class:`~repro.cluster.neighbors.BruteForceNeighbors` backend
-  (no grid index, no R-tree — a plain radius scan);
+  (no grid index — a plain radius scan);
 * :func:`check_batch_recompute` — every spot's 5-tuple features
   recomputed directly from its wait events, and every slot label
   recomputed by applying QCD to those features;

@@ -117,24 +117,3 @@ def compute_slot_features(
             )
         )
     return features
-
-
-def feature_matrix(features: List[SlotFeatures]) -> List[List[float]]:
-    """The features as rows ``[slot, wait, N_arr, L, t_dep, N_dep]``.
-
-    ``None`` waits become ``float('nan')``; handy for NumPy consumers and
-    report tables.
-    """
-    rows: List[List[float]] = []
-    for f in features:
-        rows.append(
-            [
-                float(f.slot),
-                float("nan") if f.mean_wait_s is None else f.mean_wait_s,
-                f.n_arrivals,
-                f.queue_length,
-                f.mean_departure_interval_s,
-                f.n_departures,
-            ]
-        )
-    return rows

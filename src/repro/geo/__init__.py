@@ -6,9 +6,9 @@ Everything the analytics engine needs to reason about GPS coordinates:
   projection that maps lon/lat to metres around a reference latitude.
 * :mod:`repro.geo.bbox` — axis-aligned bounding boxes in lon/lat space.
 * :mod:`repro.geo.zones` — the four rectangular zones of paper Fig. 5.
-* :mod:`repro.geo.grid_index` / :mod:`repro.geo.rtree` — spatial indexes
-  for radius queries (section 4.3 recommends "the R-Tree based or grid
-  based spatial index" to tame DBSCAN's cost).
+* :mod:`repro.geo.grid_index` — a grid index for radius queries (section
+  4.3 recommends "the R-Tree based or grid based spatial index" to tame
+  DBSCAN's cost); it serves DBSCAN's reference walk.
 * :mod:`repro.geo.hausdorff` — the modified Hausdorff distance [Dubuisson &
   Jain 1994] used for the stability study of paper Table 5.
 """
@@ -23,7 +23,6 @@ from repro.geo.point import (
 from repro.geo.bbox import BBox
 from repro.geo.zones import Zone, ZonePartition, four_zone_partition
 from repro.geo.grid_index import GridIndex
-from repro.geo.rtree import StrRTree
 from repro.geo.hausdorff import (
     directed_hausdorff,
     hausdorff_distance,
@@ -42,7 +41,6 @@ __all__ = [
     "ZonePartition",
     "four_zone_partition",
     "GridIndex",
-    "StrRTree",
     "directed_hausdorff",
     "hausdorff_distance",
     "directed_modified_hausdorff",

@@ -2,10 +2,11 @@
 
 Section 4.3 of the paper notes that running DBSCAN on the full pickup
 location set is slow and recommends "the R-Tree based or grid based spatial
-index".  This grid index is the default neighbour backend for our DBSCAN:
-with cell size equal to the query radius, a radius query inspects at most
-the 3x3 block of cells around the probe point, giving expected O(1) work
-per query on city-scale point densities.
+index".  This grid index serves the sequential DBSCAN walk, the reference
+that the default array kernel (:mod:`repro.cluster.dbscan`) is checked
+against: with cell size equal to the query radius, a radius query inspects
+at most the 3x3 block of cells around the probe point, giving expected
+O(1) work per query on city-scale point densities.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ class GridIndex:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
-        return (
-            int(np.floor(x / self.cell_size)),
-            int(np.floor(y / self.cell_size)),
-        )
 
     def query_radius(self, x: float, y: float, radius: float) -> np.ndarray:
         """Indices of points within ``radius`` metres of ``(x, y)``.
@@ -82,8 +77,3 @@ class GridIndex:
         """Radius query centred on the ``i``-th indexed point."""
         x, y = self.points[i]
         return self.query_radius(float(x), float(y), radius)
-
-    @property
-    def occupied_cells(self) -> int:
-        """Number of non-empty grid cells (useful for diagnostics)."""
-        return len(self._cells)

@@ -41,7 +41,6 @@ HELP_TEXTS: Dict[str, str] = {
     "http.shed": "Requests shed with 429 by admission control.",
     "http.shed.rate": "Requests shed by the token-bucket rate limit.",
     "http.shed.inflight": "Requests shed by the in-flight budget.",
-    "http.shed.route": "Requests shed by a per-route concurrency cap.",
     "http.shed.connection": "Connections refused by the connection budget.",
     "http.inflight": "Requests currently inside the handlers.",
     "http.inflight_peak": "High-water mark of concurrent requests.",

@@ -1,36 +1,11 @@
 """Queueing-theory substrate.
 
 The engine's queue-length feature rests on Little's law
-(:mod:`repro.queueing.littles_law`, paper section 5.2); the simulator's
-spot dynamics are a FIFO queue (:mod:`repro.queueing.fifo`, matching the
-paper's single queueing assumption of FIFO discipline); and the workload
-designer uses M/M/c analytics (:mod:`repro.queueing.mmc`) to pick arrival
-and service rates that produce the desired queue regimes.
+(:mod:`repro.queueing.littles_law`, paper section 5.2): the slot
+features and the conformance invariants derive the average FREE-taxi
+queue length from the same function.
 """
 
-from repro.queueing.littles_law import (
-    little_queue_length,
-    little_wait_time,
-    little_arrival_rate,
-)
-from repro.queueing.fifo import FifoQueueSim, QueueSimResult
-from repro.queueing.mmc import (
-    erlang_c,
-    mmc_mean_wait,
-    mmc_mean_queue_length,
-    mm1_mean_wait,
-    utilisation,
-)
+from repro.queueing.littles_law import little_queue_length
 
-__all__ = [
-    "little_queue_length",
-    "little_wait_time",
-    "little_arrival_rate",
-    "FifoQueueSim",
-    "QueueSimResult",
-    "erlang_c",
-    "mmc_mean_wait",
-    "mmc_mean_queue_length",
-    "mm1_mean_wait",
-    "utilisation",
-]
+__all__ = ["little_queue_length"]

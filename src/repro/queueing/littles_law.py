@@ -2,8 +2,9 @@
 
 Paper section 5.2 derives the average FREE-taxi queue length over a time
 slot as ``L = t_wait_mean * lambda_mean`` where ``lambda_mean`` is the
-average arrival rate of FREE taxis.  These helpers keep the three-way
-relation in one place so features and tests share a single definition.
+average arrival rate of FREE taxis.  This helper keeps the relation in
+one place so features and the conformance invariants share a single
+definition.
 """
 
 from __future__ import annotations
@@ -22,29 +23,3 @@ def little_queue_length(arrival_rate: float, mean_wait: float) -> float:
     if arrival_rate < 0 or mean_wait < 0:
         raise ValueError("arrival rate and mean wait must be non-negative")
     return arrival_rate * mean_wait
-
-
-def little_wait_time(queue_length: float, arrival_rate: float) -> float:
-    """Average wait ``W = L / lambda``.
-
-    Raises:
-        ValueError: for non-positive arrival rate or negative queue length.
-    """
-    if arrival_rate <= 0:
-        raise ValueError("arrival rate must be positive")
-    if queue_length < 0:
-        raise ValueError("queue length must be non-negative")
-    return queue_length / arrival_rate
-
-
-def little_arrival_rate(queue_length: float, mean_wait: float) -> float:
-    """Average arrival rate ``lambda = L / W``.
-
-    Raises:
-        ValueError: for non-positive mean wait or negative queue length.
-    """
-    if mean_wait <= 0:
-        raise ValueError("mean wait must be positive")
-    if queue_length < 0:
-        raise ValueError("queue length must be non-negative")
-    return queue_length / mean_wait

@@ -11,9 +11,9 @@ the reproduction:
   (``/v1/spots``, ``/v1/spots/{id}/slots``, ``/v1/citywide``,
   ``/v1/healthz``, ``/v1/metrics``) with ETag revalidation and TTL
   response caching;
-* :mod:`repro.service.admission` — token-bucket rate limiting,
-  in-flight budgets and per-route caps; over-budget requests are shed
-  with ``429 + Retry-After`` (see ``docs/load.md``);
+* :mod:`repro.service.admission` — token-bucket rate limiting and an
+  in-flight budget; over-budget requests are shed with
+  ``429 + Retry-After`` (see ``docs/load.md``);
 * :mod:`repro.service.metrics` — counters, gauges and latency
   histograms instrumented across server, store and ingest;
 * :mod:`repro.service.replay` — paced replay of a recorded day into the

@@ -11,9 +11,7 @@ HTTP request handlers (:mod:`repro.service.http`):
 * a global **in-flight budget** bounds how many requests are inside
   the handlers at once — the threaded server may hold many open
   connections, but only ``max_inflight`` of them do work
-  simultaneously;
-* optional **per-route concurrency caps** keep one expensive route
-  (say an uncached history scan) from starving the cheap hot paths.
+  simultaneously.
 
 A request that fails any check is *shed*: the server answers ``429 Too
 Many Requests`` with a ``Retry-After`` hint instead of queueing it —
@@ -21,8 +19,8 @@ the existing never-5xx invariant is preserved, clients get an honest
 backpressure signal, and the shed path costs microseconds.  Decisions
 are fully accounted in the metrics registry:
 
-* ``http.shed`` (plus ``http.shed.rate`` / ``http.shed.inflight`` /
-  ``http.shed.route``) — shed totals by reason;
+* ``http.shed`` (plus ``http.shed.rate`` / ``http.shed.inflight``) —
+  shed totals by reason;
 * ``http.inflight`` / ``http.inflight_peak`` — live and high-water
   queue depth inside the handlers;
 * ``admission.admitted`` — requests that passed every check.
@@ -38,14 +36,13 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.service.metrics import MetricsRegistry
 
 #: Shed reasons (also the metric suffixes of ``http.shed.<reason>``).
 SHED_RATE = "rate"
 SHED_INFLIGHT = "inflight"
-SHED_ROUTE = "route"
 
 
 @dataclass(frozen=True)
@@ -136,12 +133,12 @@ class TokenBucket:
 
 
 class AdmissionController:
-    """Combined rate / in-flight / per-route admission for the server.
+    """Combined rate / in-flight admission for the server.
 
-    Checks run cheapest-first: the token bucket (pure arithmetic), the
-    global in-flight budget, then the route cap.  A request admitted
-    by :meth:`admit` *must* be balanced by :meth:`release` — the HTTP
-    layer does so in a ``finally``.
+    Checks run cheapest-first: the token bucket (pure arithmetic), then
+    the global in-flight budget.  A request admitted by :meth:`admit`
+    *must* be balanced by :meth:`release` — the HTTP layer does so in a
+    ``finally``.
 
     Args:
         max_inflight: global bound on concurrently handled requests
@@ -149,9 +146,6 @@ class AdmissionController:
         rate_limit: sustained requests/second fed to the token bucket
             (None = no rate limiting).
         burst: token-bucket capacity override.
-        route_caps: per-route concurrency bounds, keyed on the
-            server's route names (``spots``, ``citywide``,
-            ``spot_slots``, ``history_patterns``, ...).
         metrics: registry for the shed/in-flight accounting.
         clock: monotonic-seconds source, injectable for tests.
     """
@@ -161,7 +155,6 @@ class AdmissionController:
         max_inflight: Optional[int] = None,
         rate_limit: Optional[float] = None,
         burst: Optional[int] = None,
-        route_caps: Optional[Dict[str, int]] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -173,64 +166,43 @@ class AdmissionController:
             if rate_limit is not None
             else None
         )
-        self.route_caps = dict(route_caps or {})
-        for route, cap in self.route_caps.items():
-            if cap < 1:
-                raise ValueError(
-                    f"route cap for {route!r} must be >= 1, got {cap}"
-                )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._inflight = 0
         self._peak = 0
-        self._route_inflight: Dict[str, int] = {}
         self.metrics.gauge("http.inflight").set(0)
         self.metrics.gauge("http.inflight_peak").set(0)
 
     # -- admission ---------------------------------------------------------------
 
-    def admit(self, route: str) -> AdmissionDecision:
-        """Try to admit one request for ``route``."""
+    def admit(self) -> AdmissionDecision:
+        """Try to admit one request."""
         if self.bucket is not None:
             decision = self.bucket.try_acquire()
             if not decision.admitted:
                 self._count_shed(SHED_RATE)
                 return decision
         with self._lock:
-            if (
+            full = (
                 self.max_inflight is not None
                 and self._inflight >= self.max_inflight
-            ):
-                shed = AdmissionDecision(False, SHED_INFLIGHT, 1.0)
-            else:
-                cap = self.route_caps.get(route)
-                held = self._route_inflight.get(route, 0)
-                if cap is not None and held >= cap:
-                    shed = AdmissionDecision(False, SHED_ROUTE, 1.0)
-                else:
-                    self._inflight += 1
-                    self._route_inflight[route] = held + 1
-                    if self._inflight > self._peak:
-                        self._peak = self._inflight
-                    inflight, peak = self._inflight, self._peak
-                    shed = None
-        if shed is not None:
-            self._count_shed(shed.reason)
-            return shed
+            )
+            if not full:
+                self._inflight += 1
+                self._peak = max(self._peak, self._inflight)
+                inflight, peak = self._inflight, self._peak
+        if full:
+            self._count_shed(SHED_INFLIGHT)
+            return AdmissionDecision(False, SHED_INFLIGHT, 1.0)
         self.metrics.counter("admission.admitted").inc()
         self.metrics.gauge("http.inflight").set(inflight)
         self.metrics.gauge("http.inflight_peak").set(peak)
         return AdmissionDecision(True)
 
-    def release(self, route: str) -> None:
-        """Return the slots taken by an admitted request."""
+    def release(self) -> None:
+        """Return the slot taken by an admitted request."""
         with self._lock:
             self._inflight -= 1
-            held = self._route_inflight.get(route, 0) - 1
-            if held > 0:
-                self._route_inflight[route] = held
-            else:
-                self._route_inflight.pop(route, None)
             inflight = self._inflight
         self.metrics.gauge("http.inflight").set(inflight)
 

@@ -251,28 +251,21 @@ class ServiceConfig:
     * ``max_inflight`` — bound on concurrently handled requests;
       excess requests are shed with ``429 + Retry-After``;
     * ``rate_limit_rps`` / ``rate_burst`` — token-bucket sustained
-      rate and burst capacity (None = no rate limiting);
-    * ``route_caps`` — per-route concurrency bounds;
-    * ``max_connections`` — bound on concurrent connection threads;
-    * ``cache_max_entries`` — LRU bound on cached response bodies.
+      rate and burst capacity (None = no rate limiting).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     speedup: Optional[float] = 600.0
     cache_ttl_s: float = 1.0
-    cache_max_entries: int = 1024
     max_inflight: Optional[int] = None
     rate_limit_rps: Optional[float] = None
     rate_burst: Optional[int] = None
-    route_caps: Optional[Dict[str, int]] = None
-    max_connections: Optional[int] = None
     grace_s: float = 900.0
     disorder_window_s: float = 0.0
     checkpoint_dir: Optional[str] = None
     checkpoint_every_records: int = 5000
     stale_after_s: float = 30.0
-    watchdog_interval_s: float = 1.0
     history_dir: Optional[str] = None
     history_day_of_week: Optional[int] = None
 
@@ -440,7 +433,6 @@ class QueueService:
             snapshot,
             metrics=metrics,
             stale_after_s=config.stale_after_s,
-            interval_s=config.watchdog_interval_s,
         )
         server = QueueStateServer(
             snapshot,
@@ -448,12 +440,9 @@ class QueueService:
             host=config.host,
             port=config.port,
             cache_ttl_s=config.cache_ttl_s,
-            cache_max_entries=config.cache_max_entries,
             max_inflight=config.max_inflight,
             rate_limit=config.rate_limit_rps,
             rate_burst=config.rate_burst,
-            route_caps=config.route_caps,
-            max_connections=config.max_connections,
             watchdog=watchdog,
             history=history_engine,
             tracer=tracer,

@@ -43,12 +43,11 @@ are counted in ``http.degraded``; pair the server with a
 :class:`~repro.resilience.ServiceWatchdog` so staleness is visible at
 ``/v1/metrics`` and ``/v1/healthz`` while the ingest path recovers.
 
-**Admission control.**  With ``max_inflight`` / ``rate_limit`` /
-``route_caps`` set, every route except ``/v1/healthz`` passes through
-an :class:`~repro.service.admission.AdmissionController` before any
-payload work; a request over budget is shed with ``429 Too Many
-Requests`` plus a ``Retry-After`` hint (never a 5xx, never an
-unbounded queue).  ``max_connections`` additionally bounds how many
+**Admission control.**  With ``max_inflight`` or ``rate_limit`` set,
+every route except ``/v1/healthz`` passes through an
+:class:`~repro.service.admission.AdmissionController` before any payload
+work; a request over budget is shed with ``429 Too Many Requests`` plus
+a ``Retry-After`` hint (never a 5xx, never an unbounded queue).  ``max_connections`` additionally bounds how many
 connection-handling threads the listener will run at once — an excess
 connection is answered with a raw 429 and closed before a handler
 thread parses anything.  See ``docs/load.md`` for the full contract.
@@ -304,8 +303,6 @@ class QueueStateServer:
             bucket (None = no rate limiting).
         rate_burst: token-bucket capacity override (defaults to one
             second's worth of tokens).
-        route_caps: per-route concurrency bounds, keyed on route names
-            (``spots``, ``citywide``, ``spot_slots``, ...).
         max_connections: bound on concurrent connection-handling
             threads; excess connections get a canned 429 and are
             closed unparsed (None = unbounded, stdlib behaviour).
@@ -327,7 +324,6 @@ class QueueStateServer:
         max_inflight: Optional[int] = None,
         rate_limit: Optional[float] = None,
         rate_burst: Optional[int] = None,
-        route_caps: Optional[Dict[str, int]] = None,
         max_connections: Optional[int] = None,
         tracer=None,
     ):
@@ -351,16 +347,11 @@ class QueueStateServer:
             tracer = NULL_TRACER
         self.tracer = tracer
         self.admission: Optional[AdmissionController] = None
-        if (
-            max_inflight is not None
-            or rate_limit is not None
-            or route_caps
-        ):
+        if max_inflight is not None or rate_limit is not None:
             self.admission = AdmissionController(
                 max_inflight=max_inflight,
                 rate_limit=rate_limit,
                 burst=rate_burst,
-                route_caps=route_caps,
                 metrics=self.metrics,
             )
         # path -> (query the body answers, None for any query; body)
@@ -438,13 +429,13 @@ class QueueStateServer:
         admission = self.admission
         if admission is None or route in ADMISSION_EXEMPT_ROUTES:
             return self._guarded_route(path, if_none_match, query)
-        decision = admission.admit(route)
+        decision = admission.admit()
         if not decision.admitted:
             return self._shed_response(decision)
         try:
             return self._guarded_route(path, if_none_match, query)
         finally:
-            admission.release(route)
+            admission.release()
 
     def _guarded_route(
         self, path: str, if_none_match: Optional[str], query: str

@@ -202,8 +202,3 @@ class SimulationConfig:
     def day_end_ts(self) -> float:
         """POSIX timestamp of the simulated day's end (exclusive)."""
         return self.day_start_ts + 86400.0
-
-    @property
-    def amplification_factor(self) -> float:
-        """The section-6.2.1 count amplification, 1/observed_fraction."""
-        return 1.0 / self.observed_fraction

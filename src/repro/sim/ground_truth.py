@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.types import QueueType, TimeSlotGrid
 from repro.sim.landmarks import Landmark
@@ -145,14 +145,6 @@ class GroundTruth:
 
     grid: TimeSlotGrid
     spots: Dict[str, SpotTruth]
-
-    def true_spot_locations(self) -> List[Tuple[float, float]]:
-        """``(lon, lat)`` of every ground-truth spot that saw pickups."""
-        return [
-            (spot.lon, spot.lat)
-            for spot in self.spots.values()
-            if spot.pickups > 0
-        ]
 
     def label_of(self, spot_id: str, slot: int) -> QueueType:
         """True label of one spot-slot.

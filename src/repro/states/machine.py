@@ -103,11 +103,6 @@ def _code_matrix() -> Tuple[bytes, ...]:
 TRANSITION_CODE_MATRIX: Tuple[bytes, ...] = _code_matrix()
 
 
-def is_valid_transition_code(current: int, nxt: int) -> bool:
-    """:func:`is_valid_transition` over integer state codes."""
-    return TRANSITION_CODE_MATRIX[current][nxt] == 1
-
-
 def validate_sequence(states: Sequence[TaxiState]) -> None:
     """Assert that a state sequence walks the canonical diagram.
 
@@ -130,8 +125,9 @@ def transition_violations(
 
     Each violation is reported as ``(index, previous_state, state)`` where
     ``index`` is the position of the *second* state of the illegal pair.
-    Used by the preprocessing layer to quantify error class 1 of
-    section 6.1.1 (improper/missing taxi states).
+    It counts error class 1 of section 6.1.1 (improper/missing taxi
+    states); the cleaning tests check that cleaning reduces the count.
+    The cleaning scan itself reads :data:`TRANSITION_CODE_MATRIX`.
     """
     violations: List[Tuple[int, TaxiState, TaxiState]] = []
     prev: TaxiState | None = None

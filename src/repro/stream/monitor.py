@@ -107,19 +107,6 @@ class StreamingQueueMonitor:
         self._publish(results)
         return results
 
-    def feed_batch(self, batch) -> List[SlotResult]:
-        """Feed every row of a :class:`~repro.columnar.RecordBatch`.
-
-        The stream boundary is a true object boundary: rows materialize
-        one at a time via ``batch.iter_rows()`` and pass through
-        :meth:`feed` unchanged, so batch and per-record feeding publish
-        identical results.
-        """
-        results: List[SlotResult] = []
-        for record in batch.iter_rows():
-            results.extend(self.feed(record))
-        return results
-
     def finish(self) -> List[SlotResult]:
         """End of stream: flush open pickups and finalize every slot."""
         for pickup in self._pea.flush():

@@ -22,7 +22,7 @@ from repro.service import (
     SnapshotStore,
     TokenBucket,
 )
-from repro.service.admission import SHED_INFLIGHT, SHED_RATE, SHED_ROUTE
+from repro.service.admission import SHED_INFLIGHT, SHED_RATE
 from tests.test_service import make_result, make_spot
 
 
@@ -104,52 +104,41 @@ class TestTokenBucket:
 class TestAdmissionController:
     def test_inflight_budget_and_release(self):
         controller = AdmissionController(max_inflight=2)
-        assert controller.admit("spots").admitted
-        assert controller.admit("spots").admitted
-        decision = controller.admit("spots")
+        assert controller.admit().admitted
+        assert controller.admit().admitted
+        decision = controller.admit()
         assert not decision.admitted
         assert decision.reason == SHED_INFLIGHT
-        controller.release("spots")
-        assert controller.admit("spots").admitted
+        controller.release()
+        assert controller.admit().admitted
         assert controller.peak_inflight == 2
-
-    def test_route_cap_binds_per_route(self):
-        controller = AdmissionController(route_caps={"citywide": 1})
-        assert controller.admit("citywide").admitted
-        decision = controller.admit("citywide")
-        assert not decision.admitted
-        assert decision.reason == SHED_ROUTE
-        # Other routes are unaffected by the citywide cap.
-        assert controller.admit("spots").admitted
 
     def test_rate_check_runs_before_slots(self):
         clock = FakeClock()
         controller = AdmissionController(
             max_inflight=10, rate_limit=1.0, burst=1, clock=clock
         )
-        assert controller.admit("spots").admitted
-        assert controller.admit("spots").reason == SHED_RATE
+        assert controller.admit().admitted
+        assert controller.admit().reason == SHED_RATE
         # The denied request took no slot.
         assert controller.inflight == 1
 
     def test_metrics_account_shed_and_inflight(self):
         metrics = MetricsRegistry()
         controller = AdmissionController(max_inflight=1, metrics=metrics)
-        controller.admit("spots")
-        controller.admit("spots")
+        controller.admit()
+        controller.admit()
         assert metrics.counter("http.shed").value == 1
         assert metrics.counter("http.shed.inflight").value == 1
         assert metrics.gauge("http.inflight").value == 1
         assert metrics.gauge("http.inflight_peak").value == 1
-        controller.release("spots")
+        controller.release()
         assert metrics.gauge("http.inflight").value == 0
         assert metrics.counter("admission.admitted").value == 1
 
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError):
             AdmissionController(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(route_caps={"spots": 0})
 
 
 class TestShedResponses:

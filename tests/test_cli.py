@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN_CSV = str(Path(__file__).parent / "data" / "golden_day.csv")
 
 
 class TestParser:
@@ -80,6 +83,68 @@ class TestMissingInput:
         assert "input CSV not found" in err
         assert "does_not_exist.csv" in err
         assert "Traceback" not in err
+
+
+class TestBadOptionValues:
+    """A bad ``--coverage``, ``--bbox`` or ``--outdir`` is one error line
+    and exit 2, never a traceback, and costs no analysis."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        return {
+            "detect": ["detect", GOLDEN_CSV],
+            "analyze": ["analyze", GOLDEN_CSV],
+            "export": ["export", GOLDEN_CSV, "--outdir", str(tmp_path / "out")],
+            "serve": [
+                "serve", GOLDEN_CSV, "--port", "0", "--speedup", "0",
+                "--max-seconds", "5",
+            ],
+            "conformance": ["conformance", "run", "--input", GOLDEN_CSV],
+        }[command]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        return code, errors[0]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "2", "nan", "all"])
+    @pytest.mark.parametrize(
+        "command", ["detect", "analyze", "export", "serve", "conformance"]
+    )
+    def test_bad_coverage(self, command, value, tmp_path, capsys):
+        argv = self.argv(command, tmp_path) + ["--coverage", value]
+        code, error = self.run(argv, capsys)
+        assert code == 2
+        assert "--coverage" in error
+
+    @pytest.mark.parametrize(
+        "value", ["1,2,3", "a,b,c,d", "104,1,103,2", "nan,1,2,3"]
+    )
+    @pytest.mark.parametrize("command", ["detect", "analyze", "export", "serve"])
+    def test_bad_bbox(self, command, value, tmp_path, capsys):
+        argv = self.argv(command, tmp_path) + ["--bbox", value]
+        code, error = self.run(argv, capsys)
+        assert code == 2
+        assert "--bbox" in error
+
+    @pytest.mark.parametrize("where", ["under-a-file", "a-file"])
+    def test_unwritable_outdir(self, where, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / "out" if where == "under-a-file" else blocker
+        code, error = self.run(
+            ["export", GOLDEN_CSV, "--outdir", str(outdir)], capsys
+        )
+        assert code == 2
+        assert error.startswith(f"error: cannot write {outdir}")
 
 
 class TestEndToEnd:

@@ -258,21 +258,6 @@ class TestParity:
                 list(e) for e in row_events
             ]
 
-    def test_streaming_feed_batch_matches_feed(self, golden_store):
-        from repro.conformance.canonical import streaming_state
-        from tests._golden import streaming_bootstrap
-
-        engine = golden_engine(golden_store)
-        boot, records = streaming_bootstrap(engine, golden_store)
-        by_record, snap_a = boot.build_stack()
-        by_batch, snap_b = boot.build_stack()
-        for record in records:
-            by_record.feed(record)
-        by_record.finish()
-        by_batch.feed_batch(RecordBatch.from_rows(records))
-        by_batch.finish()
-        assert streaming_state(snap_a) == streaming_state(snap_b)
-
 
 class TestConformancePin:
     def test_columnar_tier1_matches_row_reference(self, golden_store):

@@ -1,10 +1,8 @@
 """Tests for the per-slot 5-tuple features and QCD threshold derivation."""
 
-import math
-
 import pytest
 
-from repro.core.features import AmplificationPolicy, compute_slot_features, feature_matrix
+from repro.core.features import AmplificationPolicy, compute_slot_features
 from repro.columnar import RecordBatch
 from repro.core.thresholds import (
     ThresholdPolicy,
@@ -99,12 +97,6 @@ class TestSlotFeatures:
         )
         # The mean wait itself is not amplified.
         assert amp.mean_wait_s == pytest.approx(plain.mean_wait_s)
-
-    def test_feature_matrix_shapes(self):
-        rows = feature_matrix(compute_slot_features([], GRID))
-        assert len(rows) == GRID.n_slots
-        assert len(rows[0]) == 6
-        assert math.isnan(rows[0][1])
 
 
 class TestEventLevelThresholds:

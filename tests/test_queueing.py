@@ -1,119 +1,14 @@
-"""Tests for the queueing substrate (Little's law, FIFO sim, M/M/c)."""
+"""Tests for the queueing substrate (Little's law)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.queueing.fifo import FifoQueueSim
-from repro.queueing.littles_law import (
-    little_arrival_rate,
-    little_queue_length,
-    little_wait_time,
-)
-from repro.queueing.mmc import (
-    erlang_c,
-    mm1_mean_wait,
-    mmc_mean_queue_length,
-    mmc_mean_wait,
-    utilisation,
-)
+from repro.queueing.littles_law import little_queue_length
 
 
 class TestLittlesLaw:
     def test_basic_identity(self):
         assert little_queue_length(0.5, 10.0) == 5.0
-        assert little_wait_time(5.0, 0.5) == 10.0
-        assert little_arrival_rate(5.0, 10.0) == 0.5
-
-    @given(
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    @settings(max_examples=50)
-    def test_roundtrip(self, lam, wait):
-        length = little_queue_length(lam, wait)
-        assert little_wait_time(length, lam) == pytest.approx(wait)
-        assert little_arrival_rate(length, wait) == pytest.approx(lam)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             little_queue_length(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            little_wait_time(1.0, 0.0)
-        with pytest.raises(ValueError):
-            little_arrival_rate(1.0, 0.0)
-        with pytest.raises(ValueError):
-            little_wait_time(-1.0, 1.0)
-
-
-class TestMmc:
-    def test_utilisation(self):
-        assert utilisation(0.5, 1.0) == 0.5
-        assert utilisation(3.0, 1.0, servers=4) == 0.75
-        with pytest.raises(ValueError):
-            utilisation(0.0, 1.0)
-
-    def test_erlang_c_single_server_equals_rho(self):
-        # For M/M/1 the probability of waiting equals the utilisation.
-        assert erlang_c(0.7, 1.0, 1) == pytest.approx(0.7)
-
-    def test_erlang_c_unstable_raises(self):
-        with pytest.raises(ValueError):
-            erlang_c(1.0, 1.0, 1)
-
-    def test_mm1_mean_wait_closed_form(self):
-        lam, mu = 0.5, 1.0
-        # W_q = rho / (mu - lambda).
-        assert mm1_mean_wait(lam, mu) == pytest.approx(0.5 / 0.5)
-
-    def test_more_servers_reduce_wait(self):
-        lam, mu = 1.5, 1.0
-        w2 = mmc_mean_wait(lam, mu, 2)
-        w3 = mmc_mean_wait(lam, mu, 3)
-        assert w3 < w2
-
-    def test_queue_length_consistent_with_littles_law(self):
-        lam, mu, c = 1.5, 1.0, 2
-        lq = mmc_mean_queue_length(lam, mu, c)
-        assert lq == pytest.approx(lam * mmc_mean_wait(lam, mu, c))
-
-
-class TestFifoQueueSim:
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            FifoQueueSim(0.0, 1.0)
-        with pytest.raises(ValueError):
-            FifoQueueSim(1.0, -1.0)
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            FifoQueueSim(1.0, 2.0).run(0.0)
-
-    def test_waits_nonnegative_and_departures_ordered(self):
-        result = FifoQueueSim(0.5, 1.0, seed=1).run(2000.0)
-        assert all(w >= 0 for w in result.waits)
-        assert result.departures == sorted(result.departures)
-
-    def test_mean_wait_matches_mm1_theory(self):
-        lam, mu = 0.5, 1.0
-        result = FifoQueueSim(lam, mu, seed=7).run(200_000.0)
-        expected = mm1_mean_wait(lam, mu)
-        assert result.mean_wait == pytest.approx(expected, rel=0.15)
-
-    def test_littles_law_holds_empirically(self):
-        lam, mu = 0.6, 1.0
-        result = FifoQueueSim(lam, mu, seed=3).run(100_000.0)
-        empirical_lam = len(result.waits) / 100_000.0
-        predicted_length = empirical_lam * result.mean_wait
-        assert result.time_avg_queue_length == pytest.approx(
-            predicted_length, rel=0.1
-        )
-
-    def test_low_load_means_no_waiting(self):
-        result = FifoQueueSim(0.01, 10.0, seed=5).run(50_000.0)
-        assert result.mean_wait < 0.1
-
-    def test_empty_horizon_without_arrivals(self):
-        result = FifoQueueSim(1e-6, 1.0, seed=2).run(10.0)
-        assert result.waits == []
-        assert result.mean_wait == 0.0

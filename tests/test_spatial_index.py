@@ -1,6 +1,6 @@
-"""Tests for the grid index and STR R-tree (section 4.3's spatial indexes).
+"""Tests for the grid index (section 4.3's spatial index).
 
-Both indexes must agree exactly with a brute-force radius scan; hypothesis
+The index must agree exactly with a brute-force radius scan; hypothesis
 drives the comparison over random point clouds and probes.
 """
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.grid_index import GridIndex
-from repro.geo.rtree import StrRTree
 
 
 def brute_force(points: np.ndarray, x: float, y: float, r: float) -> set:
@@ -74,49 +73,3 @@ class TestGridIndex:
             index.query_radius(float(probe[0]), float(probe[1]), radius).tolist()
         )
         assert got == brute_force(points, probe[0], probe[1], radius)
-
-
-class TestStrRTree:
-    def test_rejects_small_capacity(self):
-        with pytest.raises(ValueError):
-            StrRTree(np.zeros((3, 2)), leaf_capacity=1)
-
-    def test_empty_tree(self):
-        tree = StrRTree(np.empty((0, 2)))
-        assert len(tree) == 0
-        assert tree.height == 0
-        assert len(tree.query_radius(0.0, 0.0, 10.0)) == 0
-
-    def test_single_point(self):
-        tree = StrRTree(np.array([[3.0, 4.0]]))
-        assert set(tree.query_radius(0.0, 0.0, 5.0).tolist()) == {0}
-        assert len(tree.query_radius(0.0, 0.0, 4.9)) == 0
-
-    def test_height_grows_with_points(self):
-        small = StrRTree(np.random.default_rng(0).normal(size=(10, 2)))
-        big = StrRTree(
-            np.random.default_rng(0).normal(size=(5000, 2)), leaf_capacity=8
-        )
-        assert big.height > small.height
-
-    def test_all_points_reachable(self):
-        rng = np.random.default_rng(1)
-        points = rng.uniform(-100, 100, size=(500, 2))
-        tree = StrRTree(points, leaf_capacity=16)
-        found = tree.query_radius(0.0, 0.0, 1000.0)
-        assert sorted(found.tolist()) == list(range(500))
-
-    @given(point_cloud(), st.floats(min_value=1.0, max_value=200.0))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force(self, points, radius):
-        tree = StrRTree(points, leaf_capacity=4)
-        probe = points[len(points) // 2]
-        got = set(
-            tree.query_radius(float(probe[0]), float(probe[1]), radius).tolist()
-        )
-        assert got == brute_force(points, probe[0], probe[1], radius)
-
-    def test_query_radius_index(self):
-        points = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 50.0]])
-        tree = StrRTree(points)
-        assert set(tree.query_radius_index(0, 2.0).tolist()) == {0, 1}
