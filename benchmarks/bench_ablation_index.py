@@ -27,7 +27,7 @@ BACKENDS = [
 def test_ablation_neighbor_backends(benchmark, bench_day, bench_engine):
     city = bench_day.city
     cleaned = bench_engine.preprocess(bench_day.store)
-    events = extract_pickup_events_batch(cleaned.to_batch())
+    events, _ = extract_pickup_events_batch(cleaned.to_batch())
     lonlat = pickup_centroids(events)
 
     timings = {}

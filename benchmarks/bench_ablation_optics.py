@@ -9,7 +9,6 @@ point, and (b) the single ordering replays the Fig. 6 eps sweep without
 re-clustering.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.cluster.dbscan import dbscan
@@ -24,17 +23,14 @@ MIN_PTS = 50
 def test_ablation_optics_vs_dbscan(benchmark, bench_day, bench_engine):
     city = bench_day.city
     cleaned = bench_engine.preprocess(bench_day.store)
-    events = extract_pickup_events_batch(cleaned.to_batch())
+    events, _ = extract_pickup_events_batch(cleaned.to_batch())
     lonlat = pickup_centroids(events)
     projection = city.projection
 
     zone_points = {}
-    zone_names = [
-        city.zones.classify_or_nearest(lon, lat) for lon, lat in lonlat
-    ]
-    for zone in city.zones:
-        mask = np.asarray([z == zone.name for z in zone_names])
-        pts = lonlat[mask]
+    zone_of = city.zones.classify_or_nearest_array(lonlat[:, 0], lonlat[:, 1])
+    for k, zone in enumerate(city.zones):
+        pts = lonlat[zone_of == k]
         if len(pts):
             zone_points[zone.name] = projection.to_xy_array(
                 pts[:, 0], pts[:, 1]

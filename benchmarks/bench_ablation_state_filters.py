@@ -10,16 +10,12 @@ degraded precision against ground truth.
 from conftest import emit
 
 from repro.analysis.accuracy import spot_detection_accuracy
-from repro.core.pea import (
-    extract_pickup_events_batch,
-    extract_pickup_events_from_columns,
-)
+from repro.core.pea import extract_pickup_events_batch
 from repro.core.spots import (
     SpotDetectionParams,
     detect_from_centroids,
     pickup_centroids,
 )
-from repro.trace.partition import partition_batch_by_taxi
 
 
 def test_ablation_pea_state_filters(benchmark, bench_day, bench_engine):
@@ -28,28 +24,28 @@ def test_ablation_pea_state_filters(benchmark, bench_day, bench_engine):
 
     def run(apply_filters):
         params = SpotDetectionParams(apply_state_filters=apply_filters)
-        events = extract_pickup_events_batch(
+        events, stats = extract_pickup_events_batch(
             cleaned, apply_state_filters=apply_filters
         )
-        return detect_from_centroids(
+        detection = detect_from_centroids(
             pickup_centroids(events),
             city.zones,
             city.projection,
             params,
             events=events,
         )
+        return detection, stats
 
-    with_filters = benchmark.pedantic(
+    with_filters, stats = benchmark.pedantic(
         lambda: run(True), rounds=1, iterations=1
     )
-    without_filters = run(False)
+    without_filters, _ = run(False)
 
-    stats_sum = {"alight": 0, "oncall": 0, "jam": 0}
-    for taxi_id, taxi_rows in partition_batch_by_taxi(cleaned):
-        _, stats = extract_pickup_events_from_columns(taxi_id, taxi_rows)
-        stats_sum["alight"] += stats.rejected_alight
-        stats_sum["oncall"] += stats.rejected_oncall_leave
-        stats_sum["jam"] += stats.rejected_no_transition
+    stats_sum = {
+        "alight": stats.rejected_alight,
+        "oncall": stats.rejected_oncall_leave,
+        "jam": stats.rejected_no_transition,
+    }
 
     acc_with = spot_detection_accuracy(
         with_filters.spots, bench_day.ground_truth, min_pickups=80

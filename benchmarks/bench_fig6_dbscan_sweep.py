@@ -20,7 +20,7 @@ MINPTS_VALUES = (25, 50, 100, 150)
 def test_fig6_parameter_sweep(benchmark, bench_day, bench_engine):
     city = bench_day.city
     cleaned = bench_engine.preprocess(bench_day.store)
-    events = extract_pickup_events_batch(cleaned.to_batch())
+    events, _ = extract_pickup_events_batch(cleaned.to_batch())
     lonlat = pickup_centroids(events)
 
     def sweep():

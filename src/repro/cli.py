@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.columnar import RecordBatch
+from repro.columnar.batch import column_extent
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
 from repro.core.reports import (
     citywide_proportions,
@@ -355,14 +356,25 @@ def cmd_export(args: argparse.Namespace) -> int:
     grid = _tier2_grid(batch, detection, engine)
     analyses = engine.disambiguate(batch, detection, grid)
 
-    dump_geojson(spots_to_geojson(detection.spots), out_dir / "spots.geojson")
-    dump_geojson(
-        labels_to_geojson(analyses.values(), grid), out_dir / "labels.geojson"
-    )
-    write_spots_csv(detection.spots, out_dir / "spots.csv")
-    write_labels_csv(analyses.values(), grid, out_dir / "labels.csv")
-    write_features_csv(analyses.values(), grid, out_dir / "features.csv")
-    write_html_report(analyses.values(), grid, out_dir / "report.html")
+    try:
+        dump_geojson(
+            spots_to_geojson(detection.spots), out_dir / "spots.geojson"
+        )
+        dump_geojson(
+            labels_to_geojson(analyses.values(), grid),
+            out_dir / "labels.geojson",
+        )
+        write_spots_csv(detection.spots, out_dir / "spots.csv")
+        write_labels_csv(analyses.values(), grid, out_dir / "labels.csv")
+        write_features_csv(analyses.values(), grid, out_dir / "features.csv")
+        write_html_report(analyses.values(), grid, out_dir / "report.html")
+    except OSError as exc:
+        print(
+            f"error: cannot write {exc.filename or out_dir}: "
+            f"{exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
     print(f"exported {len(detection.spots)} spots to {out_dir}/")
     for name in (
         "spots.geojson", "labels.geojson", "spots.csv", "labels.csv",
@@ -1050,9 +1062,9 @@ def _bbox_from_args(args: argparse.Namespace, batch: RecordBatch) -> BBox:
         return args.bbox
     if len(batch) == 0:
         return DEFAULT_CITY_BBOX
-    return BBox(
-        min(batch.lon), min(batch.lat), max(batch.lon), max(batch.lat)
-    ).expanded(0.01)
+    west, east = column_extent(batch.lon)
+    south, north = column_extent(batch.lat)
+    return BBox(west, south, east, north).expanded(0.01)
 
 
 def build_parser() -> argparse.ArgumentParser:

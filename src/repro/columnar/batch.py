@@ -19,11 +19,12 @@ objects only at true object boundaries (pickup-event sub-trajectories,
 snapshot publication, history segments); everything upstream of those
 boundaries works on columns.  CSV ingest parses blocks of lines into
 whole columns — by array operations when every line of a block has the
-canonical shape, line by line otherwise — and cleaning, per-taxi
-partitioning and the PEA scan walk the columns with a cursor.
-``array('d')`` stores exact IEEE doubles, so a round-trip through a
-batch is bit-for-bit lossless and the columnar pipeline's outputs are
-byte-identical to the row path's.
+canonical shape, line by line otherwise — and cleaning, PEA and the
+job counts run as whole-day array kernels over zero-copy NumPy views
+of the columns (:func:`column_view`).  ``array('d')`` stores exact
+IEEE doubles, so a round-trip through a batch is bit-for-bit lossless
+and the columnar pipeline's outputs are byte-identical to the row
+path's.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class RecordBatch:
         """
         if not self.ts:
             raise ValueError("batch is empty")
-        return min(self.ts), max(self.ts)
+        return column_extent(self.ts)
 
     def taxi_id_at(self, i: int) -> str:
         """The taxi id of row ``i``."""
@@ -251,43 +252,36 @@ class RecordBatch:
     # -- primitives ---------------------------------------------------------
 
     def take(self, indices: Sequence[int]) -> "RecordBatch":
-        """A new batch holding ``rows[i] for i in indices`` in order."""
-        out = RecordBatch()
-        ts, lon, lat = self.ts, self.lon, self.lat
-        speed, state, taxi = self.speed, self.state, self.taxi
-        table = self.taxi_table
-        for i in indices:
-            out.ts.append(ts[i])
-            out.lon.append(lon[i])
-            out.lat.append(lat[i])
-            out.speed.append(speed[i])
-            out.state.append(state[i])
-            out.taxi.append(out._intern(table[taxi[i]]))
-        return out
+        """A new batch holding ``rows[i] for i in indices`` in order.
 
-    def slice(self, start: int, stop: int) -> "RecordBatch":
-        """Rows ``[start, stop)`` as a new batch (buffer-level copy)."""
+        Each column is gathered straight into its new ``array``, one
+        column at a time.  The new ``taxi_table`` lists the taxis of
+        the taken rows in first-appearance order.
+        """
+        rows = np.asarray(indices, dtype=np.intp)
         out = RecordBatch()
-        out.ts = self.ts[start:stop]
-        out.lon = self.lon[start:stop]
-        out.lat = self.lat[start:stop]
-        out.speed = self.speed[start:stop]
-        out.state = self.state[start:stop]
-        taxi = self.taxi[start:stop]
-        # Re-intern so the slice's table holds only its own taxis.
-        remap: Dict[int, int] = {}
-        for old in taxi:
-            if old not in remap:
-                remap[old] = len(remap)
-                out.taxi_table.append(self.taxi_table[old])
-        out.taxi = array(_TAXI_TYPECODE, (remap[code] for code in taxi))
+        for name in ("ts", "lon", "lat", "speed", "state"):
+            setattr(out, name, _take(getattr(self, name), rows))
+        codes = np.take(column_view(self.taxi), rows)
+        # A taxi first appears at the start of one of its runs.
+        starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+        present, first = np.unique(
+            codes[np.append(0, starts)] if len(codes) else codes,
+            return_index=True,
+        )
+        appearance = present[np.argsort(first, kind="stable")]
+        remap = np.zeros(len(self.taxi_table), dtype=np.intc)
+        remap[appearance] = np.arange(len(appearance), dtype=np.intc)
+        out.taxi = _take(remap, codes)
+        out.taxi_table = [self.taxi_table[c] for c in appearance.tolist()]
         return out
 
     def filter_mask(self, mask: Sequence[bool]) -> "RecordBatch":
         """Rows where ``mask`` is true, in order."""
+        mask = np.asarray(mask, dtype=bool)
         if len(mask) != len(self):
             raise ValueError("mask length must match batch length")
-        return self.take([i for i, keep in enumerate(mask) if keep])
+        return self.take(np.flatnonzero(mask))
 
     def argsort_ts(self) -> List[int]:
         """Stable row order by timestamp (ties keep input order)."""
@@ -394,6 +388,32 @@ class RecordBatch:
                     f"{self.lon[i]:.6f},{self.lat[i]:.6f},{self.speed[i]:.1f},"
                     f"{STATES_BY_CODE[self.state[i]].value}\n"
                 )
+
+
+def column_view(column: array) -> np.ndarray:
+    """A zero-copy NumPy view of an ``array`` column (same dtype).
+
+    While a view is alive its column cannot grow: ``array.append``
+    raises ``BufferError``.  So no view may outlive the call that made
+    it; keep views in locals and never return or store one.
+    """
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+def column_extent(column: array) -> Tuple[float, float]:
+    """``(min, max)`` of a non-empty column: the first minimal and the
+    first maximal element, as Python's ``min`` and ``max`` pick them."""
+    values = column_view(column)
+    return column[int(values.argmin())], column[int(values.argmax())]
+
+
+def _take(column, rows: np.ndarray) -> array:
+    """``column[rows]`` (an ``array`` column or an ndarray) as a new
+    ``array``, written into it in place."""
+    values = column_view(column) if isinstance(column, array) else column
+    out = array(values.dtype.char, [0]) * len(rows)
+    np.take(values, rows, out=column_view(out))
+    return out
 
 
 #: Characters per ingest block: ~4.5k lines of a canonical log, for

@@ -202,8 +202,8 @@ class QueueAnalyticEngine:
 
         Accepts an :class:`MdtLogStore` or a
         :class:`~repro.columnar.RecordBatch`; either way the tier runs
-        on the columnar data plane — cleaning as column masks, PEA as a
-        column cursor — with rows materialized only for the pickup
+        on the columnar data plane — cleaning and PEA as whole-day
+        array passes — with rows materialized only for the pickup
         events.  Outputs are byte-identical to the historical
         row-at-a-time path (pinned by the conformance matrix and the
         golden fixture).  The result keeps the cleaned batch, so
@@ -213,9 +213,10 @@ class QueueAnalyticEngine:
         cleaned = self._clean(_as_batch(data))
         with self.tracer.span("stage.pea") as span:
             events = self._pickup_events(cleaned)
+            centroids = pickup_centroids(events)
             span.set(records=len(cleaned), events=len(events))
         detection = detect_from_centroids(
-            pickup_centroids(events),
+            centroids,
             self.zones,
             self.projection,
             self.config.detection,
@@ -238,10 +239,11 @@ class QueueAnalyticEngine:
         return cleaned
 
     def _pickup_events(self, cleaned: RecordBatch) -> List[PickupEvent]:
-        return extract_pickup_events_batch(
+        events, _ = extract_pickup_events_batch(
             cleaned,
             apply_state_filters=self.config.detection.apply_state_filters,
         )
+        return events
 
     # -- tier 2 -----------------------------------------------------------------
 
@@ -277,18 +279,18 @@ class QueueAnalyticEngine:
         if grid is None:
             lo, hi = cleaned.time_span
             grid = TimeSlotGrid.covering(lo, hi, self.config.slot_seconds)
-        buckets = assign_events_to_spots(
-            events,
-            detection.spots,
-            self.projection,
-            assign_radius_m=self.config.assign_radius_m,
-        )
-        zone_ratios = zone_street_job_ratios(cleaned, self.zones)
         amplification = self.amplification
         analyses: Dict[str, SpotAnalysis] = {}
         with self.tracer.span(
             "stage.tier2", spots=len(detection.spots)
         ) as stage:
+            buckets = assign_events_to_spots(
+                events,
+                detection.spots,
+                self.projection,
+                assign_radius_m=self.config.assign_radius_m,
+            )
+            zone_ratios = zone_street_job_ratios(cleaned, self.zones)
             for spot in detection.spots:
                 spot_events = buckets[spot.spot_id]
                 with self.tracer.span(

@@ -19,11 +19,14 @@ constraints of section 4.2 rejects it (:func:`candidate_rejection`):
 2. it starts FREE and ends ONCALL (the taxi left for a booking elsewhere);
 3. its state never changes (a traffic jam or red light).
 
-Two scans drive the constraints: :func:`extract_pickup_events_from_columns`
-walks a taxi's columns (the batch engine), and
+Two implementations apply the constraints:
+:func:`extract_pickup_events_batch` finds every candidate of a day at
+once with array passes over its columns (the batch engine), and
 :class:`~repro.stream.pea_stream.StreamingPea` is fed one record at a
-time (the live monitor).  Both call :func:`candidate_rejection` and emit
-:class:`PickupEvent`.
+time (the live monitor).  Both emit :class:`PickupEvent`; the stream
+calls :func:`candidate_rejection`, and the batch kernel applies the
+same three rules to the first and last state of each candidate and to
+a count of its state changes.
 
 Two deliberate clarifications of the published pseudocode, documented in
 DESIGN.md: the candidate state is fully reset after a keep decision (the
@@ -37,14 +40,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.columnar import RecordBatch
+from repro.columnar.batch import column_view
 from repro.states.states import (
-    STATE_CODES,
-    TaxiState,
+    NON_OPERATIONAL_STATES,
     OCCUPIED_CODES,
+    OCCUPIED_STATES,
+    STATE_CODES,
+    STATES_BY_CODE,
+    TaxiState,
     UNOCCUPIED_CODES,
-    NON_OPERATIONAL_CODES,
+    UNOCCUPIED_STATES,
+    code_mask,
 )
+from repro.trace.partition import canonical_order, ordered_column
 from repro.trace.record import MdtRecord
 
 #: The paper's speed threshold eta_sp: 10 km/h (section 6.1.2).  Records
@@ -53,6 +64,13 @@ DEFAULT_SPEED_THRESHOLD_KMH = 10.0
 
 _FREE = STATE_CODES[TaxiState.FREE]
 _ONCALL = STATE_CODES[TaxiState.ONCALL]
+_OPERATIONAL = ~code_mask(NON_OPERATIONAL_STATES)
+_OCCUPIED = code_mask(OCCUPIED_STATES)
+_UNOCCUPIED = code_mask(UNOCCUPIED_STATES)
+
+#: Events whose records are built together: the column lists of one
+#: chunk are alive at a time.
+_EVENT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -123,92 +141,118 @@ def candidate_rejection(codes: Sequence[int]) -> Optional[str]:
     return None
 
 
-def extract_pickup_events_from_columns(
-    taxi_id: str,
-    batch: RecordBatch,
-    apply_state_filters: bool = True,
-) -> Tuple[List[PickupEvent], PeaStats]:
-    """Algorithm 1 as a cursor over one taxi's columns.
-
-    The scan and the section-4.2 constraints run on the speed and
-    state-code columns alone.  Record objects are materialized only for
-    the kept event spans, so the rest of the taxi's day never becomes
-    rows.  Events and :class:`PeaStats` equal those of the conformance
-    oracle's independent row reference over the same rows
-    (:func:`repro.conformance.oracles.row_pickup_events`; pinned by
-    property tests and the conformance matrix).
-
-    Args:
-        taxi_id: the taxi the rows belong to.
-        batch: the taxi's cleaned rows, time-ordered.
-        apply_state_filters: disable to ablate the three state-transition
-            constraints (bench ``ablation_state_filters``).
-    """
-    speed_col, state_col = batch.speed, batch.state
-    kept: List[Tuple[int, int]] = []
-    rejected = {"alight": 0, "oncall_leave": 0, "no_transition": 0}
-
-    def finalize(start_idx: int, end_idx: int) -> None:
-        if apply_state_filters:
-            reason = candidate_rejection(state_col[start_idx:end_idx + 1])
-            if reason is not None:
-                rejected[reason] += 1
-                return
-        kept.append((start_idx, end_idx))
-
-    phi1 = False
-    phi2 = False
-    start_idx = -1
-    n = len(batch)
-    for i in range(n):
-        if state_col[i] in NON_OPERATIONAL_CODES:
-            # TAG1: drop any open candidate and restart the scan.
-            phi1 = False
-            phi2 = False
-            continue
-        low = speed_col[i] <= DEFAULT_SPEED_THRESHOLD_KMH
-        if low:
-            if not phi1:
-                phi1 = True
-            elif not phi2:
-                start_idx = i - 1
-                phi2 = True
-        else:
-            if phi2:
-                finalize(start_idx, i - 1)
-            phi1 = False
-            phi2 = False
-    if phi2:
-        finalize(start_idx, n - 1)
-
-    events = [
-        PickupEvent(taxi_id, tuple(batch.iter_rows(s, e + 1)))
-        for s, e in kept
-    ]
-    stats = PeaStats(
-        candidates=len(events) + sum(rejected.values()),
-        kept=len(events),
-        rejected_alight=rejected["alight"],
-        rejected_oncall_leave=rejected["oncall_leave"],
-        rejected_no_transition=rejected["no_transition"],
-    )
-    return events, stats
-
-
 def extract_pickup_events_batch(
     batch: RecordBatch,
     apply_state_filters: bool = True,
-) -> List[PickupEvent]:
-    """Run PEA over every taxi in a batch (the multi-taxi set W).
+) -> Tuple[List[PickupEvent], PeaStats]:
+    """Algorithm 1 over every taxi of a day (the multi-taxi set W), in
+    any row order.
 
-    Taxis are visited in sorted-id order, each in time order.
+    The scan's outcome is found with array passes over the columns in
+    canonical order:
+
+    * a candidate is a maximal run of at least two consecutive rows of
+      one taxi that are low speed (at most
+      :data:`DEFAULT_SPEED_THRESHOLD_KMH`) and operational;
+    * a run that the taxi's next row, a non-operational one, cuts off
+      is dropped and not counted (TAG1);
+    * a run that ends at a fast operational row or at the taxi's last
+      row is judged by the section-4.2 rules, where "no transition"
+      means no state change inside the run.
+
+    Records are built only for the kept events, one chunk of events at
+    a time.  Events and :class:`PeaStats` equal those of the
+    conformance oracle's row reference over each taxi's rows in
+    canonical order (:func:`repro.conformance.oracles.row_pickup_events`;
+    pinned by property tests and the conformance matrix).
+
+    Args:
+        batch: the day's cleaned rows.
+        apply_state_filters: disable to ablate the three state-transition
+            constraints (bench ``ablation_state_filters``).
+
+    Returns:
+        ``(events, stats)``: events with taxis in sorted-id order, each
+        taxi's in time order, and the day's counts.
     """
-    from repro.trace.partition import partition_batch_by_taxi
+    order = canonical_order(batch)
+    taxi = ordered_column(batch.taxi, order)
+    state = ordered_column(batch.state, order)
+    same = taxi[1:] == taxi[:-1]  # row i + 1 continues row i's taxi
+    low = ordered_column(batch.speed, order) <= DEFAULT_SPEED_THRESHOLD_KMH
+    low &= _OPERATIONAL[state]
+    joined = low[1:] & low[:-1] & same  # rows i and i + 1 share a run
+    begins, ends = low.copy(), low
+    begins[1:] &= ~joined
+    ends[:-1] &= ~joined
+    start, end = np.flatnonzero(begins), np.flatnonzero(ends)
+    del begins, ends, low, joined
+    candidate = end > start
+    start, end = start[candidate], end[candidate]
+    # TAG1: the taxi's next row is non-operational.
+    cut = end < len(state) - 1
+    cut[cut] = same[end[cut]] & ~_OPERATIONAL[state[end[cut] + 1]]
+    start, end = start[~cut], end[~cut]
 
-    events: List[PickupEvent] = []
-    for taxi_id, sub in partition_batch_by_taxi(batch):
-        taxi_events, _ = extract_pickup_events_from_columns(
-            taxi_id, sub, apply_state_filters
+    first, last = state[start], state[end]
+    changes = np.zeros(len(state), dtype=np.int32)
+    np.cumsum(state[1:] != state[:-1], out=changes[1:])
+    # The three rules exclude each other: the first two need a state
+    # change, and FREE is not occupied.
+    alight = _OCCUPIED[first] & _UNOCCUPIED[last]
+    oncall_leave = (first == _FREE) & (last == _ONCALL)
+    no_transition = changes[end] == changes[start]
+    del first, last, changes, state, same
+    if apply_state_filters:
+        kept = ~(alight | oncall_leave | no_transition)
+        stats = PeaStats(
+            candidates=len(start),
+            kept=int(np.count_nonzero(kept)),
+            rejected_alight=int(np.count_nonzero(alight)),
+            rejected_oncall_leave=int(np.count_nonzero(oncall_leave)),
+            rejected_no_transition=int(np.count_nonzero(no_transition)),
         )
-        events.extend(taxi_events)
-    return events
+        start, end = start[kept], end[kept]
+    else:
+        stats = PeaStats(candidates=len(start), kept=len(start))
+    ids = [batch.taxi_table[code] for code in taxi[start].tolist()]
+    del taxi
+    events: List[PickupEvent] = []
+    for lo in range(0, len(start), _EVENT_CHUNK):
+        hi = lo + _EVENT_CHUNK
+        events.extend(
+            _events(batch, order, ids[lo:hi], start[lo:hi], end[lo:hi])
+        )
+    return events, stats
+
+
+def _events(
+    batch: RecordBatch,
+    order: Optional[np.ndarray],
+    ids: List[str],
+    start: np.ndarray,
+    end: np.ndarray,
+) -> Iterator[PickupEvent]:
+    """The events of the canonical row spans ``[start, end]``, their
+    records built in bulk from column lists."""
+    sizes = end - start + 1
+    offsets = np.cumsum(sizes)
+    rows = np.arange(offsets[-1]) + np.repeat(start - offsets + sizes, sizes)
+    if order is not None:
+        rows = order[rows]
+    records = list(
+        map(
+            MdtRecord,
+            column_view(batch.ts)[rows].tolist(),
+            np.repeat(np.array(ids, dtype=object), sizes).tolist(),
+            column_view(batch.lon)[rows].tolist(),
+            column_view(batch.lat)[rows].tolist(),
+            column_view(batch.speed)[rows].tolist(),
+            map(STATES_BY_CODE.__getitem__,
+                column_view(batch.state)[rows].tolist()),
+        )
+    )
+    stop = 0
+    for taxi_id, size in zip(ids, sizes.tolist()):
+        yield PickupEvent(taxi_id, tuple(records[stop:stop + size]))
+        stop += size

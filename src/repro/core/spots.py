@@ -172,13 +172,10 @@ def detect_from_centroids(
     noise = 0
     per_zone: Dict[str, int] = {zone.name: 0 for zone in zones}
 
-    zone_names = np.asarray(
-        [zones.classify_or_nearest(lon, lat) for lon, lat in lonlat]
-    )
     with tracer.span("stage.cluster", points=int(len(lonlat))) as stage:
-        for zone in zones:
-            mask = zone_names == zone.name
-            zone_lonlat = lonlat[mask]
+        zone_of = zones.classify_or_nearest_array(lonlat[:, 0], lonlat[:, 1])
+        for k, zone in enumerate(zones):
+            zone_lonlat = lonlat[zone_of == k]
             if len(zone_lonlat) == 0:
                 continue
             with tracer.span(f"cluster.zone:{zone.name}") as span:

@@ -12,7 +12,8 @@ spot's own data:
 * ``eta_dur``  = 90% of the slot length (1620 s for 30-minute slots);
 * ``tau_ratio`` — the daily ratio of street jobs to all jobs in the
   spot's zone and day of week (e.g. 0.84 in the Central zone on Sunday),
-  derived from the logs via taxi-state job segmentation.
+  derived from the logs via taxi-state job segmentation
+  (:func:`zone_street_job_ratios`).
 
 Multipliers (default 1.0) allow the sensitivity ablation of DESIGN.md
 without touching the faithful defaults.
@@ -22,13 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.columnar import RecordBatch
+from repro.columnar.batch import column_view
 from repro.core.wte import WaitEvent
 from repro.geo.zones import ZonePartition
-from repro.states.jobs import job_counts
-from repro.states.states import STATES_BY_CODE
+from repro.states.states import (
+    OCCUPIED_STATES,
+    STATE_CODES,
+    TaxiState,
+    code_mask,
+)
+from repro.trace.partition import canonical_order, ordered_column
 
 #: Street-job ratio used where a zone has no completed jobs to estimate
 #: one from (the paper's Central-zone Sunday figure, section 6.2.1).
@@ -213,6 +222,20 @@ def derive_thresholds(
     )
 
 
+_S = TaxiState
+_OCCUPIED = code_mask(OCCUPIED_STATES)
+#: Dispatches: a pickup after one of these, with no other setter
+#: between, is a booking job.
+_DISPATCH = code_mask([_S.ONCALL, _S.ARRIVED])
+#: States that set or clear the dispatch outside a trip.
+_SETTER = code_mask(
+    [_S.ONCALL, _S.ARRIVED, _S.NOSHOW, _S.BREAK, _S.OFFLINE, _S.POWEROFF]
+)
+_POB = STATE_CODES[_S.POB]
+#: Home-zone votes per taxi: about this many evenly spaced rows.
+_VOTES = 25
+
+
 def zone_street_job_ratios(
     batch: RecordBatch, zones: ZonePartition
 ) -> Dict[str, float]:
@@ -223,30 +246,107 @@ def zone_street_job_ratios(
     different zones and days of week" and uses it as ``tau_ratio``.
 
     A taxi counts toward the zone where most of its records lie, judged
-    on about 25 evenly spaced records; this keeps job segmentation
-    whole-trajectory while still giving zone-level ratios.  Zones
-    without completed jobs get the neutral default, the paper's
-    Central-zone Sunday value (:data:`DEFAULT_STREET_JOB_RATIO`).
-    """
-    from repro.trace.partition import partition_batch_by_taxi
+    on about 25 evenly spaced records (every ``max(1, n // 25)``-th of
+    its ``n`` rows in time order); a tie goes to the zone voted first.
+    This keeps job segmentation whole-trajectory while still giving
+    zone-level ratios.  Zones without completed jobs get the neutral
+    default, the paper's Central-zone Sunday value
+    (:data:`DEFAULT_STREET_JOB_RATIO`).
 
-    counts = {zone.name: [0, 0] for zone in zones}
-    for _, sub in partition_batch_by_taxi(batch):
-        lon, lat = sub.lon, sub.lat
-        votes: Dict[str, int] = {}
-        for i in range(0, len(sub), max(1, len(sub) // 25)):
-            name = zones.classify_or_nearest(lon[i], lat[i])
-            votes[name] = votes.get(name, 0) + 1
-        street, total = job_counts(
-            list(zip(sub.ts, map(STATES_BY_CODE.__getitem__, sub.state)))
+    Jobs are counted over the whole day at once, in canonical order:
+
+    * a trip starts at the first POB of each maximal run of occupied
+      rows (POB, STC, PAYMENT) of one taxi, and completes when a row of
+      the same taxi follows the run;
+    * it is a booking job when the last *setter* row before it in its
+      taxi is ONCALL or ARRIVED.  Setters are ONCALL, ARRIVED, NOSHOW,
+      BREAK, OFFLINE and POWEROFF rows, plus the row that ends each
+      completed trip (so a FREE or BUSY row that ends a trip clears
+      the dispatch).
+    """
+    street = total = np.zeros(len(zones), dtype=np.intp)
+    if len(batch):
+        order = canonical_order(batch)
+        taxi = ordered_column(batch.taxi, order)
+        same = taxi[1:] == taxi[:-1]  # row i + 1 continues row i's taxi
+        del taxi
+        first = np.append(True, ~same)  # a taxi's first row
+        owner = np.cumsum(first, dtype=np.int32) - 1  # each row's taxi
+        home = _home_zones(batch, order, np.flatnonzero(first), zones)
+        del first
+        street_trips, trips = _jobs(
+            ordered_column(batch.state, order), same, owner
         )
-        home = counts[max(votes, key=votes.get)]
-        home[0] += street
-        home[1] += total
+        street = np.bincount(home[owner[street_trips]], minlength=len(zones))
+        total = np.bincount(home[owner[trips]], minlength=len(zones))
     return {
-        name: _street_ratio(street, total)
-        for name, (street, total) in counts.items()
+        zone.name: _street_ratio(s, t)
+        for zone, s, t in zip(zones, street.tolist(), total.tolist())
     }
+
+
+def _home_zones(
+    batch: RecordBatch,
+    order: Optional[np.ndarray],
+    starts: np.ndarray,
+    zones: ZonePartition,
+) -> np.ndarray:
+    """Each taxi's home-zone index from its sampled rows' votes
+    (``starts``: each taxi's first row in canonical order)."""
+    sizes = np.diff(np.append(starts, len(batch)))
+    step = np.maximum(1, sizes // _VOTES)
+    votes = -(-sizes // step)
+    offsets = np.cumsum(votes)
+    ordinal = np.arange(offsets[-1]) - np.repeat(offsets - votes, votes)
+    rows = np.repeat(starts, votes) + np.repeat(step, votes) * ordinal
+    if order is not None:
+        rows = order[rows]
+    zone = zones.classify_or_nearest_array(
+        column_view(batch.lon)[rows], column_view(batch.lat)[rows]
+    )
+    # Tally per (taxi, zone); each pair's first vote breaks ties.
+    pair = np.repeat(np.arange(len(starts)), votes) * len(zones) + zone
+    tally = np.bincount(pair, minlength=len(starts) * len(zones))
+    first = np.full(len(tally), len(pair))
+    present, at = np.unique(pair, return_index=True)
+    first[present] = at
+    tally = tally.reshape(len(starts), len(zones))
+    first = first.reshape(len(starts), len(zones))
+    best = tally == tally.max(axis=1, keepdims=True)
+    return np.where(best, first, len(pair)).argmin(axis=1)
+
+
+def _jobs(state: np.ndarray, same: np.ndarray, owner: np.ndarray):
+    """``(street, all)``: the pickup rows of the completed street jobs
+    and of all completed jobs, from one day's state column in canonical
+    order (``same[i]``: row ``i + 1`` continues row ``i``'s taxi;
+    ``owner``: each row's taxi ordinal)."""
+    occupied = _OCCUPIED[state]
+    joined = occupied[1:] & occupied[:-1] & same  # rows i, i + 1 in a run
+    begins, ends = occupied.copy(), occupied
+    begins[1:] &= ~joined
+    ends[:-1] &= ~joined
+    run = np.cumsum(begins, dtype=np.int32)  # 1-based run of a row
+    end = np.flatnonzero(ends)
+    # The first POB of each occupied run starts its trip.
+    pob = np.flatnonzero(state == _POB)
+    first = np.ones(len(pob), dtype=bool)
+    first[1:] = run[pob[1:]] != run[pob[:-1]]
+    trip = pob[first]
+    last = end[run[trip] - 1]
+    complete = last < len(state) - 1
+    complete[complete] = same[last[complete]]
+    trip, dropoff = trip[complete], last[complete] + 1
+    setter = _SETTER[state]
+    setter[dropoff] = True
+    latest = np.where(setter, np.arange(len(state), dtype=np.int32), -1)
+    np.maximum.accumulate(latest, out=latest)
+    before = latest[trip]
+    booking = before >= 0
+    booking[booking] = (owner[before[booking]] == owner[trip[booking]]) & (
+        _DISPATCH[state[before[booking]]]
+    )
+    return trip[~booking], trip
 
 
 def _street_ratio(street: int, total: int) -> float:

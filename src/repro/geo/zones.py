@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.geo.bbox import BBox
 
 #: Canonical zone names in the paper's reporting order.
@@ -87,6 +89,37 @@ class ZonePartition:
             return (clon - lon) ** 2 + (clat - lat) ** 2
 
         return min(self.zones, key=_dist2).name
+
+    def classify_or_nearest_array(
+        self, lon: np.ndarray, lat: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`classify_or_nearest` of many points, as zone indices.
+
+        Each point gets the index of the first zone containing it
+        (edges inclusive); a point in no zone gets the scalar method's
+        nearest zone centre (the first such zone on ties), looked up
+        point by point since such points are few.
+
+        Returns:
+            ``(n,)`` indices into the partition's zone order.
+        """
+        lon = np.asarray(lon, dtype=np.float64)
+        lat = np.asarray(lat, dtype=np.float64)
+        which = np.full(len(lon), -1, dtype=np.intp)
+        for k, zone in enumerate(self.zones):
+            box = zone.bbox
+            which[
+                (which < 0)
+                & (box.west <= lon) & (lon <= box.east)
+                & (box.south <= lat) & (lat <= box.north)
+            ] = k
+        outside = np.flatnonzero(which < 0)
+        index = {zone.name: k for k, zone in enumerate(self.zones)}
+        for i, x, y in zip(
+            outside.tolist(), lon[outside].tolist(), lat[outside].tolist()
+        ):
+            which[i] = index[self.classify_or_nearest(x, y)]
+        return which
 
 
 def four_zone_partition(

@@ -24,7 +24,6 @@ from repro.states.machine import (
     STREET_JOB_SEQUENCE,
     BOOKING_JOB_SEQUENCE,
 )
-from repro.states.jobs import JobKind, Job, segment_jobs
 
 __all__ = [
     "TaxiState",
@@ -41,7 +40,4 @@ __all__ = [
     "transition_violations",
     "STREET_JOB_SEQUENCE",
     "BOOKING_JOB_SEQUENCE",
-    "JobKind",
-    "Job",
-    "segment_jobs",
 ]

@@ -98,8 +98,9 @@ def _code_matrix() -> Tuple[bytes, ...]:
 
 #: :func:`is_valid_transition` over integer state codes, as a dense
 #: ``matrix[current][nxt]`` byte table (self-transitions included).  The
-#: columnar cleaning scan checks chain validity through this table so a
-#: column cursor never materializes :class:`TaxiState` objects.
+#: cleaning kernel checks chain validity through this table, gathered
+#: over whole state columns, so it never materializes
+#: :class:`TaxiState` objects.
 TRANSITION_CODE_MATRIX: Tuple[bytes, ...] = _code_matrix()
 
 
@@ -127,7 +128,7 @@ def transition_violations(
     ``index`` is the position of the *second* state of the illegal pair.
     It counts error class 1 of section 6.1.1 (improper/missing taxi
     states); the cleaning tests check that cleaning reduces the count.
-    The cleaning scan itself reads :data:`TRANSITION_CODE_MATRIX`.
+    The cleaning kernel reads :data:`TRANSITION_CODE_MATRIX`.
     """
     violations: List[Tuple[int, TaxiState, TaxiState]] = []
     prev: TaxiState | None = None

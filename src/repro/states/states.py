@@ -14,6 +14,9 @@ section 7.2 reports drivers abusing it to cherry-pick passengers).
 from __future__ import annotations
 
 import enum
+from typing import Iterable
+
+import numpy as np
 
 
 class TaxiState(enum.Enum):
@@ -83,13 +86,21 @@ NON_OPERATIONAL_STATES = frozenset(
     {TaxiState.BREAK, TaxiState.OFFLINE, TaxiState.POWEROFF}
 )
 
-#: The three Definition-5 sets as integer codes, for column scans that
-#: never materialize :class:`TaxiState` objects.
+#: The three Definition-5 sets as integer codes, for code over state
+#: columns that never materializes :class:`TaxiState` objects.
 OCCUPIED_CODES = frozenset(STATE_CODES[s] for s in OCCUPIED_STATES)
 UNOCCUPIED_CODES = frozenset(STATE_CODES[s] for s in UNOCCUPIED_STATES)
 NON_OPERATIONAL_CODES = frozenset(
     STATE_CODES[s] for s in NON_OPERATIONAL_STATES
 )
+
+
+def code_mask(states: Iterable[TaxiState]) -> np.ndarray:
+    """A boolean table over state codes, True at the codes of
+    ``states``: ``code_mask(S)[state_column]`` marks the rows in ``S``."""
+    mask = np.zeros(len(STATES_BY_CODE), dtype=bool)
+    mask[[STATE_CODES[state] for state in states]] = True
+    return mask
 
 
 def is_occupied(state: TaxiState) -> bool:

@@ -5,9 +5,10 @@ taxi and is fed records one at a time (per taxi, in time order).  A
 completed candidate that passes the section-4.2 state constraints is
 returned as a :class:`~repro.core.pea.PickupEvent`.
 
-Only the scan is incremental: the constraints are the batch engine's
+Only the scan is incremental: the constraints are
 :func:`~repro.core.pea.candidate_rejection`, and property tests stream
-random record sequences through this scan, the column scan and an
+random record sequences through this scan, the batch kernel
+(:func:`~repro.core.pea.extract_pickup_events_batch`) and an
 independent row reference.
 """
 

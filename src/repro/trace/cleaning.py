@@ -12,21 +12,24 @@ all records, and removes them before analysis:
 3. *GPS coordinate errors* — points outside the city or inside inaccessible
    zones (urban-canyon multipath).
 
-:func:`clean_taxi_batch` applies the three filters to one taxi's ordered
-rows; :func:`clean_batch` runs it day-wide and returns both the cleaned
-batch and a :class:`CleaningReport` with per-class counts.  Cleaning is
-not idempotent (see :func:`clean_taxi_batch`), so a day is cleaned once:
-the engine's tier 1 cleans its raw input, and tier 2 and the ``serve``
-replay reuse tier 1's cleaned rows.
+:func:`clean_batch` applies the three filters to a whole day, in any
+row order, as array passes over its columns, and returns both the
+cleaned batch and a :class:`CleaningReport` with per-class counts.
+Cleaning is not idempotent (see :func:`clean_batch`), so a day is
+cleaned once: the engine's tier 1 cleans its raw input, and tier 2 and
+the ``serve`` replay reuse tier 1's cleaned rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+
+import numpy as np
 
 from repro.geo.bbox import BBox
 from repro.states.machine import TRANSITION_CODE_MATRIX
+from repro.trace.partition import canonical_order, ordered_column
 
 if TYPE_CHECKING:  # cycle-free: columnar.batch imports trace.record
     from repro.columnar import RecordBatch
@@ -66,77 +69,8 @@ class CleaningReport:
         self.malformed_line += other.malformed_line
 
 
-def clean_taxi_batch(
-    batch: RecordBatch,
-    city_bbox: Optional[BBox] = None,
-    inaccessible: Iterable[BBox] = (),
-    report: Optional[CleaningReport] = None,
-) -> RecordBatch:
-    """Clean one taxi's time-ordered rows.
-
-    The filters run in the order duplicates -> state validity -> GPS,
-    as a cursor over the batch's columns building a keep mask, with no
-    record objects.
-
-    State validity is checked against the *state chain*, not the kept
-    records: a record removed for a GPS error still carries a genuine
-    state, so it advances the chain.  Only records removed as improper
-    states leave the chain untouched.  Without this, one GPS outlier on a
-    state-change record (say the BREAK of a power-up sequence) would make
-    every subsequent record look mis-ordered and cascade-delete the rest
-    of the taxi's day.  The same rule makes cleaning not idempotent: a
-    second pass no longer sees the removed record, so the records it
-    bridged look mis-ordered again.
-
-    Args:
-        batch: one taxi's rows, time-ordered.
-        city_bbox: if given, rows outside it are GPS errors.
-        inaccessible: bboxes (e.g. water bodies) whose interior points are
-            GPS errors.
-        report: optional report to accumulate counts into.
-
-    Returns:
-        The surviving rows, still time-ordered (``batch`` itself when
-        nothing is removed).
-    """
-    if report is None:
-        report = CleaningReport()
-    report.total_in += len(batch)
-    inaccessible = list(inaccessible)
-
-    ts, lon, lat = batch.ts, batch.lon, batch.lat
-    speed, state = batch.speed, batch.state
-    kept: List[int] = []
-    prev = -1  # row index of the last non-duplicate record
-    chain = -1  # state code of the chain, -1 = none
-    for i in range(len(batch)):
-        if (
-            prev >= 0
-            and ts[i] == ts[prev]
-            and state[i] == state[prev]
-            and lon[i] == lon[prev]
-            and lat[i] == lat[prev]
-            and speed[i] == speed[prev]
-        ):
-            report.duplicate += 1
-            continue
-        prev = i
-
-        if chain >= 0 and not TRANSITION_CODE_MATRIX[chain][state[i]]:
-            report.improper_state += 1
-            continue
-        chain = state[i]
-
-        if city_bbox is not None and not city_bbox.contains(lon[i], lat[i]):
-            report.gps_error += 1
-            continue
-        if any(zone.contains(lon[i], lat[i]) for zone in inaccessible):
-            report.gps_error += 1
-            continue
-        kept.append(i)
-    if len(kept) == len(batch):
-        return batch
-    return batch.take(kept)
+#: ``TRANSITION_CODE_MATRIX`` as a boolean ndarray, for gathers.
+_VALID = np.array([list(row) for row in TRANSITION_CODE_MATRIX], dtype=bool)
 
 
 def clean_batch(
@@ -144,30 +78,102 @@ def clean_batch(
     city_bbox: Optional[BBox] = None,
     inaccessible: Iterable[BBox] = (),
 ) -> Tuple[RecordBatch, CleaningReport]:
-    """Clean a whole batch (one day, any row order).
+    """Clean a whole day (any row order) in one pass over its columns.
 
-    Rows are partitioned per taxi (stable argsort, or a linear pass for
-    already-grouped batches), each taxi's columns are mask-cleaned, and
-    the survivors are re-packed grouped by taxi in sorted-id order —
-    the canonical order ``MdtLogStore.iter_records`` scans.
+    Each taxi's rows are judged in canonical order (time-ordered within
+    the taxi), by three filters in the order duplicates -> state
+    validity -> GPS:
+
+    * a row is a *duplicate* when it equals the previous row of the
+      same taxi on ts, state, lon, lat and speed (``==``, so ``-0.0``
+      equals ``0.0``);
+    * a non-duplicate row is an *improper state* when the transition
+      from the taxi's *state chain* to it is not in Fig. 3.  The chain
+      is the state of the last non-duplicate row that was not itself
+      improper: a row removed for a GPS error still carries a genuine
+      state, so it advances the chain.  Without this, one GPS outlier on
+      a state-change record (say the BREAK of a power-up sequence) would
+      make every later record look mis-ordered and cascade-delete the
+      rest of the taxi's day.  The same rule makes cleaning not
+      idempotent: a second pass no longer sees the removed record, so
+      the records it bridged look mis-ordered again;
+    * a row that passed the chain check is a *GPS error* when it lies
+      outside ``city_bbox`` or inside one of ``inaccessible`` (edges
+      inclusive, as :meth:`BBox.contains`).
+
+    The chain check gathers ``TRANSITION_CODE_MATRIX[previous, state]``
+    over consecutive non-duplicate rows, which is exact wherever the
+    previous row was accepted; Python walks only from each flagged row
+    to the next accepted row of its taxi.
 
     Returns:
-        ``(cleaned_batch, report)`` with counts aggregated over all
-        taxis.
+        ``(cleaned_batch, report)``: the surviving rows in canonical
+        order (taxis by sorted id, the table holding only taxis that
+        keep a row) and the day's counts.
     """
-    from repro.columnar import RecordBatch
-    from repro.trace.partition import partition_batch_by_taxi
+    from repro.columnar.batch import column_view
 
-    report = CleaningReport()
-    inaccessible = list(inaccessible)
-    parts: List[RecordBatch] = []
-    for _, sub in partition_batch_by_taxi(batch):
-        parts.append(
-            clean_taxi_batch(
-                sub,
-                city_bbox=city_bbox,
-                inaccessible=inaccessible,
-                report=report,
+    report = CleaningReport(total_in=len(batch))
+    order = canonical_order(batch)
+
+    # Duplicates: equal to the previous row of the same taxi.
+    taxi = ordered_column(batch.taxi, order)
+    first = np.ones(len(taxi), dtype=bool)  # a taxi's first row
+    first[1:] = taxi[1:] != taxi[:-1]
+    del taxi
+    duplicate = ~first
+    for column in (batch.ts, batch.state, batch.lon, batch.lat, batch.speed):
+        values = ordered_column(column, order)
+        duplicate[1:] &= values[1:] == values[:-1]
+        del values
+    report.duplicate = int(np.count_nonzero(duplicate))
+
+    # State chain over the non-duplicate rows.  A taxi's first row is
+    # never a duplicate, so it starts the taxi's chain here too.
+    rows = np.flatnonzero(~duplicate)
+    del duplicate
+    restart = first[rows]
+    state = ordered_column(batch.state, order)[rows]
+    improper = ~restart
+    improper[1:] &= ~_VALID[state[:-1], state[1:]]
+    walked = 0  # rows before this index were walked already
+    for k in np.flatnonzero(improper).tolist():
+        if k < walked:
+            continue
+        # The previous row was accepted, so it is the chain.
+        chain = TRANSITION_CODE_MATRIX[state[k - 1]]
+        j = k + 1
+        while j < len(state) and not restart[j] and not chain[state[j]]:
+            j += 1
+        improper[k:j] = True
+        if j < len(state):
+            improper[j] = False
+        walked = j + 1
+    report.improper_state = int(np.count_nonzero(improper))
+    rows = rows[~improper]
+
+    # GPS errors among the rows that passed the chain check.
+    boxes = list(inaccessible)
+    if city_bbox is not None or boxes:
+        source = rows if order is None else order[rows]
+        lon = column_view(batch.lon)[source]
+        lat = column_view(batch.lat)[source]
+        del source
+
+        def inside(box: BBox) -> np.ndarray:
+            return (
+                (box.west <= lon) & (lon <= box.east)
+                & (box.south <= lat) & (lat <= box.north)
             )
-        )
-    return RecordBatch.concat(parts), report
+
+        error = np.zeros(len(rows), dtype=bool)
+        if city_bbox is not None:
+            error |= ~inside(city_bbox)
+        for box in boxes:
+            error |= inside(box)
+        del lon, lat
+        report.gps_error = int(np.count_nonzero(error))
+        rows = rows[~error]
+    if order is not None:
+        rows = order[rows]
+    return batch.take(rows), report

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.trace.partition import canonical_order, grouped_runs
+import numpy as np
+
+from repro.trace.partition import canonical_order
 from repro.trace.record import MdtRecord, format_timestamp, parse_timestamp
 from repro.trace.trajectory import Trajectory
 
@@ -50,15 +52,23 @@ class MdtLogStore:
         return store
 
     def _wrap(self, batch) -> None:
-        runs = grouped_runs(batch)
-        if runs is None:
-            ordered = batch.take(canonical_order(batch))
+        from repro.columnar.batch import column_view
+
+        order = canonical_order(batch)
+        if order is not None:
+            ordered = batch.take(order)
             ordered.skipped_lines = batch.skipped_lines
             batch = ordered
-            runs = grouped_runs(batch)
         self._batch = batch
+        # Canonical order keeps each taxi in one run: its bounds are
+        # where the taxi code changes.
+        taxi = column_view(batch.taxi)
+        bounds = np.flatnonzero(np.diff(taxi, prepend=-1, append=-1))
+        codes = taxi[bounds[:-1]].tolist()
+        bounds = bounds.tolist()
         self._runs: Dict[str, Tuple[int, int]] = {
-            batch.taxi_table[code]: (start, stop) for code, start, stop in runs
+            batch.taxi_table[code]: (start, stop)
+            for code, start, stop in zip(codes, bounds, bounds[1:])
         }
 
     # -- reads -------------------------------------------------------------
@@ -116,9 +126,11 @@ class MdtLogStore:
 
     def filter_time(self, start_ts: float, end_ts: float) -> "MdtLogStore":
         """New store holding records with ``start_ts <= ts < end_ts``."""
-        batch = self._batch
+        from repro.columnar.batch import column_view
+
+        ts = column_view(self._batch.ts)
         return MdtLogStore.from_batch(
-            batch.filter_mask([start_ts <= ts < end_ts for ts in batch.ts])
+            self._batch.filter_mask((start_ts <= ts) & (ts < end_ts))
         )
 
     # -- statistics (section 6.1.1) -----------------------------------------

@@ -10,17 +10,19 @@ each :class:`DayPartition` becomes one
 
 The canonical row order — taxis by sorted id, stable by timestamp
 within each taxi — has its one implementation here:
-:func:`canonical_order` sorts a :class:`~repro.columnar.RecordBatch`
-into it, and :func:`grouped_runs` recognises a batch already in it
-with one linear pass.  :class:`~repro.trace.log_store.MdtLogStore`
-keeps its batch in this order, and :func:`partition_batch_by_taxi`
-splits a batch into per-taxi sub-batches with the same two functions.
+:func:`canonical_order` returns the permutation that sorts a
+:class:`~repro.columnar.RecordBatch` into it, or None when the batch is
+already in it.  :class:`~repro.trace.log_store.MdtLogStore` keeps its
+batch in this order, and the whole-day kernels (cleaning, PEA, the job
+counts) read their columns through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from typing import TYPE_CHECKING, List, Optional
+
+import numpy as np
 
 if TYPE_CHECKING:  # cycle-free: log_store imports this module
     from repro.columnar import RecordBatch
@@ -76,84 +78,43 @@ def split_by_day(store: MdtLogStore) -> List[DayPartition]:
     return partitions
 
 
-# -- per-taxi partitioning of columnar batches ------------------------------
+# -- the canonical order of columnar batches --------------------------------
 
 
-def grouped_runs(batch: RecordBatch) -> List[Tuple[int, int, int]] | None:
-    """``(taxi_code, start, stop)`` runs when the batch is already in
-    canonical grouped order (each taxi contiguous, sorted ids,
-    nondecreasing ts within each run), else None.
+def canonical_order(batch: RecordBatch) -> Optional[np.ndarray]:
+    """The row permutation that puts ``batch`` in canonical order:
+    taxis by sorted id, stable by timestamp within each taxi (ts ties
+    keep input order).
 
-    One linear pass; this is the fast path that lets cleaning output
-    and a store's own batch skip the argsort entirely.
+    Returns None when the batch is already in that order, which one
+    vectorized check of (taxi-id rank, ts) confirms; otherwise the
+    stable ``np.lexsort`` over that pair.
     """
-    taxi, ts = batch.taxi, batch.ts
-    if not taxi:
-        return []
+    from repro.columnar.batch import column_view
+
+    # Python ``sorted`` ranks the ids: a NumPy ``U`` array would drop
+    # trailing NULs and tie ids such as "A" and "A\0".
     table = batch.taxi_table
-    runs: List[Tuple[int, int, int]] = []
-    start = 0
-    prev_code = taxi[0]
-    seen = {prev_code}
-    for i in range(1, len(taxi)):
-        code = taxi[i]
-        if code == prev_code:
-            if ts[i] < ts[i - 1]:
-                return None
-            continue
-        if code in seen:
-            return None  # taxi split across runs
-        runs.append((prev_code, start, i))
-        if table[code] < table[prev_code]:
-            return None  # runs not in sorted-id order
-        seen.add(code)
-        start = i
-        prev_code = code
-    runs.append((prev_code, start, len(taxi)))
-    return runs
+    rank_of = np.empty(len(table), dtype=np.int32)
+    rank_of[sorted(range(len(table)), key=table.__getitem__)] = np.arange(
+        len(table), dtype=np.int32
+    )
+    ts = column_view(batch.ts)
+    rank = rank_of[column_view(batch.taxi)]
+    step = np.diff(rank)
+    if (step >= 0).all() and ((step > 0) | (ts[1:] >= ts[:-1])).all():
+        return None
+    return np.lexsort((ts, rank))
 
 
-def canonical_order(batch: RecordBatch) -> List[int]:
-    """Row indices of ``batch`` in canonical order: taxis by sorted id,
-    stable by timestamp within each taxi (ts ties keep input order).
+def ordered_column(column, order: Optional[np.ndarray]) -> np.ndarray:
+    """A column in canonical order: its zero-copy view when ``order``
+    (from :func:`canonical_order`) is None, else a gathered copy.
 
-    One stable argsort over ``(taxi-id rank, ts)``.
+    A view must not outlive the caller's call (see
+    :func:`~repro.columnar.batch.column_view`).
     """
-    ts, taxi = batch.ts, batch.taxi
-    # Rank taxi codes by id so the tuple key sorts taxis lexically.
-    by_id = sorted(range(len(batch.taxi_table)), key=batch.taxi_table.__getitem__)
-    rank = [0] * len(by_id)
-    for r, code in enumerate(by_id):
-        rank[code] = r
-    return sorted(range(len(ts)), key=lambda i: (rank[taxi[i]], ts[i]))
+    from repro.columnar.batch import column_view
 
-
-def partition_batch_by_taxi(
-    batch: RecordBatch,
-) -> Iterator[Tuple[str, RecordBatch]]:
-    """Yield a batch's per-taxi sub-batches, one at a time, sorted by
-    taxi id.
-
-    Rows within each taxi come out in stable timestamp order — the
-    canonical order, so the columnar pipeline and the row view of
-    :meth:`MdtLogStore.records_of` scan identical per-taxi sequences.
-    Only the sub-batch in hand is alive, so a caller that keeps less
-    than the whole input holds less than a second copy of it.
-
-    Already-grouped batches (cleaning output, a store's own batch)
-    split in one linear pass; arbitrary row orders (a raw CSV day
-    interleaves taxis) fall back to :func:`canonical_order`.
-    """
-    runs = grouped_runs(batch)
-    if runs is not None:
-        for code, start, stop in runs:
-            yield batch.taxi_table[code], batch.slice(start, stop)
-        return
-    taxi = batch.taxi
-    order = canonical_order(batch)
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or taxi[order[i]] != taxi[order[start]]:
-            taxi_id = batch.taxi_table[taxi[order[start]]]
-            yield taxi_id, batch.take(order[start:i])
-            start = i
+    view = column_view(column)
+    return view if order is None else view[order]

@@ -1,12 +1,13 @@
 """Row reference of the section-6.1.1 cleaner.
 
-The production cleaner is :func:`repro.trace.cleaning.clean_batch`
-(per taxi, :func:`~repro.trace.cleaning.clean_taxi_batch`), a cursor
-over :class:`~repro.columnar.RecordBatch` columns.  This module keeps
-the historical row-at-a-time implementation over ``MdtRecord`` objects
-as an independent reference: the row/column parity tests compare the
-two, and ``benchmarks/bench_columnar.py`` times the columnar ingest and
-clean against it.  No production path calls it.
+The production cleaner is :func:`repro.trace.cleaning.clean_batch`,
+whole-day array passes over :class:`~repro.columnar.RecordBatch`
+columns.  This module keeps the historical row-at-a-time
+implementation over ``MdtRecord`` objects as an independent reference:
+the row/column parity tests and the properties of
+``tests/test_day_kernels.py`` compare the two, and
+``benchmarks/bench_columnar.py`` times the columnar ingest and clean
+against it.  No production path calls it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def clean_records(
     """Clean one taxi's time-ordered records.
 
     The filters run in the order duplicates -> state validity -> GPS,
-    and state validity is checked against the *state chain*, exactly as
-    in :func:`~repro.trace.cleaning.clean_taxi_batch`.
+    and state validity is checked against the *state chain*, as
+    :func:`~repro.trace.cleaning.clean_batch` defines it.
 
     Args:
         records: one taxi's records, time-ordered.

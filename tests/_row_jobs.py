@@ -1,11 +1,18 @@
-"""Street-job / booking-job segmentation of a taxi's state stream.
+"""Row reference of the street-job / booking-job segmentation.
 
 Section 2.2 distinguishes two job categories: *street jobs* (passenger
 hails a FREE taxi) and *booking jobs* (passenger books; the taxi goes
 ONCALL -> ARRIVED -> POB).  Section 6.2.1 uses the taxi state transition
 knowledge "to derive and separate booking jobs and street jobs from the
 MDT logs": the daily street-to-total job ratio provides the QCD threshold
-tau_ratio.  This module implements that derivation.
+tau_ratio.
+
+The production count is the whole-day array kernel in
+:func:`repro.core.thresholds.zone_street_job_ratios`.  This module keeps
+the state machine it replaced, one ``(timestamp, state)`` pair at a
+time, as the reference the kernel is checked against
+(``tests/test_jobs.py``, ``tests/test_loose_ends.py`` and
+``tests/test_day_kernels.py``).  No production path calls it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Tests for section-6.1.1 preprocessing (the three error classes).
 
-The rules are checked on the production cleaner: ``clean_taxi_batch``
-for one taxi's rows and ``clean_batch`` for a whole day, both over
-``RecordBatch.from_rows``.
+The rules are checked on the production cleaner, ``clean_batch``, over
+``RecordBatch.from_rows``: on one taxi's rows and on a whole day.
 """
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from repro.columnar import RecordBatch
 from repro.geo.bbox import BBox
 from repro.states.states import TaxiState
-from repro.trace.cleaning import CleaningReport, clean_batch, clean_taxi_batch
+from repro.trace.cleaning import CleaningReport, clean_batch
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
@@ -22,9 +21,13 @@ def rec(ts, state=TaxiState.FREE, lon=103.8, lat=1.33, speed=0.0, taxi="A"):
     return MdtRecord(ts, taxi, lon, lat, speed, state)
 
 
-def clean_taxi(records, **kwargs):
-    """One taxi's time-ordered records through ``clean_taxi_batch``."""
-    return clean_taxi_batch(RecordBatch.from_rows(records), **kwargs).to_rows()
+def clean_taxi(records, report=None, **kwargs):
+    """One taxi's time-ordered records through ``clean_batch``, its
+    counts merged into ``report``."""
+    cleaned, day_report = clean_batch(RecordBatch.from_rows(records), **kwargs)
+    if report is not None:
+        report.merge(day_report)
+    return cleaned.to_rows()
 
 
 def power_up_with_gps_outlier():

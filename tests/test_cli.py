@@ -87,7 +87,8 @@ class TestMissingInput:
 
 class TestBadOptionValues:
     """A bad ``--coverage``, ``--bbox`` or ``--outdir`` is one error line
-    and exit 2, never a traceback, and costs no analysis."""
+    and exit 2, never a traceback.  Only an artefact path that cannot be
+    written is found after the analysis; the rest cost none."""
 
     @staticmethod
     def argv(command, tmp_path):
@@ -145,6 +146,16 @@ class TestBadOptionValues:
         )
         assert code == 2
         assert error.startswith(f"error: cannot write {outdir}")
+
+    @pytest.mark.parametrize("artefact", ["spots.geojson", "spots.csv"])
+    def test_unwritable_artefact(self, artefact, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        (outdir / artefact).mkdir(parents=True)
+        code, error = self.run(
+            ["export", GOLDEN_CSV, "--outdir", str(outdir)], capsys
+        )
+        assert code == 2
+        assert error.startswith(f"error: cannot write {outdir / artefact}: ")
 
 
 class TestEndToEnd:

@@ -4,8 +4,9 @@
 :class:`~repro.columnar.RecordBatch`, skip and count malformed lines,
 and clean the day once.  Their output must match the engine API run on
 stores loaded from the same file, both for the golden day (taxis
-grouped, the linear partition path) and for a row-shuffled copy (taxis
-interleaved, the argsort partition path).
+grouped: the kernels read the columns in place) and for a row-shuffled
+copy (taxis interleaved: the kernels read them through the canonical
+lexsort).
 """
 
 from __future__ import annotations

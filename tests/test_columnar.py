@@ -21,7 +21,7 @@ import gc
 import math
 import pickle
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import pytest
@@ -30,15 +30,12 @@ from hypothesis import strategies as st
 
 from repro.columnar import RecordBatch
 from repro.conformance.oracles import row_pickup_events
-from repro.core.pea import (
-    extract_pickup_events_batch,
-    extract_pickup_events_from_columns,
-)
+from repro.core.pea import PeaStats, extract_pickup_events_batch
 from repro.core.spots import detect_from_centroids, pickup_centroids
 from repro.states.states import STATES_BY_CODE, TaxiState
-from repro.trace.cleaning import CleaningReport, clean_batch, clean_taxi_batch
+from repro.trace.cleaning import CleaningReport, clean_batch
 from repro.trace.log_store import MdtLogStore
-from repro.trace.partition import partition_batch_by_taxi
+from repro.trace.partition import canonical_order
 from repro.trace.record import (
     MdtRecord,
     parse_timestamp,
@@ -120,12 +117,14 @@ class TestPrimitives:
         ]
         return RecordBatch.from_rows(rows), rows
 
-    def test_slice_and_take(self):
+    def test_take(self):
         batch, rows = self._batch()
-        assert batch.slice(2, 5).to_rows() == rows[2:5]
-        assert batch.take([7, 1, 4]).to_rows() == [
-            rows[7], rows[1], rows[4]
-        ]
+        assert batch.take(range(2, 5)).to_rows() == rows[2:5]
+        taken = batch.take([5, 1, 4, 3])
+        assert taken.to_rows() == [rows[5], rows[1], rows[4], rows[3]]
+        # The table holds the taken taxis in first-appearance order.
+        assert taken.taxi_table == ["T2", "T1", "T0"]
+        assert len(batch.take([])) == 0
 
     def test_filter_mask(self):
         batch, rows = self._batch()
@@ -145,21 +144,21 @@ class TestPrimitives:
         ordered = RecordBatch.from_rows(rows).sorted_by_ts().to_rows()
         assert ordered == [rows[2], rows[0], rows[1]]
 
-    def test_partition_fallback_matches_store_order(self, golden_store):
+    def test_canonical_order_matches_store_order(self, golden_store):
         grouped = golden_store.to_batch()
+        assert canonical_order(grouped) is None
         # Reversing breaks the canonical grouped order, forcing the
-        # argsort fallback.  The store's order is the reference (pinned
-        # against a written-out rule in tests/test_log_store.py): both
-        # are stable over the same (reversed) insertion order, so
-        # ts-tied rows must come out in the same order from each.
+        # lexsort.  The store's order is the reference (pinned against
+        # a written-out rule in tests/test_log_store.py): both are
+        # stable over the same (reversed) insertion order, so ts-tied
+        # rows must come out in the same order from each.
         reversed_rows = grouped.to_rows()[::-1]
-        slow = list(partition_batch_by_taxi(
-            RecordBatch.from_rows(reversed_rows)
-        ))
-        store = MdtLogStore(reversed_rows)
-        assert [taxi for taxi, _ in slow] == store.taxi_ids
-        for taxi_id, sub in slow:
-            assert sub.to_rows() == store.records_of(taxi_id)
+        batch = RecordBatch.from_rows(reversed_rows)
+        order = canonical_order(batch)
+        assert order is not None
+        assert batch.take(order).to_rows() == list(
+            MdtLogStore(reversed_rows).iter_records()
+        )
 
 
 def _row_pickup_events(store):
@@ -226,37 +225,37 @@ class TestParity:
         for taxi_id in golden_store.taxi_ids:
             records = golden_store.records_of(taxi_id)
             row_report = CleaningReport()
-            col_report = CleaningReport()
             survivors = clean_records(records, report=row_report)
-            cleaned = clean_taxi_batch(
-                RecordBatch.from_rows(records), report=col_report
-            )
+            cleaned, col_report = clean_batch(RecordBatch.from_rows(records))
             assert cleaned.to_rows() == survivors
             assert col_report == row_report
 
     def test_pea_parity_on_golden_day(self, golden_store):
         cleaned, _ = clean_store(golden_store)
         row_events = _row_pickup_events(cleaned)
-        col_events = extract_pickup_events_batch(
-            cleaned.to_batch()
-        )
+        col_events, _ = extract_pickup_events_batch(cleaned.to_batch())
         assert len(col_events) == len(row_events)
         for col, row in zip(col_events, row_events):
             assert col.taxi_id == row.taxi_id
             assert list(col) == list(row)
 
-    def test_pea_stats_parity_per_taxi(self, golden_store):
+    def test_pea_stats_parity(self, golden_store):
+        """Per taxi, and over the whole day as the sum of the taxis'."""
         cleaned, _ = clean_store(golden_store)
+        day = PeaStats()
         for trajectory in cleaned.iter_trajectories():
             row_events, row_stats = row_pickup_events(trajectory)
-            col_events, col_stats = extract_pickup_events_from_columns(
-                trajectory.taxi_id,
-                RecordBatch.from_rows(trajectory.records),
+            col_events, col_stats = extract_pickup_events_batch(
+                RecordBatch.from_rows(trajectory.records)
             )
             assert col_stats == row_stats
             assert [list(e) for e in col_events] == [
                 list(e) for e in row_events
             ]
+            day = PeaStats(*(
+                a + b for a, b in zip(astuple(day), astuple(row_stats))
+            ))
+        assert extract_pickup_events_batch(cleaned.to_batch())[1] == day
 
 
 class TestConformancePin:

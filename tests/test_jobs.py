@@ -1,7 +1,13 @@
-"""Tests for street/booking job segmentation (sections 2.2 and 6.2.1)."""
+"""Tests for street/booking job segmentation (sections 2.2 and 6.2.1).
 
-from repro.states.jobs import Job, JobKind, job_counts, segment_jobs
+They check the row reference in ``tests/_row_jobs.py``; the production
+job counts, the array kernel of ``zone_street_job_ratios``, are pinned
+to it in ``tests/test_day_kernels.py``.
+"""
+
 from repro.states.states import TaxiState
+
+from tests._row_jobs import Job, JobKind, job_counts, segment_jobs
 
 S = TaxiState
 

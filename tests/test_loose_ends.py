@@ -35,7 +35,7 @@ def _row_zone_ratios(store, zones):
     """Row-path reference for ``zone_street_job_ratios``: each taxi's
     whole trajectory counts its jobs toward its majority zone."""
     from repro.core.thresholds import DEFAULT_STREET_JOB_RATIO
-    from repro.states.jobs import job_counts
+    from tests._row_jobs import job_counts
 
     zone_jobs = {zone.name: [0, 0] for zone in zones}
     for trajectory in store.iter_trajectories():

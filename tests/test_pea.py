@@ -2,11 +2,12 @@
 
 Every case runs on the three PEA scans: the oracle's row reference
 (:func:`repro.conformance.oracles.row_pickup_events`, its own copy of
-the section-4.2 constraints), the engine's column scan and the
-streaming scan (both call :func:`repro.core.pea.candidate_rejection`).
-Events are compared as record lists, and :class:`PeaStats` on the two
-scans that count.  The streaming scan has no ``apply_state_filters``
-option, so cases with the filters off run on the other two.
+the section-4.2 constraints), the engine's whole-day array kernel
+(:func:`repro.core.pea.extract_pickup_events_batch`) and the streaming
+scan (which calls :func:`repro.core.pea.candidate_rejection`).  Events
+are compared as record lists, and :class:`PeaStats` on the two scans
+that count.  The streaming scan has no ``apply_state_filters`` option,
+so cases with the filters off run on the other two.
 """
 
 from hypothesis import example, given, settings
@@ -14,10 +15,7 @@ from hypothesis import strategies as st
 
 from repro.columnar import RecordBatch
 from repro.conformance.oracles import row_pickup_events
-from repro.core.pea import (
-    extract_pickup_events_batch,
-    extract_pickup_events_from_columns,
-)
+from repro.core.pea import extract_pickup_events_batch
 from repro.states.states import (
     NON_OPERATIONAL_STATES,
     TaxiState,
@@ -48,8 +46,8 @@ def row_scan(records, apply_state_filters=True):
 
 
 def column_scan(records, apply_state_filters=True):
-    events, stats = extract_pickup_events_from_columns(
-        TAXI, RecordBatch.from_rows(records), apply_state_filters
+    events, stats = extract_pickup_events_batch(
+        RecordBatch.from_rows(records), apply_state_filters
     )
     return [list(e) for e in events], stats
 
@@ -213,8 +211,9 @@ class TestMultipleEvents:
                 [(HIGH, S.FREE), (LOW, S.FREE), (LOW, S.POB), (HIGH, S.POB)]
             )
         )
-        events = extract_pickup_events_batch(store.to_batch())
+        events, stats = extract_pickup_events_batch(store.to_batch())
         assert len(events) == 2
+        assert stats.candidates == stats.kept == 2
         assert {e.taxi_id for e in events} == {"A", "B"}
         assert [list(e) for e in events] == [
             list(e)
@@ -244,9 +243,9 @@ class TestProperties:
     @example([(LOW, S.BUSY), (LOW, S.BUSY)], True)
     @settings(max_examples=1000, deadline=None)
     def test_three_scans_agree(self, pairs, apply_state_filters):
-        """The column scan's events and stats equal the row
-        reference's, and the streaming scan's events equal the column
-        scan's, on random (speed, state) sequences."""
+        """The batch kernel's events and stats equal the row
+        reference's, and the streaming scan's events equal the batch
+        kernel's, on random (speed, state) sequences."""
         extract(*pairs, apply_state_filters=apply_state_filters)
 
     @given(streams)
