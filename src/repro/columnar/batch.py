@@ -14,10 +14,11 @@ bytes for a frozen ``MdtRecord`` dataclass, and — because the columns
 are contiguous buffers — a batch pickles as six raw buffers rather than
 O(records) Python objects.
 
-Rows are materialized back into :class:`~repro.trace.record.MdtRecord`
-objects only at true object boundaries (pickup-event sub-trajectories,
-snapshot publication, history segments); everything upstream of those
-boundaries works on columns.  CSV ingest parses blocks of lines into
+Rows are built back into :class:`~repro.trace.record.MdtRecord`
+objects only where a consumer reads one row at a time (the streaming
+replay, as it feeds each row; snapshot publication; history segments);
+pickup events hold column tuples, and everything upstream works on
+columns.  CSV ingest parses blocks of lines into
 whole columns — by array operations when every line of a block has the
 canonical shape, line by line otherwise — and cleaning, PEA and the
 job counts run as whole-day array kernels over zero-copy NumPy views
@@ -205,8 +206,8 @@ class RecordBatch:
     def iter_rows(
         self, start: int = 0, stop: Optional[int] = None
     ) -> Iterator[MdtRecord]:
-        """Yield rows ``[start, stop)`` one at a time (the object
-        boundary: streaming replay, pickup-event segments)."""
+        """Yield rows ``[start, stop)`` one at a time (the store's row
+        reads)."""
         table = self.taxi_table
         states = STATES_BY_CODE
         for i in range(start, len(self.ts) if stop is None else stop):
@@ -283,14 +284,12 @@ class RecordBatch:
             raise ValueError("mask length must match batch length")
         return self.take(np.flatnonzero(mask))
 
-    def argsort_ts(self) -> List[int]:
-        """Stable row order by timestamp (ties keep input order)."""
-        ts = self.ts
-        return sorted(range(len(ts)), key=ts.__getitem__)
-
-    def sorted_by_ts(self) -> "RecordBatch":
-        """A new batch in stable timestamp order."""
-        return self.take(self.argsort_ts())
+    def argsort_ts(self) -> np.ndarray:
+        """Stable row order by timestamp (ties keep input order): the
+        permutation ``sorted(range(n), key=ts)`` gives, as a new int
+        array the caller owns.  Timestamps are finite, so NumPy's
+        stable sort and Python's agree on every tie."""
+        return np.argsort(column_view(self.ts), kind="stable")
 
     # -- CSV ingest ---------------------------------------------------------
 

@@ -77,7 +77,7 @@ def row_pickup_events(
             if all(r.state is first for r in candidate):
                 rejected["no_transition"] += 1
                 return
-        events.append(PickupEvent(trajectory.taxi_id, tuple(candidate)))
+        events.append(PickupEvent.from_records(trajectory.taxi_id, candidate))
 
     phi1 = False
     phi2 = False

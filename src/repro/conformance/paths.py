@@ -23,7 +23,7 @@ in — and raises the exception its replay captured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.columnar import RecordBatch
 from repro.conformance.canonical import DayBootstrap, day_grid, streaming_state
@@ -40,7 +40,7 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.checkpoint import CheckpointManager, ServiceCheckpointer
 from repro.resilience.reorder import ReorderBuffer
-from repro.service.replay import StreamReplayer
+from repro.service.replay import ReplayFeed, StreamReplayer
 from repro.stream.monitor import SlotResult
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
@@ -176,7 +176,7 @@ def _replay(
 
 def run_streaming(
     boot: DayBootstrap,
-    records: Sequence[MdtRecord],
+    records: Iterable[MdtRecord],
     *,
     disorder_seed: Optional[int] = None,
     disorder_window_s: float = 0.0,
@@ -196,7 +196,7 @@ def run_streaming(
     """
     if disorder_seed is not None:
         records = disordered_copy(
-            records,
+            list(records),
             seed=disorder_seed,
             window_s=disorder_window_s,
             duplicate_rate=duplicate_rate,
@@ -215,7 +215,7 @@ def run_streaming(
 
 def run_kill_restart(
     boot: DayBootstrap,
-    records: Sequence[MdtRecord],
+    records: ReplayFeed,
     *,
     crash_after: int,
     checkpoint_every: int,

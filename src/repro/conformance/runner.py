@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.conformance import faults as faults_mod
 from repro.conformance import invariants, oracles
@@ -58,7 +58,7 @@ from repro.core.spots import SpotDetectionParams
 from repro.geo.bbox import BBox
 from repro.geo.point import LocalProjection
 from repro.geo.zones import four_zone_partition
-from repro.service.replay import replay_order
+from repro.service.replay import ReplayFeed, replay_order
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
@@ -267,7 +267,7 @@ class _Day:
     engine: QueueAnalyticEngine
     store: MdtLogStore
     """The raw day the serial run cleans."""
-    records: List[MdtRecord]
+    records: ReplayFeed
     """The replay rows, in :func:`~repro.service.replay.replay_order`."""
     workdir: Path
     tracer: object = None
@@ -287,7 +287,7 @@ class _Day:
         trajectory-dependent), so the day is replayed raw."""
         return cls(
             case, boot, boot.build_engine(), store,
-            replay_order(store.iter_records()), workdir, tracer,
+            replay_order(store), workdir, tracer,
         )
 
     @cached_property
@@ -424,7 +424,7 @@ def _execute_checks(
         engine = build_engine(store, case)
         with _span(tracer, "conformance.serial"):
             serial = run_serial(engine, store)
-        records = replay_order(serial.cleaned.iter_rows())
+        records = replay_order(serial.cleaned)
         if not records:
             report.checks.append(
                 CheckOutcome(
@@ -479,7 +479,7 @@ def divergence_predicate(
     return diverges
 
 
-def csv_roundtrip(records: Sequence[MdtRecord]) -> List[MdtRecord]:
+def csv_roundtrip(records: Iterable[MdtRecord]) -> List[MdtRecord]:
     """Records as they come back out of the fixture CSV format
     (second-precision timestamps, 6-decimal coordinates)."""
     return [MdtRecord.from_csv_row(r.to_csv_row()) for r in records]
@@ -502,7 +502,7 @@ def _shrink_first_divergence(
 
     roundtripped = csv_roundtrip(day.records)
     csv_stable = predicate(roundtripped)
-    to_shrink = roundtripped if csv_stable else day.records
+    to_shrink = roundtripped if csv_stable else list(day.records)
     with _span(tracer, "conformance.shrink", check=target.name):
         try:
             result = shrink_records(

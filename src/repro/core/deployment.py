@@ -134,16 +134,9 @@ class DeploymentScheduler:
                 "no spot detection available for this day kind yet; "
                 "ingest at least one matching day first"
             )
-        # Events carried in the pooled detection span several days;
-        # re-extract from the single day instead.
-        single = SpotDetectionResult(
-            spots=detection.spots,
-            pickup_events=[],
-            centroids_lonlat=detection.centroids_lonlat,
-            noise_count=detection.noise_count,
-            per_zone_counts=detection.per_zone_counts,
-        )
-        return self.engine.disambiguate(day.store, single, grid)
+        # The pooled detection ran on several days, not on this one, so
+        # tier 2 extracts the day's own events.
+        return self.engine.disambiguate(day.store, detection, grid)
 
     @property
     def window_sizes(self) -> Dict[str, int]:

@@ -203,8 +203,8 @@ class QueueAnalyticEngine:
         Accepts an :class:`MdtLogStore` or a
         :class:`~repro.columnar.RecordBatch`; either way the tier runs
         on the columnar data plane — cleaning and PEA as whole-day
-        array passes — with rows materialized only for the pickup
-        events.  Outputs are byte-identical to the historical
+        array passes, pickup events as column tuples — and builds no
+        row.  Outputs are byte-identical to the historical
         row-at-a-time path (pinned by the conformance matrix and the
         golden fixture).  The result keeps the cleaned batch, so
         :meth:`disambiguate` over the same ``data`` does not clean it
@@ -259,10 +259,13 @@ class QueueAnalyticEngine:
             data: the short-term dataset (typically one day), as an
                 :class:`MdtLogStore` or a
                 :class:`~repro.columnar.RecordBatch`.
-            detection: tier-1 output (spots + pickup events).  When it
-                carries no events, they are re-extracted from ``data``.
-                When it came from ``data`` itself, tier 1's cleaned rows
-                are reused instead of cleaning ``data`` again.
+            detection: tier-1 output (spots + pickup events).  When
+                tier 1 ran on ``data`` itself
+                (:meth:`SpotDetectionResult.cleaned_for`), its cleaned
+                rows, pickup events and event centroids are reused.
+                Otherwise ``data`` is cleaned and its events extracted
+                here: another day's events, or a pooled detection's,
+                never label ``data``.
             grid: time-slot grid; defaults to
                 :meth:`TimeSlotGrid.covering` the cleaned rows.
 
@@ -273,9 +276,13 @@ class QueueAnalyticEngine:
         if not detection.spots:
             return {}
         cleaned = detection.cleaned_for(data)
-        if cleaned is None:
-            cleaned = self._clean(_as_batch(data))
-        events = detection.pickup_events or self._pickup_events(cleaned)
+        if cleaned is not None and detection.pickup_events:
+            events = detection.pickup_events
+            centroids = detection.centroids_lonlat
+        else:
+            if cleaned is None:
+                cleaned = self._clean(_as_batch(data))
+            events, centroids = self._pickup_events(cleaned), None
         if grid is None:
             lo, hi = cleaned.time_span
             grid = TimeSlotGrid.covering(lo, hi, self.config.slot_seconds)
@@ -289,6 +296,7 @@ class QueueAnalyticEngine:
                 detection.spots,
                 self.projection,
                 assign_radius_m=self.config.assign_radius_m,
+                centroids=centroids,
             )
             zone_ratios = zone_street_job_ratios(cleaned, self.zones)
             for spot in detection.spots:

@@ -38,7 +38,8 @@ same constraints (the paper leaves end-of-input unspecified).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +69,7 @@ _OPERATIONAL = ~code_mask(NON_OPERATIONAL_STATES)
 _OCCUPIED = code_mask(OCCUPIED_STATES)
 _UNOCCUPIED = code_mask(UNOCCUPIED_STATES)
 
-#: Events whose records are built together: the column lists of one
+#: Events whose fields are sliced together: the column tuples of one
 #: chunk are alive at a time.
 _EVENT_CHUNK = 2048
 
@@ -86,20 +87,59 @@ class PeaStats:
 
 @dataclass(frozen=True)
 class PickupEvent:
-    """A slow pickup event: one taxi's kept candidate, as its own records.
+    """A slow pickup event: one taxi's kept candidate, as column tuples.
 
-    Iterating yields the records in time order, which is all WTE needs;
-    :meth:`centroid` is the event's central GPS location (section 4.3).
+    One tuple per record field, each in time order: the PEA kernel
+    slices them from whole-chunk column tuples, and
+    :meth:`from_records` packs the rows the stream and the oracle
+    collect.  Events hash and compare over these tuples.  WTE reads
+    ``ts`` and ``state``; :meth:`centroid` is the event's central GPS
+    location (section 4.3).  :attr:`records` and iteration build the
+    rows on demand.
     """
 
     taxi_id: str
-    records: Tuple[MdtRecord, ...]
+    ts: Tuple[float, ...]
+    lon: Tuple[float, ...]
+    lat: Tuple[float, ...]
+    speed: Tuple[float, ...]
+    state: Tuple[TaxiState, ...]
+
+    @classmethod
+    def from_records(
+        cls, taxi_id: str, records: Iterable[MdtRecord]
+    ) -> "PickupEvent":
+        """The event of one taxi's own records, in time order."""
+        rows = tuple(records)
+        return cls(
+            taxi_id,
+            tuple(r.ts for r in rows),
+            tuple(r.lon for r in rows),
+            tuple(r.lat for r in rows),
+            tuple(r.speed for r in rows),
+            tuple(r.state for r in rows),
+        )
+
+    @property
+    def records(self) -> Tuple[MdtRecord, ...]:
+        """The event's records, built from the columns."""
+        return tuple(
+            map(
+                MdtRecord,
+                self.ts,
+                repeat(self.taxi_id),
+                self.lon,
+                self.lat,
+                self.speed,
+                self.state,
+            )
+        )
 
     def __iter__(self) -> Iterator[MdtRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ts)
 
     @property
     def first(self) -> MdtRecord:
@@ -110,15 +150,16 @@ class PickupEvent:
         return self.records[-1]
 
     def states(self) -> List[TaxiState]:
-        return [r.state for r in self.records]
+        return list(self.state)
 
     def centroid(self) -> Tuple[float, float]:
-        """The mean of lon and lat over the event's records."""
-        n = len(self.records)
-        return (
-            sum(r.lon for r in self.records) / n,
-            sum(r.lat for r in self.records) / n,
-        )
+        """The mean of lon and lat over the event's records.
+
+        Python's ``sum`` over the tuples in time order, so the batch
+        engine and the stream get the same bits for one event.
+        """
+        n = len(self.ts)
+        return sum(self.lon) / n, sum(self.lat) / n
 
 
 def candidate_rejection(codes: Sequence[int]) -> Optional[str]:
@@ -160,8 +201,9 @@ def extract_pickup_events_batch(
       row is judged by the section-4.2 rules, where "no transition"
       means no state change inside the run.
 
-    Records are built only for the kept events, one chunk of events at
-    a time.  Events and :class:`PeaStats` equal those of the
+    The kept events' fields are sliced from column tuples, one chunk of
+    events at a time; no record is built.  Events and
+    :class:`PeaStats` equal those of the
     conformance oracle's row reference over each taxi's rows in
     canonical order (:func:`repro.conformance.oracles.row_pickup_events`;
     pinned by property tests and the conformance matrix).
@@ -233,26 +275,23 @@ def _events(
     start: np.ndarray,
     end: np.ndarray,
 ) -> Iterator[PickupEvent]:
-    """The events of the canonical row spans ``[start, end]``, their
-    records built in bulk from column lists."""
+    """The events of the canonical row spans ``[start, end]``, each
+    field a slice of one column tuple."""
     sizes = end - start + 1
     offsets = np.cumsum(sizes)
     rows = np.arange(offsets[-1]) + np.repeat(start - offsets + sizes, sizes)
     if order is not None:
         rows = order[rows]
-    records = list(
-        map(
-            MdtRecord,
-            column_view(batch.ts)[rows].tolist(),
-            np.repeat(np.array(ids, dtype=object), sizes).tolist(),
-            column_view(batch.lon)[rows].tolist(),
-            column_view(batch.lat)[rows].tolist(),
-            column_view(batch.speed)[rows].tolist(),
-            map(STATES_BY_CODE.__getitem__,
-                column_view(batch.state)[rows].tolist()),
-        )
+    ts, lon, lat, speed = (
+        tuple(column_view(column)[rows].tolist())
+        for column in (batch.ts, batch.lon, batch.lat, batch.speed)
     )
+    codes = column_view(batch.state)[rows].tolist()
+    state = tuple(map(STATES_BY_CODE.__getitem__, codes))
     stop = 0
     for taxi_id, size in zip(ids, sizes.tolist()):
-        yield PickupEvent(taxi_id, tuple(records[stop:stop + size]))
-        stop += size
+        lo, stop = stop, stop + size
+        yield PickupEvent(
+            taxi_id, ts[lo:stop], lon[lo:stop], lat[lo:stop],
+            speed[lo:stop], state[lo:stop],
+        )

@@ -251,6 +251,7 @@ def assign_events_to_spots(
     spots: Sequence[QueueSpot],
     projection: LocalProjection,
     assign_radius_m: float = 30.0,
+    centroids: Optional[np.ndarray] = None,
 ) -> Dict[str, List[PickupEvent]]:
     """Build W(r): map pickup events to the nearest detected spot.
 
@@ -259,12 +260,17 @@ def assign_events_to_spots(
     detection eps by default, absorbing GPS jitter); unmatched events are
     dropped (scattered street pickups).
 
+    Args:
+        centroids: ``pickup_centroids(events)`` when the caller has it
+            already (tier 1 computes it for DBSCAN); computed here when
+            None.
+
     Returns:
         ``spot_id -> list of pickup events``; every spot id appears,
         possibly with an empty list.
     """
     buckets: Dict[str, List[PickupEvent]] = {s.spot_id: [] for s in spots}
-    lonlat = pickup_centroids(events)
+    lonlat = pickup_centroids(events) if centroids is None else centroids
     nearest = nearest_spots(
         projection.to_xy_array(lonlat[:, 0], lonlat[:, 1]),
         spots_to_xy(spots, projection),

@@ -59,7 +59,8 @@ class WaitEvent:
 
 
 def extract_wait_event(sub: PickupEvent) -> Optional[WaitEvent]:
-    """Run the WTE inner loop on one pickup event.
+    """Run the WTE inner loop on one pickup event (its ``ts`` and
+    ``state`` tuples).
 
     Returns:
         The wait event, or None when no complete wait interval exists.
@@ -67,20 +68,16 @@ def extract_wait_event(sub: PickupEvent) -> Optional[WaitEvent]:
     t_start: Optional[float] = None
     t_end: Optional[float] = None
     start_state: Optional[TaxiState] = None
-    for record in sub:
-        if record.state in _START_STATES and t_start is None:
-            t_start = record.ts
-            start_state = record.state
-        elif record.state is TaxiState.PAYMENT and t_start is not None:
+    for ts, state in zip(sub.ts, sub.state):
+        if state in _START_STATES and t_start is None:
+            t_start = ts
+            start_state = state
+        elif state is TaxiState.PAYMENT and t_start is not None:
             t_start = None
             t_end = None
             start_state = None
-        elif (
-            record.state is TaxiState.POB
-            and t_start is not None
-            and t_end is None
-        ):
-            t_end = record.ts
+        elif state is TaxiState.POB and t_start is not None and t_end is None:
+            t_end = ts
     if t_start is None or t_end is None:
         return None
     return WaitEvent(

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.service.metrics import MetricsRegistry
+if TYPE_CHECKING:  # an annotation only: repro.obs loads no serving code
+    from repro.service.metrics import MetricsRegistry
 
 #: Namespace prefix of every exposed metric.
 PREFIX = "taxiqueue_"

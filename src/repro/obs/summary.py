@@ -8,9 +8,32 @@ spend its time between ingest and snapshot publish?*
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence
 
-from repro.service.metrics import nearest_rank
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-quantile of an ascending-sorted non-empty sequence by
+    the nearest-rank method (no interpolation): the value at rank
+    ``ceil(q * N)`` (1-based).
+
+    The one percentile of the code base: ``trace summarize``, the
+    service's :class:`~repro.service.metrics.Histogram` and the load
+    harness's latency recorder (:mod:`repro.load.recorder`) all report
+    through it.  It lives here, not in :mod:`repro.service`, so that
+    importing :mod:`repro.obs` (every traced or untraced CLI run does)
+    loads none of the serving stack.  The epsilon guards float noise
+    like ``0.95 * 20 == 19.0000...04`` from bumping the rank up a slot.
+
+    Raises:
+        ValueError: for an empty sequence or a quantile outside [0, 1].
+    """
+    if not ordered:
+        raise ValueError("nearest_rank needs at least one observation")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    rank = math.ceil(q * len(ordered) - 1e-9)
+    return ordered[min(len(ordered) - 1, max(0, rank - 1))]
 
 
 def summarize_spans(spans: Sequence[dict]) -> Dict[str, dict]:

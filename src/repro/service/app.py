@@ -11,7 +11,9 @@ system runs (paper section 7.1):
    :class:`DayBootstrap`;
 2. **live path**: :meth:`DayBootstrap.build_stack` wires a
    :class:`StreamingQueueMonitor` that re-labels tier 1's cleaned rows
-   record by record, publishing finalized slots into a
+   record by record, in :func:`~repro.service.replay.replay_order` (a
+   feed over the cleaned columns that builds each row as the replay
+   pulls it), publishing finalized slots into a
    :class:`SnapshotStore` through a subscription callback;
 3. **serving path**: a :class:`QueueStateServer` exposes the snapshot
    over HTTP with ETag revalidation and TTL response caching, while a
@@ -364,7 +366,7 @@ class QueueService:
             boot = make_bootstrap(
                 engine, detection, analyses, grid, grace_s=config.grace_s
             )
-            records = replay_order(cleaned.iter_rows())
+            records = replay_order(cleaned)
             root.set(spots=len(detection.spots), records=len(records))
 
         metrics.gauge("bootstrap.spots").set(len(detection.spots))

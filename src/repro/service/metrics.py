@@ -18,12 +18,13 @@ Design constraints:
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.obs.summary import nearest_rank
 
 #: Default latency bucket upper bounds in seconds.  Chosen for the
 #: service's two observed regimes — sub-millisecond cache hits and
@@ -33,28 +34,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
-
-
-def nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """The ``q``-quantile of an ascending-sorted non-empty sequence by
-    the nearest-rank method (no interpolation): the value at rank
-    ``ceil(q * N)`` (1-based).
-
-    The one percentile of the code base: :class:`Histogram`, the load
-    harness's latency recorder (:mod:`repro.load.recorder`) and
-    ``trace summarize`` (:mod:`repro.obs.summary`) all report through
-    it.  The epsilon guards float noise like ``0.95 * 20 ==
-    19.0000...04`` from bumping the rank up a slot.
-
-    Raises:
-        ValueError: for an empty sequence or a quantile outside [0, 1].
-    """
-    if not ordered:
-        raise ValueError("nearest_rank needs at least one observation")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    rank = math.ceil(q * len(ordered) - 1e-9)
-    return ordered[min(len(ordered) - 1, max(0, rank - 1))]
 
 
 class Counter:

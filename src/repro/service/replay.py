@@ -8,10 +8,13 @@ seconds.  With ``speedup=None`` the replay runs flat out (warm-up,
 benchmarks, tests).
 
 **Ordering contract.**  Pacing and the monitor's slot clock assume a
-monotonically non-decreasing timestamp sequence.  A list input is put
-in :func:`replay_order` up front, the one order every replay of a day
-uses (``serve``, the conformance paths, the golden fixtures); a *live*
-iterator cannot be sorted, so a disordered feed must be fronted by a
+monotonically non-decreasing timestamp sequence.  A day is replayed
+through :func:`replay_order`, the one order every replay of a day uses
+(``serve``, the conformance paths, the golden fixtures): a feed over
+the day's columns that builds each row as it is pulled.  A sequence of
+rows handed to :class:`StreamReplayer` is packed into columns and put
+in the same order.  A *live* iterator cannot be sorted, so a
+disordered feed must be fronted by a
 :class:`~repro.resilience.ReorderBuffer` (the ``reorder`` argument):
 raw records then pass through the buffer and the monitor — and the
 pacer — only ever see the buffer's ordered releases.  Without a buffer,
@@ -39,15 +42,25 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
+from repro.columnar import RecordBatch
 from repro.service.metrics import MetricsRegistry
+from repro.states.states import STATES_BY_CODE
 from repro.stream.monitor import StreamingQueueMonitor
 from repro.trace.record import MdtRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.checkpoint import ServiceCheckpointer
     from repro.resilience.reorder import ReorderBuffer
+    from repro.trace.log_store import MdtLogStore
 
 #: Never sleep longer than this per gap, whatever the speedup — a dead
 #: stretch in the feed should not freeze the serving layer's progress
@@ -55,14 +68,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAX_SLEEP_S = 5.0
 
 
-def replay_order(records: Iterable[MdtRecord]) -> List[MdtRecord]:
-    """A day's records in the order a replay feeds them.
+class ReplayFeed:
+    """A day's rows in replay order, each built when it is pulled.
 
-    Stable by timestamp: one taxi's same-second records keep the order
-    the batch engine read them in (tier 1's cleaned rows are grouped
-    by taxi and time-ordered within each taxi).
+    Holds the day's batch and a row permutation it owns, no rows and no
+    NumPy view of a column.  ``len()`` is the row count, and every
+    ``iter()`` replays the rows from the first (``warm()`` then
+    ``start()`` replay it twice, and a restored replay fast-forwards
+    through the same order).  It is not a ``Sequence``, so
+    :class:`StreamReplayer` takes it as it is.
     """
-    return sorted(records, key=lambda r: r.ts)
+
+    __slots__ = ("_batch", "_order")
+
+    def __init__(self, batch: RecordBatch):
+        self._batch = batch
+        self._order = batch.argsort_ts()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[MdtRecord]:
+        batch = self._batch
+        ts, lon, lat, speed = batch.ts, batch.lon, batch.lat, batch.speed
+        state, taxi, table = batch.state, batch.taxi, batch.taxi_table
+        states, record = STATES_BY_CODE, MdtRecord
+        for i in self._order.tolist():
+            yield record(
+                ts[i], table[taxi[i]], lon[i], lat[i], speed[i],
+                states[state[i]],
+            )
+
+
+def replay_order(day: Union[RecordBatch, "MdtLogStore"]) -> ReplayFeed:
+    """A day's rows in the order a replay feeds them.
+
+    Stable by timestamp (:meth:`RecordBatch.argsort_ts`): same-second
+    rows keep the day's row order, so one taxi's same-second rows keep
+    the order the batch engine read them in (tier 1's cleaned rows are
+    grouped by taxi and time-ordered within each taxi).
+
+    Args:
+        day: the day as columns, a batch or a store (its own batch).
+    """
+    return ReplayFeed(day if isinstance(day, RecordBatch) else day.to_batch())
 
 
 class _WindowAccounting:
@@ -154,9 +203,11 @@ class StreamReplayer:
 
     Args:
         monitor: the streaming monitor to feed (subscribers attached).
-        records: the day's records.  A sequence is put in
-            :func:`replay_order`; any other iterable is consumed lazily
-            and must either be time-ordered or fronted by ``reorder``.
+        records: the day's records: a :func:`replay_order` feed, a
+            sequence of rows (packed into a batch and put in
+            :func:`replay_order`), or any other iterable, consumed
+            lazily, which must either be time-ordered or fronted by
+            ``reorder``.
         speedup: stream-seconds per wall-second (e.g. 600 replays a day
             in ~2.4 minutes); None disables pacing entirely.
         metrics: optional registry; maintains ``replay.records`` /
@@ -196,9 +247,8 @@ class StreamReplayer:
         self.tracer = tracer
         self.monitor = monitor
         if isinstance(records, Sequence):
-            self.records: Iterable[MdtRecord] = replay_order(records)
-        else:
-            self.records = records
+            records = replay_order(RecordBatch.from_rows(records))
+        self.records: Iterable[MdtRecord] = records
         self.speedup = speedup
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.reorder = reorder

@@ -112,4 +112,4 @@ def _finalize(taxi_id: str, records: List[MdtRecord]) -> Optional[PickupEvent]:
     codes = [STATE_CODES[r.state] for r in records]
     if candidate_rejection(codes) is not None:
         return None
-    return PickupEvent(taxi_id=taxi_id, records=tuple(records))
+    return PickupEvent.from_records(taxi_id, records)

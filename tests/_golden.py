@@ -13,7 +13,7 @@ features -> thresholds -> QCD chain against any future refactor.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.conformance.canonical import streaming_state
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
@@ -23,9 +23,8 @@ from repro.geo.bbox import BBox
 from repro.geo.point import LocalProjection
 from repro.geo.zones import four_zone_partition
 from repro.service.app import DayBootstrap, make_bootstrap
-from repro.service.replay import StreamReplayer, replay_order
+from repro.service.replay import ReplayFeed, StreamReplayer, replay_order
 from repro.trace.log_store import MdtLogStore
-from repro.trace.record import MdtRecord
 
 #: Simulation inputs of the committed day (regeneration script only).
 GOLDEN_SEED = 1234
@@ -89,7 +88,7 @@ def pipeline_snapshot(engine, store: MdtLogStore) -> Dict:
 
 def streaming_bootstrap(
     engine: QueueAnalyticEngine, store: MdtLogStore
-) -> Tuple[DayBootstrap, List[MdtRecord]]:
+) -> Tuple[DayBootstrap, ReplayFeed]:
     """The frozen context the streaming monitor is configured from, and
     the rows it replays.
 
@@ -105,7 +104,7 @@ def streaming_bootstrap(
     lo, hi = cleaned.time_span
     grid = TimeSlotGrid.covering(lo, hi, engine.config.slot_seconds)
     boot = make_bootstrap(engine, detection, analyses, grid)
-    return boot, replay_order(cleaned.iter_rows())
+    return boot, replay_order(cleaned)
 
 
 def streaming_snapshot(

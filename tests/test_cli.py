@@ -262,3 +262,40 @@ class TestResilienceFlags:
         assert args.checkpoint_every == 100
         assert args.disorder_window == 120.0
         assert args.stale_after == 10.0
+
+
+class TestImportFootprint:
+    def test_analyze_loads_no_serving_code(self):
+        """Every command imports ``repro.obs`` for its tracer, and
+        ``repro.obs`` depends on no ``repro.service`` module, so a batch
+        command never loads the serving stack or ``http.server``."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"code = main(['analyze', {GOLDEN_CSV!r}])\n"
+            "loaded = sorted(\n"
+            "    name for name in sys.modules\n"
+            "    if name == 'http.server'\n"
+            "    or name.split('.')[:2] == ['repro', 'service']\n"
+            ")\n"
+            "print('exit', code, 'loaded', loaded)\n"
+        )
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "exit 0 loaded []"

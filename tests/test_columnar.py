@@ -140,9 +140,22 @@ class TestPrimitives:
             MdtRecord(1.0, "B", 0.0, 0.0, 0.0, TaxiState.FREE),
             MdtRecord(1.0, "A", 0.0, 0.0, 0.0, TaxiState.FREE),
             MdtRecord(0.0, "C", 0.0, 0.0, 0.0, TaxiState.FREE),
+            MdtRecord(-0.0, "D", 0.0, 0.0, 0.0, TaxiState.FREE),
+            MdtRecord(1.0, "C", 0.0, 0.0, 0.0, TaxiState.FREE),
         ]
-        ordered = RecordBatch.from_rows(rows).sorted_by_ts().to_rows()
-        assert ordered == [rows[2], rows[0], rows[1]]
+        batch = RecordBatch.from_rows(rows)
+        order = batch.argsort_ts()
+        # Python's stable sort on ts, written out: ties (and 0.0 against
+        # -0.0) keep their input order.
+        assert order.tolist() == sorted(
+            range(len(rows)), key=lambda i: rows[i].ts
+        )
+        assert order.tolist() == [2, 3, 0, 1, 4]
+        # The permutation is the caller's own array, not a view of the
+        # ts column, so the batch can still grow while it is held.
+        batch.append_row(rows[0])
+        assert order.tolist() == [2, 3, 0, 1, 4]
+        assert batch.argsort_ts().tolist() == [2, 3, 0, 1, 4, 5]
 
     def test_canonical_order_matches_store_order(self, golden_store):
         grouped = golden_store.to_batch()

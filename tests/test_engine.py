@@ -128,3 +128,33 @@ class TestEngineConfigPaths:
         )
         assert len(analyses) == len(small_detection.spots)
         assert any(a.wait_events for a in analyses.values())
+
+    def test_another_days_detection_labels_by_this_days_events(self):
+        """Tier 2 on day B with day A's detection labels B by B's own
+        pickup events, exactly as B's own detection does: tier 1's
+        events and centroids are reused only for tier 1's input."""
+        from dataclasses import replace
+        from pathlib import Path
+
+        from repro.trace.log_store import MdtLogStore
+
+        from tests._golden import golden_engine
+
+        day_a = MdtLogStore.from_csv(
+            Path(__file__).parent / "data" / "golden_day.csv"
+        )
+        day_b = MdtLogStore(
+            replace(r, ts=r.ts + 86400.0) for r in day_a.iter_records()
+        )
+        engine = golden_engine(day_a)
+        detection_a = engine.detect_spots(day_a)
+        detection_b = engine.detect_spots(day_b)
+        assert detection_a.spots == detection_b.spots
+        assert detection_a.pickup_events != detection_b.pickup_events
+        own = engine.disambiguate(day_b, detection_b)
+        assert any(
+            label.label is not QueueType.UNIDENTIFIED
+            for analysis in own.values()
+            for label in analysis.labels
+        )
+        assert engine.disambiguate(day_b, detection_a) == own

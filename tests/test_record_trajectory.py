@@ -97,7 +97,7 @@ class TestTrajectory:
 
 class TestPickupEvent:
     def test_centroid_is_mean(self):
-        event = PickupEvent(
+        event = PickupEvent.from_records(
             "SH0001A",
             (
                 rec(ts=0.0, lon=103.80, lat=1.30),

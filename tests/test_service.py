@@ -277,6 +277,7 @@ class TestStreamReplayer:
     def test_replay_order_is_stable_by_timestamp(self):
         # Same-second records keep their input order (one taxi's rows
         # as tier 1 read them), across taxis and within one taxi.
+        from repro.columnar import RecordBatch
         from repro.service.replay import replay_order
         from repro.states.states import TaxiState
         from repro.trace.record import MdtRecord
@@ -289,9 +290,9 @@ class TestStreamReplayer:
             rec(10.0, "A", 3.0), rec(0.0, "A", 4.0),
         ]
         expected = [records[i] for i in (4, 0, 1, 2, 3)]
-        assert replay_order(records) == expected
+        assert list(replay_order(RecordBatch.from_rows(records))) == expected
         monitor, _ = self._monitor()
-        assert StreamReplayer(monitor, records).records == expected
+        assert list(StreamReplayer(monitor, records).records) == expected
 
     def test_background_stop(self):
         from repro.trace.record import MdtRecord
@@ -454,7 +455,7 @@ class TestFromDayCleansOnce:
                 if analysis.thresholds is not None
             }
             cleaned = small_detection.cleaned_for(store)
-            assert service.replayer.records == sorted(
+            assert list(service.replayer.records) == sorted(
                 cleaned.iter_rows(), key=lambda r: r.ts
             )
             (bootstrap,) = sink.traces

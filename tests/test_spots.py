@@ -119,7 +119,7 @@ class TestPickupCentroids:
             MdtRecord(0.0, "A", 103.80, 1.30, 5.0, TaxiState.FREE),
             MdtRecord(30.0, "A", 103.82, 1.32, 5.0, TaxiState.POB),
         ]
-        lonlat = pickup_centroids([PickupEvent("A", tuple(records))])
+        lonlat = pickup_centroids([PickupEvent.from_records("A", records)])
         assert lonlat.shape == (1, 2)
         assert lonlat[0, 0] == pytest.approx(103.81)
 
@@ -133,7 +133,7 @@ class TestAssignEventsToSpots:
             MdtRecord(0.0, taxi, lon, lat, 5.0, TaxiState.FREE),
             MdtRecord(30.0, taxi, lon, lat, 5.0, TaxiState.POB),
         )
-        return PickupEvent(taxi, records)
+        return PickupEvent.from_records(taxi, records)
 
     def test_assignment_within_radius(self):
         spot = QueueSpot("QS001", LON, LAT, "Central", 100, 5.0)

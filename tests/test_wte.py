@@ -13,9 +13,9 @@ S = TaxiState
 
 def pickup(*states, taxi="SH0001A", step=30.0):
     """A pickup event with one synthetic record per state."""
-    return PickupEvent(
+    return PickupEvent.from_records(
         taxi,
-        tuple(
+        (
             MdtRecord(step * i, taxi, 103.8, 1.33, 5.0, state)
             for i, state in enumerate(states)
         ),
@@ -77,7 +77,7 @@ class TestBatchExtraction:
             MdtRecord(1000.0 + 30.0 * i, "B", 103.8, 1.33, 5.0, state)
             for i, state in enumerate([S.FREE, S.POB])
         ]
-        s2 = PickupEvent("B", tuple(records))
+        s2 = PickupEvent.from_records("B", records)
         events = extract_wait_times([s2, s1])
         assert [e.taxi_id for e in events] == ["SH0001A", "B"]
 
@@ -130,7 +130,7 @@ def segments(draw) -> PickupEvent:
                 state=draw(st.sampled_from(list(TaxiState))),
             )
         )
-    return PickupEvent("W", tuple(records))
+    return PickupEvent.from_records("W", records)
 
 
 class TestWteInvariants:
