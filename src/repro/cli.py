@@ -42,17 +42,16 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.columnar import RecordBatch
 from repro.columnar.batch import column_extent
-from repro.core.engine import EngineConfig, QueueAnalyticEngine
+from repro.core.engine import CleanedDay, EngineConfig, QueueAnalyticEngine
 from repro.core.reports import (
     citywide_proportions,
     format_proportions,
     format_transition_report,
 )
-from repro.core.spots import SpotDetectionResult
 from repro.core.types import TimeSlotGrid
 from repro.geo.bbox import BBox
 from repro.geo.zones import four_zone_partition
@@ -74,6 +73,22 @@ def _version() -> str:
         from repro import __version__
 
         return __version__
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: print ``<prog> <version>`` and exit.  The version
+    is looked up only when the flag is given, so no other command pays
+    for the metadata lookup."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(
+            option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+            help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(f"{parser.prog} {_version()}\n")
+        parser.exit()
 
 
 def _load_batch(path_str: str) -> Optional[RecordBatch]:
@@ -101,15 +116,16 @@ def _load_batch(path_str: str) -> Optional[RecordBatch]:
         return None
 
 
-def _report_malformed(batch: RecordBatch, engine=None, file=None) -> None:
-    """Add the skipped CSV lines to ``engine``'s cleaning report, and
-    say how many there were when there were any."""
+def _report_malformed(day, engine=None, file=None) -> None:
+    """Add the skipped CSV lines of ``day`` (a raw batch or a
+    :class:`CleanedDay`) to ``engine``'s cleaning report, and say how
+    many there were when there were any."""
     report = None if engine is None else engine.last_cleaning_report
     if report is not None:
-        report.malformed_line += batch.skipped_lines
-    if batch.skipped_lines:
+        report.malformed_line += day.skipped_lines
+    if day.skipped_lines:
         print(
-            f"  ({batch.skipped_lines} malformed CSV lines skipped)",
+            f"  ({day.skipped_lines} malformed CSV lines skipped)",
             file=file,
         )
 
@@ -242,30 +258,36 @@ def cmd_detect(args: argparse.Namespace) -> int:
         return 2
     try:
         with tracer.trace("pipeline.batch", command="detect"):
-            batch = _ingest(args, tracer)
-            if batch is None:
+            cleaned = _clean_input(args, tracer)
+            if cleaned is None:
                 return 2
-            engine = _engine_for_bbox(
-                _bbox_from_args(args, batch), args.coverage, tracer=tracer
-            )
-            detection = engine.detect_spots(batch)
+            engine, day = cleaned
+            detection = engine.detect_spots(day)
             with tracer.span("stage.publish", mode="stdout") as span:
                 _print_detection(detection, args.top)
-                _report_malformed(batch, engine)
+                _report_malformed(day, engine)
                 span.set(spots=len(detection.spots))
         return 0
     finally:
         _close_tracer(trace_writer)
 
 
-def _ingest(args: argparse.Namespace, tracer) -> Optional[RecordBatch]:
-    """The traced CSV ingest of ``detect``/``analyze`` (None when the
-    input is missing)."""
+def _clean_input(
+    args: argparse.Namespace, tracer
+) -> Optional[Tuple[QueueAnalyticEngine, CleanedDay]]:
+    """The traced CSV ingest and cleaning of ``detect``/``analyze``:
+    the engine over the input's bbox and the cleaned day (None when the
+    input is missing).  The raw batch is not returned, so it is freed
+    as soon as it is cleaned."""
     with tracer.span("stage.ingest", mode="csv") as span:
         batch = _load_batch(args.input)
-        if batch is not None:
-            span.set(records=len(batch), malformed=batch.skipped_lines)
-    return batch
+        if batch is None:
+            return None
+        span.set(records=len(batch), malformed=batch.skipped_lines)
+    engine = _engine_for_bbox(
+        _bbox_from_args(args, batch), args.coverage, tracer=tracer
+    )
+    return engine, engine.clean(batch)
 
 
 def _print_detection(detection, top: int) -> None:
@@ -284,22 +306,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     try:
         with tracer.trace("pipeline.batch", command="analyze"):
-            batch = _ingest(args, tracer)
-            if batch is None:
+            cleaned = _clean_input(args, tracer)
+            if cleaned is None:
                 return 2
-            engine = _engine_for_bbox(
-                _bbox_from_args(args, batch), args.coverage, tracer=tracer
-            )
-            detection = engine.detect_spots(batch)
-            grid = _tier2_grid(batch, detection, engine)
-            analyses = engine.disambiguate(batch, detection, grid)
+            engine, day = cleaned
+            detection = engine.detect_spots(day)
+            grid = _tier2_grid(day, engine)
+            analyses = engine.disambiguate(day, detection, grid)
             with tracer.span("stage.publish", mode="stdout") as span:
                 print(
                     format_proportions(
                         citywide_proportions(analyses.values())
                     )
                 )
-                _report_malformed(batch, engine)
+                _report_malformed(day, engine)
                 span.set(spots=len(analyses))
     finally:
         _close_tracer(trace_writer)
@@ -314,18 +334,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _tier2_grid(
-    batch: RecordBatch,
-    detection: SpotDetectionResult,
-    engine: QueueAnalyticEngine,
+    day: CleanedDay, engine: QueueAnalyticEngine
 ) -> Optional[TimeSlotGrid]:
-    """The grid tier 2 runs and the CLI labels on: it covers tier 1's
-    cleaned rows, or the raw rows when cleaning left none (None for a
-    day with no rows at all)."""
-    cleaned = detection.cleaned_for(batch)
-    rows = cleaned if len(cleaned) else batch
-    if len(rows) == 0:
+    """The grid tier 2 runs and the CLI labels on: it covers the
+    cleaned rows, or the raw day's span when cleaning left no row
+    (None for a day with no rows at all)."""
+    span = day.rows.time_span if len(day.rows) else day.raw_span
+    if span is None:
         return None
-    lo, hi = rows.time_span
+    lo, hi = span
     return TimeSlotGrid.covering(lo, hi, engine.config.slot_seconds)
 
 
@@ -352,9 +369,11 @@ def cmd_export(args: argparse.Namespace) -> int:
         print(f"error: cannot write {out_dir}: {exc.strerror}", file=sys.stderr)
         return 2
     engine = _engine_for_bbox(_bbox_from_args(args, batch), args.coverage)
-    detection = engine.detect_spots(batch)
-    grid = _tier2_grid(batch, detection, engine)
-    analyses = engine.disambiguate(batch, detection, grid)
+    day = engine.clean(batch)
+    del batch  # both tiers read the cleaned day
+    detection = engine.detect_spots(day)
+    grid = _tier2_grid(day, engine)
+    analyses = engine.disambiguate(day, detection, grid)
 
     try:
         dump_geojson(
@@ -381,7 +400,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         "features.csv", "report.html",
     ):
         print(f"  {name}")
-    _report_malformed(batch, engine)
+    _report_malformed(day, engine)
     return 0
 
 
@@ -463,14 +482,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if tracer is None:
         return 2
     if args.input is not None:
-        batch = _load_batch(args.input)
-        if batch is None:
+        day = _load_batch(args.input)
+        if day is None:
             _close_tracer(trace_writer)
             return 2
-        _report_malformed(batch)
-        bbox = _bbox_from_args(args, batch)
+        _report_malformed(day)
+        bbox = _bbox_from_args(args, day)
         engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
-        day = batch
         grid = None
         source = args.input
     else:
@@ -513,6 +531,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {source}: {exc}", file=sys.stderr)
         _close_tracer(trace_writer)
         return 2
+    # The service replays the cleaned rows; the raw day is not served.
+    del day
     if service.resumed_from is not None:
         print(
             f"restored checkpoint from {args.checkpoint_dir}; resuming "
@@ -521,20 +541,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     n_spots = len(service.store.spot_ids)
     service.start()
-    print(f"serving {n_spots} spots at {service.server.url}")
-    print(f"  GET {service.server.url}/v1/spots")
-    print(f"  GET {service.server.url}/v1/citywide")
-    print(f"  GET {service.server.url}/v1/metrics")
-    if args.history_dir is not None:
-        print(f"  GET {service.server.url}/v1/history/citywide")
-        print(f"  GET {service.server.url}/v1/history/patterns")
-        print(f"  (history segments in {args.history_dir})")
-    speed = service_config.speedup
-    print(
-        f"replaying at {'maximum' if speed is None else f'{speed:g}x'} "
-        "speed; Ctrl-C to stop"
-    )
+    # From here on, Ctrl-C (even one that arrives while the banner
+    # prints) shuts the running service down cleanly.
     try:
+        print(f"serving {n_spots} spots at {service.server.url}")
+        print(f"  GET {service.server.url}/v1/spots")
+        print(f"  GET {service.server.url}/v1/citywide")
+        print(f"  GET {service.server.url}/v1/metrics")
+        if args.history_dir is not None:
+            print(f"  GET {service.server.url}/v1/history/citywide")
+            print(f"  GET {service.server.url}/v1/history/patterns")
+            print(f"  (history segments in {args.history_dir})")
+        speed = service_config.speedup
+        print(
+            f"replaying at {'maximum' if speed is None else f'{speed:g}x'} "
+            "speed; Ctrl-C to stop"
+        )
         if args.max_seconds is not None:
             service.replayer.finished.wait(timeout=args.max_seconds)
         else:
@@ -1074,7 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(EDBT 2015 reproduction)",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
+        "--version", action=_VersionAction,
+        help="show program's version number and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,28 +1,37 @@
 """Columnar MDT record batches — the packed data plane.
 
 A :class:`RecordBatch` holds the paper's six Table-2 fields as parallel
-columns instead of per-record objects:
+NumPy columns instead of per-record objects:
 
-* ``ts`` / ``lon`` / ``lat`` / ``speed`` — ``array('d')`` (8 bytes/field),
-* ``state`` — ``array('b')`` integer codes (see
+* ``ts`` / ``lon`` / ``lat`` / ``speed`` — ``float64`` (8 bytes/field),
+* ``state`` — ``int8`` codes (see
   :data:`repro.states.states.STATES_BY_CODE`),
-* ``taxi`` — ``array('i')`` indices into an interned id table, so a
-  million records of one taxi store its id string once.
+* ``taxi`` — ``int32`` indices into the interned id table
+  ``taxi_table``, so a million records of one taxi store its id string
+  once.
 
 That is ~33 bytes per record plus the id table, against a few hundred
-bytes for a frozen ``MdtRecord`` dataclass, and — because the columns
-are contiguous buffers — a batch pickles as six raw buffers rather than
-O(records) Python objects.
+bytes for a frozen ``MdtRecord`` dataclass, and a batch pickles as six
+raw buffers rather than O(records) Python objects.
 
-Rows are built back into :class:`~repro.trace.record.MdtRecord`
-objects only where a consumer reads one row at a time (the streaming
-replay, as it feeds each row; snapshot publication; history segments);
-pickup events hold column tuples, and everything upstream works on
-columns.  CSV ingest parses blocks of lines into
-whole columns — by array operations when every line of a block has the
-canonical shape, line by line otherwise — and cleaning, PEA and the
-job counts run as whole-day array kernels over zero-copy NumPy views
-of the columns (:func:`column_view`).  ``array('d')`` stores exact
+A batch never changes once it is built.  Its columns refuse writes, its
+attributes cannot be rebound, and no method adds, drops or reorders its
+rows: :meth:`~RecordBatch.take` and :meth:`~RecordBatch.filter_mask`
+return new batches.  So a slice of a column stays valid for as long as
+anyone holds it, and a pickup event is a row range of its cleaned day
+(:class:`~repro.core.pea.PickupEvent`).  A batch is made by
+:class:`BatchBuilder`, the one builder that CSV ingest,
+:meth:`~RecordBatch.from_rows` and :meth:`~RecordBatch.concat` share,
+or gathered from another batch by :meth:`~RecordBatch.take`.
+
+Rows are built back into :class:`~repro.trace.record.MdtRecord` objects
+only where a consumer reads one row at a time (the streaming replay, as
+it feeds each row; snapshot publication; history segments).  They read
+the columns in ``.tolist()`` chunks, so a row holds Python floats, not
+NumPy scalars.  CSV ingest parses blocks of lines into whole columns —
+by array operations when every line of a block has the canonical shape,
+line by line otherwise — and cleaning, PEA and the job counts run as
+whole-day array kernels over the columns.  ``float64`` stores exact
 IEEE doubles, so a round-trip through a batch is bit-for-bit lossless
 and the columnar pipeline's outputs are byte-identical to the row
 path's.
@@ -46,114 +55,89 @@ from repro.trace.record import (
     parse_timestamp_cached,
 )
 
-#: Column typecodes, in field order (ts, lon, lat, speed, state, taxi).
-_FLOAT_TYPECODE = "d"
-_STATE_TYPECODE = "b"
-_TAXI_TYPECODE = "i"
+#: The column names, in the order :class:`RecordBatch` takes them.
+COLUMNS = ("ts", "lon", "lat", "speed", "state", "taxi")
+#: Each column's dtype, in :data:`COLUMNS` order.
+_DTYPES = tuple(
+    np.dtype(name)
+    for name in ("float64", "float64", "float64", "float64", "int8", "intc")
+)
+#: Rows per ``.tolist()`` chunk where rows are built from the columns.
+_ROW_CHUNK = 4096
 
 
 class RecordBatch:
-    """Parallel columns of MDT records with interned taxi ids."""
+    """Parallel read-only columns of MDT records with interned taxi ids.
 
-    __slots__ = (
-        "ts",
-        "lon",
-        "lat",
-        "speed",
-        "state",
-        "taxi",
-        "taxi_table",
-        "_taxi_index",
-        "skipped_lines",
-        "__weakref__",
-    )
+    ``RecordBatch()`` is the empty batch.  Otherwise the batch takes the
+    given columns as they are (see :data:`COLUMNS`), makes them
+    read-only and keeps them: a caller hands its arrays over.  To build
+    a batch row by row or block by block, use :class:`BatchBuilder`.
+    """
 
-    def __init__(self) -> None:
-        self.ts = array(_FLOAT_TYPECODE)
-        self.lon = array(_FLOAT_TYPECODE)
-        self.lat = array(_FLOAT_TYPECODE)
-        self.speed = array(_FLOAT_TYPECODE)
-        self.state = array(_STATE_TYPECODE)
-        self.taxi = array(_TAXI_TYPECODE)
+    __slots__ = COLUMNS + ("taxi_table", "skipped_lines", "__weakref__")
+
+    def __init__(
+        self,
+        ts=(),
+        lon=(),
+        lat=(),
+        speed=(),
+        state=(),
+        taxi=(),
+        taxi_table: Sequence[str] = (),
+        skipped_lines: int = 0,
+    ) -> None:
+        init = object.__setattr__
+        n = len(ts)
+        for name, values, dtype in zip(
+            COLUMNS, (ts, lon, lat, speed, state, taxi), _DTYPES
+        ):
+            column = np.asarray(values, dtype=dtype)
+            if column.ndim != 1 or len(column) != n:
+                raise ValueError(
+                    "columns must be one-dimensional, of equal lengths"
+                )
+            column.setflags(write=False)
+            init(self, name, column)
         #: Interned taxi ids in first-appearance order; ``taxi[i]``
         #: indexes into this table.
-        self.taxi_table: List[str] = []
-        self._taxi_index: Optional[Dict[str, int]] = None
-        self.skipped_lines = 0
-        """Malformed lines dropped by lenient CSV ingestion."""
+        init(self, "taxi_table", tuple(taxi_table))
+        #: Malformed lines dropped by lenient CSV ingestion.
+        init(self, "skipped_lines", int(skipped_lines))
 
-    # -- building -----------------------------------------------------------
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(
+            f"a RecordBatch is immutable: cannot set {name!r}"
+        )
 
-    def _intern(self, taxi_id: str) -> int:
-        index = self._taxi_index
-        if index is None or len(index) != len(self.taxi_table):
-            index = {tid: i for i, tid in enumerate(self.taxi_table)}
-            self._taxi_index = index
-        code = index.get(taxi_id)
-        if code is None:
-            code = len(self.taxi_table)
-            self.taxi_table.append(taxi_id)
-            index[taxi_id] = code
-        return code
+    def __delattr__(self, name) -> None:
+        raise AttributeError(
+            f"a RecordBatch is immutable: cannot delete {name!r}"
+        )
 
-    def append_fields(
-        self,
-        ts: float,
-        taxi_id: str,
-        lon: float,
-        lat: float,
-        speed: float,
-        state_code: int,
-    ) -> None:
-        """Append one row from already-validated scalar fields."""
-        self.ts.append(ts)
-        self.lon.append(lon)
-        self.lat.append(lat)
-        self.speed.append(speed)
-        self.state.append(state_code)
-        self.taxi.append(self._intern(taxi_id))
-
-    def append_row(self, record: MdtRecord) -> None:
-        """Append one :class:`MdtRecord` (the row -> column adapter)."""
-        self.append_fields(
-            record.ts,
-            record.taxi_id,
-            record.lon,
-            record.lat,
-            record.speed,
-            STATE_CODES[record.state],
+    def __reduce__(self):
+        return (
+            RecordBatch,
+            tuple(getattr(self, name) for name in COLUMNS)
+            + (self.taxi_table, self.skipped_lines),
         )
 
     @classmethod
     def from_rows(cls, records: Iterable[MdtRecord]) -> "RecordBatch":
         """Pack an iterable of records into columns."""
-        batch = cls()
+        builder = BatchBuilder()
         for record in records:
-            batch.append_row(record)
-        return batch
+            builder.append_record(record)
+        return builder.build()
 
     @classmethod
     def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
         """Concatenate batches row-wise into a new batch."""
-        out = cls()
+        builder = BatchBuilder()
         for batch in batches:
-            out.extend_batch(batch)
-        return out
-
-    def extend_batch(self, other: "RecordBatch") -> None:
-        """Append every row of ``other`` (re-interning its taxi ids)."""
-        if not other.taxi_table:
-            return
-        remap = array(
-            _TAXI_TYPECODE,
-            (self._intern(tid) for tid in other.taxi_table),
-        )
-        self.ts.extend(other.ts)
-        self.lon.extend(other.lon)
-        self.lat.extend(other.lat)
-        self.speed.extend(other.speed)
-        self.state.extend(other.state)
-        self.taxi.extend(remap[code] for code in other.taxi)
+            builder.extend_batch(batch)
+        return builder.build()
 
     # -- reads --------------------------------------------------------------
 
@@ -168,14 +152,7 @@ class RecordBatch:
     @property
     def nbytes(self) -> int:
         """Raw column payload in bytes (excluding the id table)."""
-        return (
-            self.ts.itemsize * len(self.ts)
-            + self.lon.itemsize * len(self.lon)
-            + self.lat.itemsize * len(self.lat)
-            + self.speed.itemsize * len(self.speed)
-            + self.state.itemsize * len(self.state)
-            + self.taxi.itemsize * len(self.taxi)
-        )
+        return sum(getattr(self, name).nbytes for name in COLUMNS)
 
     @property
     def time_span(self) -> Tuple[float, float]:
@@ -184,7 +161,7 @@ class RecordBatch:
         Raises:
             ValueError: when the batch is empty.
         """
-        if not self.ts:
+        if not len(self.ts):
             raise ValueError("batch is empty")
         return column_extent(self.ts)
 
@@ -192,33 +169,36 @@ class RecordBatch:
         """The taxi id of row ``i``."""
         return self.taxi_table[self.taxi[i]]
 
-    def row(self, i: int) -> MdtRecord:
-        """Materialize row ``i`` as an :class:`MdtRecord`."""
-        return MdtRecord(
-            ts=self.ts[i],
-            taxi_id=self.taxi_table[self.taxi[i]],
-            lon=self.lon[i],
-            lat=self.lat[i],
-            speed=self.speed[i],
-            state=STATES_BY_CODE[self.state[i]],
-        )
-
-    def iter_rows(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[MdtRecord]:
-        """Yield rows ``[start, stop)`` one at a time (the store's row
-        reads)."""
-        table = self.taxi_table
-        states = STATES_BY_CODE
-        for i in range(start, len(self.ts) if stop is None else stop):
-            yield MdtRecord(
-                ts=self.ts[i],
-                taxi_id=table[self.taxi[i]],
-                lon=self.lon[i],
-                lat=self.lat[i],
-                speed=self.speed[i],
-                state=states[self.state[i]],
+    def _row_chunks(self, rows) -> Iterator[Tuple[list, ...]]:
+        """The rows ``rows`` selects (a slice or an index array), in
+        ``.tolist()`` chunks: per chunk, one list per column in
+        :data:`COLUMNS` order."""
+        if isinstance(rows, slice):
+            start, stop, _ = rows.indices(len(self.ts))
+            pieces = (
+                slice(lo, min(lo + _ROW_CHUNK, stop))
+                for lo in range(start, stop, _ROW_CHUNK)
             )
+        else:
+            pieces = (
+                rows[lo:lo + _ROW_CHUNK]
+                for lo in range(0, len(rows), _ROW_CHUNK)
+            )
+        for piece in pieces:
+            yield tuple(
+                getattr(self, name)[piece].tolist() for name in COLUMNS
+            )
+
+    def iter_rows(self, rows=slice(None)) -> Iterator[MdtRecord]:
+        """Yield the rows that ``rows`` selects, one at a time and in
+        that order: a slice of the batch (all rows by default) or an
+        index array, such as the replay feed's ts order."""
+        table, states = self.taxi_table, STATES_BY_CODE
+        for columns in self._row_chunks(rows):
+            for ts, lon, lat, speed, state, taxi in zip(*columns):
+                yield MdtRecord(
+                    ts, table[taxi], lon, lat, speed, states[state]
+                )
 
     def to_rows(self) -> List[MdtRecord]:
         """Materialize every row (the column -> row adapter)."""
@@ -229,20 +209,20 @@ class RecordBatch:
             return NotImplemented
         if len(self) != len(other):
             return False
-        if not (
-            self.ts == other.ts
-            and self.lon == other.lon
-            and self.lat == other.lat
-            and self.speed == other.speed
-            and self.state == other.state
+        if not all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("ts", "lon", "lat", "speed", "state")
         ):
             return False
-        if self.taxi_table == other.taxi_table and self.taxi == other.taxi:
+        if self.taxi_table == other.taxi_table and np.array_equal(
+            self.taxi, other.taxi
+        ):
             return True
-        return all(
-            self.taxi_id_at(i) == other.taxi_id_at(i)
-            for i in range(len(self))
-        )
+        return [self.taxi_table[c] for c in self.taxi.tolist()] == [
+            other.taxi_table[c] for c in other.taxi.tolist()
+        ]
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
@@ -255,15 +235,12 @@ class RecordBatch:
     def take(self, indices: Sequence[int]) -> "RecordBatch":
         """A new batch holding ``rows[i] for i in indices`` in order.
 
-        Each column is gathered straight into its new ``array``, one
-        column at a time.  The new ``taxi_table`` lists the taxis of
-        the taken rows in first-appearance order.
+        Each column is gathered into a new array.  The new
+        ``taxi_table`` lists the taxis of the taken rows in
+        first-appearance order.
         """
         rows = np.asarray(indices, dtype=np.intp)
-        out = RecordBatch()
-        for name in ("ts", "lon", "lat", "speed", "state"):
-            setattr(out, name, _take(getattr(self, name), rows))
-        codes = np.take(column_view(self.taxi), rows)
+        codes = self.taxi[rows]
         # A taxi first appears at the start of one of its runs.
         starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
         present, first = np.unique(
@@ -273,9 +250,15 @@ class RecordBatch:
         appearance = present[np.argsort(first, kind="stable")]
         remap = np.zeros(len(self.taxi_table), dtype=np.intc)
         remap[appearance] = np.arange(len(appearance), dtype=np.intc)
-        out.taxi = _take(remap, codes)
-        out.taxi_table = [self.taxi_table[c] for c in appearance.tolist()]
-        return out
+        return RecordBatch(
+            self.ts[rows],
+            self.lon[rows],
+            self.lat[rows],
+            self.speed[rows],
+            self.state[rows],
+            remap[codes],
+            [self.taxi_table[c] for c in appearance.tolist()],
+        )
 
     def filter_mask(self, mask: Sequence[bool]) -> "RecordBatch":
         """Rows where ``mask`` is true, in order."""
@@ -286,10 +269,10 @@ class RecordBatch:
 
     def argsort_ts(self) -> np.ndarray:
         """Stable row order by timestamp (ties keep input order): the
-        permutation ``sorted(range(n), key=ts)`` gives, as a new int
-        array the caller owns.  Timestamps are finite, so NumPy's
-        stable sort and Python's agree on every tie."""
-        return np.argsort(column_view(self.ts), kind="stable")
+        permutation ``sorted(range(n), key=ts)`` gives.  Timestamps are
+        finite, so NumPy's stable sort and Python's agree on every
+        tie."""
+        return np.argsort(self.ts, kind="stable")
 
     # -- CSV ingest ---------------------------------------------------------
 
@@ -325,28 +308,106 @@ class RecordBatch:
         """
         if on_error not in ("raise", "skip"):
             raise ValueError("on_error must be 'raise' or 'skip'")
-        batch = cls()
+        builder = BatchBuilder()
         midnights: Dict[str, float] = {}
         with open_csv(path) as fh:
             for block in _blocks(fh):
                 columns = _canonical_block(block, midnights)
                 if columns is not None:
-                    batch._extend_columns(*columns)
+                    builder.extend_columns(*columns)
                 else:
                     # The block's lines as the file yields them.
                     lines = io.StringIO(block, newline="\n")
-                    batch._extend_rows(
+                    builder.extend_rows(
                         _parse_csv_lines(lines, on_error, midnights)
                     )
-        return batch
+        return builder.build()
 
-    def _extend_rows(
+    def to_csv(self, path) -> None:
+        """Write the batch as a log CSV in the paper's field order, each
+        row formatted like ``MdtRecord.to_csv_row``."""
+        table, states = self.taxi_table, STATES_BY_CODE
+        with Path(path).open("w", encoding="utf-8") as fh:
+            fh.write(MdtRecord.CSV_HEADER + "\n")
+            for columns in self._row_chunks(slice(None)):
+                for ts, lon, lat, speed, state, taxi in zip(*columns):
+                    fh.write(
+                        f"{format_timestamp(ts)},{table[taxi]},"
+                        f"{lon:.6f},{lat:.6f},{speed:.1f},"
+                        f"{states[state].value}\n"
+                    )
+
+
+class BatchBuilder:
+    """Rows appended one at a time or a block at a time, then built
+    into one :class:`RecordBatch`.
+
+    The one way a batch is assembled from parts: CSV ingest,
+    :meth:`RecordBatch.from_rows` and :meth:`RecordBatch.concat` all
+    append here.  The columns grow as ``array`` buffers, and
+    :meth:`build` hands them to the batch without a copy and leaves the
+    builder empty.
+    """
+
+    __slots__ = COLUMNS + ("_table", "_codes", "skipped_lines")
+
+    def __init__(self) -> None:
+        self._start()
+
+    def _start(self) -> None:
+        self.ts = array("d")
+        self.lon = array("d")
+        self.lat = array("d")
+        self.speed = array("d")
+        self.state = array("b")
+        self.taxi = array("i")
+        self._table: List[str] = []
+        self._codes: Dict[str, int] = {}
+        self.skipped_lines = 0
+        """Malformed lines counted so far (see :meth:`extend_rows`)."""
+
+    def _intern(self, taxi_id: str) -> int:
+        code = self._codes.get(taxi_id)
+        if code is None:
+            code = self._codes[taxi_id] = len(self._table)
+            self._table.append(taxi_id)
+        return code
+
+    def append(
+        self,
+        ts: float,
+        taxi_id: str,
+        lon: float,
+        lat: float,
+        speed: float,
+        state_code: int,
+    ) -> None:
+        """Append one row from already-validated scalar fields."""
+        self.ts.append(ts)
+        self.lon.append(lon)
+        self.lat.append(lat)
+        self.speed.append(speed)
+        self.state.append(state_code)
+        self.taxi.append(self._intern(taxi_id))
+
+    def append_record(self, record: MdtRecord) -> None:
+        """Append one :class:`MdtRecord` (the row -> column adapter)."""
+        self.append(
+            record.ts,
+            record.taxi_id,
+            record.lon,
+            record.lat,
+            record.speed,
+            STATE_CODES[record.state],
+        )
+
+    def extend_rows(
         self, rows: Iterable[Optional[Tuple[float, str, float, float, float, int]]]
     ) -> None:
-        """Append ``append_fields`` tuples, counting each None as a
-        skipped line.  The lookups ``append_fields`` makes per row are
-        made once here, which pays for the rejected block parse before
-        a fallback."""
+        """Append :meth:`append` tuples, counting each None as a skipped
+        line.  The lookups :meth:`append` makes per row are made once
+        here, which pays for the rejected block parse before a
+        fallback."""
         ts, lon, lat = self.ts.append, self.lon.append, self.lat.append
         speed, state, taxi = self.speed.append, self.state.append, self.taxi.append
         codes: Dict[str, int] = {}
@@ -364,7 +425,7 @@ class RecordBatch:
             speed(row[4])
             state(row[5])
 
-    def _extend_columns(self, ts, lon, lat, speed, state, ids, which) -> None:
+    def extend_columns(self, ts, lon, lat, speed, state, ids, which) -> None:
         """Append a parsed block: float64/int8 column arrays, its taxi
         ids in first-appearance order, and each row's index into them."""
         codes = np.array([self._intern(tid) for tid in ids], dtype=np.intc)
@@ -375,44 +436,35 @@ class RecordBatch:
         self.state.frombytes(state.tobytes())
         self.taxi.frombytes(codes[which].tobytes())
 
-    def to_csv(self, path) -> None:
-        """Write the batch as a log CSV in the paper's field order, one
-        row at a time, each formatted like ``MdtRecord.to_csv_row``."""
-        table = self.taxi_table
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(MdtRecord.CSV_HEADER + "\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{format_timestamp(self.ts[i])},{table[self.taxi[i]]},"
-                    f"{self.lon[i]:.6f},{self.lat[i]:.6f},{self.speed[i]:.1f},"
-                    f"{STATES_BY_CODE[self.state[i]].value}\n"
-                )
+    def extend_batch(self, batch: RecordBatch) -> None:
+        """Append every row of ``batch`` (re-interning its taxi ids)."""
+        if not len(batch):
+            return
+        self.extend_columns(
+            batch.ts, batch.lon, batch.lat, batch.speed, batch.state,
+            batch.taxi_table, batch.taxi,
+        )
+
+    def build(self) -> RecordBatch:
+        """The rows appended so far as a batch; the builder starts over
+        empty."""
+        batch = RecordBatch(
+            *(
+                np.frombuffer(getattr(self, name), dtype=dtype)
+                for name, dtype in zip(COLUMNS, _DTYPES)
+            ),
+            taxi_table=self._table,
+            skipped_lines=self.skipped_lines,
+        )
+        self._start()
+        return batch
 
 
-def column_view(column: array) -> np.ndarray:
-    """A zero-copy NumPy view of an ``array`` column (same dtype).
-
-    While a view is alive its column cannot grow: ``array.append``
-    raises ``BufferError``.  So no view may outlive the call that made
-    it; keep views in locals and never return or store one.
-    """
-    return np.frombuffer(column, dtype=column.typecode)
-
-
-def column_extent(column: array) -> Tuple[float, float]:
-    """``(min, max)`` of a non-empty column: the first minimal and the
-    first maximal element, as Python's ``min`` and ``max`` pick them."""
-    values = column_view(column)
-    return column[int(values.argmin())], column[int(values.argmax())]
-
-
-def _take(column, rows: np.ndarray) -> array:
-    """``column[rows]`` (an ``array`` column or an ndarray) as a new
-    ``array``, written into it in place."""
-    values = column_view(column) if isinstance(column, array) else column
-    out = array(values.dtype.char, [0]) * len(rows)
-    np.take(values, rows, out=column_view(out))
-    return out
+def column_extent(values: np.ndarray) -> Tuple[float, float]:
+    """``(min, max)`` of a non-empty column as Python floats: the first
+    minimal and the first maximal element, as Python's ``min`` and
+    ``max`` pick them."""
+    return values.item(int(values.argmin())), values.item(int(values.argmax()))
 
 
 #: Characters per ingest block: ~4.5k lines of a canonical log, for

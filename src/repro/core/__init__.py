@@ -22,7 +22,12 @@ from repro.core.pea import (
     PeaStats,
     PickupEvent,
 )
-from repro.core.wte import WaitEvent, extract_wait_event, extract_wait_times
+from repro.core.wte import (
+    WaitEvent,
+    extract_wait_event,
+    extract_wait_events,
+    extract_wait_times,
+)
 from repro.core.features import AmplificationPolicy, compute_slot_features
 from repro.core.thresholds import (
     QcdThresholds,
@@ -44,7 +49,12 @@ from repro.core.spots import (
     pickup_centroids,
     assign_events_to_spots,
 )
-from repro.core.engine import EngineConfig, QueueAnalyticEngine, SpotAnalysis
+from repro.core.engine import (
+    CleanedDay,
+    EngineConfig,
+    QueueAnalyticEngine,
+    SpotAnalysis,
+)
 from repro.core.deployment import DailyLog, DeploymentScheduler
 from repro.core.reports import (
     LabelSpan,
@@ -66,6 +76,7 @@ __all__ = [
     "PickupEvent",
     "WaitEvent",
     "extract_wait_event",
+    "extract_wait_events",
     "extract_wait_times",
     "AmplificationPolicy",
     "compute_slot_features",
@@ -85,6 +96,7 @@ __all__ = [
     "detect_from_centroids",
     "pickup_centroids",
     "assign_events_to_spots",
+    "CleanedDay",
     "EngineConfig",
     "QueueAnalyticEngine",
     "SpotAnalysis",

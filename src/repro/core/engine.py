@@ -14,12 +14,15 @@ The engine is substrate-agnostic: it consumes any
 from CSV, or a :class:`~repro.columnar.RecordBatch` parsed straight
 from CSV.  Either way both tiers run on cleaned batch columns, and a
 tier 2 over the very input tier 1 ran on reuses tier 1's cleaned rows.
+A caller that holds the raw day can clean it first
+(:meth:`QueueAnalyticEngine.clean`), let the raw day go, and hand both
+tiers the :class:`CleanedDay`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.columnar import RecordBatch
 from repro.core.features import AmplificationPolicy, compute_slot_features
@@ -47,6 +50,24 @@ from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
 from repro.trace.cleaning import CleaningReport, clean_batch
 from repro.trace.log_store import MdtLogStore
+
+
+@dataclass(frozen=True, eq=False)
+class CleanedDay:
+    """A day after its one cleaning pass (:meth:`QueueAnalyticEngine.clean`).
+
+    Both tiers take it in place of the raw day and do not clean it
+    again, so a caller can keep this and let the raw day go.  It holds
+    the cleaned rows and the facts about the raw day that are reported
+    after the run.
+    """
+
+    rows: RecordBatch
+    """The surviving rows, in canonical order."""
+    raw_span: Optional[Tuple[float, float]]
+    """``(min_ts, max_ts)`` of the raw day; None when it had no record."""
+    skipped_lines: int
+    """Malformed CSV lines dropped before the raw day was built."""
 
 
 @dataclass
@@ -178,6 +199,29 @@ class QueueAnalyticEngine:
 
     # -- shared -----------------------------------------------------------------
 
+    def clean(self, data) -> CleanedDay:
+        """Section-6.1.1 cleaning of a raw day (a store or a batch), in
+        one pass over its columns, traced as ``stage.clean``.
+
+        The report lands in :attr:`last_cleaning_report`.  Cleaning is
+        not idempotent, so the result is a :class:`CleanedDay`, which
+        both tiers take as it is.
+        """
+        batch = _as_batch(data)
+        with self.tracer.span("stage.clean") as span:
+            cleaned, report = clean_batch(
+                batch,
+                city_bbox=self.city_bbox,
+                inaccessible=self.inaccessible,
+            )
+            span.set(records=report.total_in, removed=report.total_removed)
+        self.last_cleaning_report = report
+        return CleanedDay(
+            rows=cleaned,
+            raw_span=batch.time_span if len(batch) else None,
+            skipped_lines=batch.skipped_lines,
+        )
+
     def preprocess(self, store: MdtLogStore) -> MdtLogStore:
         """Section-6.1.1 cleaning of a store, for row consumers.
 
@@ -186,9 +230,9 @@ class QueueAnalyticEngine:
         within each taxi.  Both tiers clean their own input, and
         cleaning is not idempotent, so the result must not be passed
         back into :meth:`detect_spots` or :meth:`disambiguate`: give
-        them the raw day.
+        them the raw day, or the :class:`CleanedDay` of :meth:`clean`.
         """
-        return MdtLogStore.from_batch(self._clean(_as_batch(store)))
+        return MdtLogStore.from_batch(self.clean(store).rows)
 
     @property
     def amplification(self) -> AmplificationPolicy:
@@ -200,17 +244,18 @@ class QueueAnalyticEngine:
     def detect_spots(self, data) -> SpotDetectionResult:
         """Run the queue spot detection tier on a (long-term) dataset.
 
-        Accepts an :class:`MdtLogStore` or a
-        :class:`~repro.columnar.RecordBatch`; either way the tier runs
-        on the columnar data plane — cleaning and PEA as whole-day
-        array passes, pickup events as column tuples — and builds no
-        row.  Outputs are byte-identical to the historical
+        Accepts an :class:`MdtLogStore`, a
+        :class:`~repro.columnar.RecordBatch` or a :class:`CleanedDay`
+        (which is not cleaned again); either way the tier runs on the
+        columnar data plane — cleaning and PEA as whole-day array
+        passes, pickup events as row ranges of the cleaned day — and
+        builds no row.  Outputs are byte-identical to the historical
         row-at-a-time path (pinned by the conformance matrix and the
         golden fixture).  The result keeps the cleaned batch, so
         :meth:`disambiguate` over the same ``data`` does not clean it
         again.
         """
-        cleaned = self._clean(_as_batch(data))
+        cleaned = self._cleaned(data)
         with self.tracer.span("stage.pea") as span:
             events = self._pickup_events(cleaned)
             centroids = pickup_centroids(events)
@@ -226,17 +271,12 @@ class QueueAnalyticEngine:
         detection.keep_cleaned(data, cleaned)
         return detection
 
-    def _clean(self, batch: RecordBatch) -> RecordBatch:
-        """Section-6.1.1 cleaning over columns, traced as ``stage.clean``."""
-        with self.tracer.span("stage.clean") as span:
-            cleaned, report = clean_batch(
-                batch,
-                city_bbox=self.city_bbox,
-                inaccessible=self.inaccessible,
-            )
-            span.set(records=report.total_in, removed=report.total_removed)
-        self.last_cleaning_report = report
-        return cleaned
+    def _cleaned(self, data) -> RecordBatch:
+        """The cleaned rows of ``data``: a :class:`CleanedDay`'s own, or
+        a raw day's after :meth:`clean`."""
+        if isinstance(data, CleanedDay):
+            return data.rows
+        return self.clean(data).rows
 
     def _pickup_events(self, cleaned: RecordBatch) -> List[PickupEvent]:
         events, _ = extract_pickup_events_batch(
@@ -257,8 +297,9 @@ class QueueAnalyticEngine:
 
         Args:
             data: the short-term dataset (typically one day), as an
-                :class:`MdtLogStore` or a
-                :class:`~repro.columnar.RecordBatch`.
+                :class:`MdtLogStore`, a
+                :class:`~repro.columnar.RecordBatch` or a
+                :class:`CleanedDay`.
             detection: tier-1 output (spots + pickup events).  When
                 tier 1 ran on ``data`` itself
                 (:meth:`SpotDetectionResult.cleaned_for`), its cleaned
@@ -281,7 +322,7 @@ class QueueAnalyticEngine:
             centroids = detection.centroids_lonlat
         else:
             if cleaned is None:
-                cleaned = self._clean(_as_batch(data))
+                cleaned = self._cleaned(data)
             events, centroids = self._pickup_events(cleaned), None
         if grid is None:
             lo, hi = cleaned.time_span

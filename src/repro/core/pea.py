@@ -23,10 +23,12 @@ Two implementations apply the constraints:
 :func:`extract_pickup_events_batch` finds every candidate of a day at
 once with array passes over its columns (the batch engine), and
 :class:`~repro.stream.pea_stream.StreamingPea` is fed one record at a
-time (the live monitor).  Both emit :class:`PickupEvent`; the stream
-calls :func:`candidate_rejection`, and the batch kernel applies the
-same three rules to the first and last state of each candidate and to
-a count of its state changes.
+time (the live monitor).  Both emit :class:`PickupEvent`, a row range
+of a batch: the kernel's events are ranges of the cleaned day, the
+stream's are its candidate rows packed into a batch of their own.  The
+stream calls :func:`candidate_rejection`, and the batch kernel applies
+the same three rules to the first and last state of each candidate and
+to a count of its state changes.
 
 Two deliberate clarifications of the published pseudocode, documented in
 DESIGN.md: the candidate state is fully reset after a keep decision (the
@@ -38,19 +40,16 @@ same constraints (the paper leaves end-of-input unspecified).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.columnar import RecordBatch
-from repro.columnar.batch import column_view
 from repro.states.states import (
     NON_OPERATIONAL_STATES,
     OCCUPIED_CODES,
     OCCUPIED_STATES,
     STATE_CODES,
-    STATES_BY_CODE,
     TaxiState,
     UNOCCUPIED_CODES,
     UNOCCUPIED_STATES,
@@ -69,10 +68,6 @@ _OPERATIONAL = ~code_mask(NON_OPERATIONAL_STATES)
 _OCCUPIED = code_mask(OCCUPIED_STATES)
 _UNOCCUPIED = code_mask(UNOCCUPIED_STATES)
 
-#: Events whose fields are sliced together: the column tuples of one
-#: chunk are alive at a time.
-_EVENT_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class PeaStats:
@@ -85,81 +80,122 @@ class PeaStats:
     rejected_no_transition: int = 0
 
 
-@dataclass(frozen=True)
 class PickupEvent:
-    """A slow pickup event: one taxi's kept candidate, as column tuples.
+    """A slow pickup event: one taxi's kept candidate, as the row range
+    ``[lo, hi)`` of ``day``.
 
-    One tuple per record field, each in time order: the PEA kernel
-    slices them from whole-chunk column tuples, and
-    :meth:`from_records` packs the rows the stream and the oracle
-    collect.  Events hash and compare over these tuples.  WTE reads
-    ``ts`` and ``state``; :meth:`centroid` is the event's central GPS
-    location (section 4.3).  :attr:`records` and iteration build the
-    rows on demand.
+    ``day`` is a :class:`~repro.columnar.RecordBatch` in canonical order
+    (the cleaned day, for the PEA kernel), so the range holds the
+    taxi's rows in time order.  A batch never changes, so the range's
+    fields — ``ts``, ``lon``, ``lat``, ``speed`` and the ``state`` codes
+    — are views of its columns that stay valid for as long as the event
+    is held.  WTE reads ``ts`` and ``state``
+    (:func:`~repro.core.wte.extract_wait_times`);
+    :func:`~repro.core.spots.pickup_centroids` gives the central GPS
+    location (section 4.3).  Events compare and hash by taxi and field
+    values.  A pickled event carries only its own rows.
     """
 
-    taxi_id: str
-    ts: Tuple[float, ...]
-    lon: Tuple[float, ...]
-    lat: Tuple[float, ...]
-    speed: Tuple[float, ...]
-    state: Tuple[TaxiState, ...]
+    __slots__ = ("taxi_id", "day", "lo", "hi")
+
+    def __init__(self, taxi_id: str, day: RecordBatch, lo: int, hi: int):
+        self.taxi_id = taxi_id
+        self.day = day
+        self.lo = lo
+        self.hi = hi
 
     @classmethod
     def from_records(
         cls, taxi_id: str, records: Iterable[MdtRecord]
     ) -> "PickupEvent":
-        """The event of one taxi's own records, in time order."""
-        rows = tuple(records)
-        return cls(
-            taxi_id,
-            tuple(r.ts for r in rows),
-            tuple(r.lon for r in rows),
-            tuple(r.lat for r in rows),
-            tuple(r.speed for r in rows),
-            tuple(r.state for r in rows),
-        )
+        """The event of one taxi's own records, in time order: the whole
+        of a batch packed from them."""
+        day = RecordBatch.from_rows(records)
+        return cls(taxi_id, day, 0, len(day))
 
     @property
-    def records(self) -> Tuple[MdtRecord, ...]:
-        """The event's records, built from the columns."""
-        return tuple(
-            map(
-                MdtRecord,
-                self.ts,
-                repeat(self.taxi_id),
-                self.lon,
-                self.lat,
-                self.speed,
-                self.state,
-            )
-        )
+    def ts(self) -> np.ndarray:
+        return self.day.ts[self.lo:self.hi]
 
-    def __iter__(self) -> Iterator[MdtRecord]:
-        return iter(self.records)
+    @property
+    def lon(self) -> np.ndarray:
+        return self.day.lon[self.lo:self.hi]
+
+    @property
+    def lat(self) -> np.ndarray:
+        return self.day.lat[self.lo:self.hi]
+
+    @property
+    def speed(self) -> np.ndarray:
+        return self.day.speed[self.lo:self.hi]
+
+    @property
+    def state(self) -> np.ndarray:
+        """State codes (see :data:`~repro.states.states.STATES_BY_CODE`)."""
+        return self.day.state[self.lo:self.hi]
 
     def __len__(self) -> int:
-        return len(self.ts)
+        return self.hi - self.lo
 
-    @property
-    def first(self) -> MdtRecord:
-        return self.records[0]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PickupEvent):
+            return NotImplemented
+        return self.taxi_id == other.taxi_id and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("ts", "lon", "lat", "speed", "state")
+        )
 
-    @property
-    def last(self) -> MdtRecord:
-        return self.records[-1]
+    def __hash__(self) -> int:
+        return hash((self.taxi_id, tuple(self.ts.tolist())))
 
-    def states(self) -> List[TaxiState]:
-        return list(self.state)
+    def __reduce__(self):
+        own = self.day.take(np.arange(self.lo, self.hi))
+        return (PickupEvent, (self.taxi_id, own, 0, len(own)))
 
-    def centroid(self) -> Tuple[float, float]:
-        """The mean of lon and lat over the event's records.
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        return f"PickupEvent({self.taxi_id!r}, rows {self.lo}..{self.hi})"
 
-        Python's ``sum`` over the tuples in time order, so the batch
-        engine and the stream get the same bits for one event.
-        """
-        n = len(self.ts)
-        return sum(self.lon) / n, sum(self.lat) / n
+
+def event_columns(
+    events: Sequence[PickupEvent], names: Sequence[str]
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The named columns over every event's rows, event after event
+    (``events`` must not be empty).
+
+    Events of one day are gathered together, and the rows of a single
+    event are a slice of its day's columns, not a copy.
+
+    Returns:
+        ``(columns, bounds)``: one array per name holding the events'
+        rows back to back, and the ``len(events) + 1`` offsets where
+        each event's rows start (the last is the total).
+    """
+    sizes = np.fromiter(
+        (event.hi - event.lo for event in events), np.intp, len(events)
+    )
+    bounds = np.zeros(len(events) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    parts: List[List[np.ndarray]] = [[] for _ in names]
+    k = 0
+    while k < len(events):
+        day = events[k].day
+        j = k + 1
+        while j < len(events) and events[j].day is day:
+            j += 1
+        if j == k + 1:
+            rows = slice(events[k].lo, events[k].hi)
+        else:
+            lo = np.fromiter((e.lo for e in events[k:j]), np.intp, j - k)
+            # Each event's rows: its lo, then one step per row.
+            rows = np.arange(bounds[j] - bounds[k]) + np.repeat(
+                lo - (bounds[k:j] - bounds[k]), sizes[k:j]
+            )
+        for part, name in zip(parts, names):
+            part.append(getattr(day, name)[rows])
+        k = j
+    return [
+        part[0] if len(part) == 1 else np.concatenate(part) for part in parts
+    ], bounds
 
 
 def candidate_rejection(codes: Sequence[int]) -> Optional[str]:
@@ -201,9 +237,10 @@ def extract_pickup_events_batch(
       row is judged by the section-4.2 rules, where "no transition"
       means no state change inside the run.
 
-    The kept events' fields are sliced from column tuples, one chunk of
-    events at a time; no record is built.  Events and
-    :class:`PeaStats` equal those of the
+    Each kept event is a row range of the day in canonical order: of
+    ``batch`` itself when it is in that order (the cleaned day always
+    is), else of a canonical copy made once.  No record is built and no
+    field is copied.  Events and :class:`PeaStats` equal those of the
     conformance oracle's row reference over each taxi's rows in
     canonical order (:func:`repro.conformance.oracles.row_pickup_events`;
     pinned by property tests and the conformance matrix).
@@ -257,41 +294,12 @@ def extract_pickup_events_batch(
         start, end = start[kept], end[kept]
     else:
         stats = PeaStats(candidates=len(start), kept=len(start))
-    ids = [batch.taxi_table[code] for code in taxi[start].tolist()]
+    table = batch.taxi_table
+    ids = [table[code] for code in taxi[start].tolist()]
     del taxi
-    events: List[PickupEvent] = []
-    for lo in range(0, len(start), _EVENT_CHUNK):
-        hi = lo + _EVENT_CHUNK
-        events.extend(
-            _events(batch, order, ids[lo:hi], start[lo:hi], end[lo:hi])
-        )
+    day = batch if order is None else batch.take(order)
+    events = [
+        PickupEvent(taxi_id, day, lo, hi)
+        for taxi_id, lo, hi in zip(ids, start.tolist(), (end + 1).tolist())
+    ]
     return events, stats
-
-
-def _events(
-    batch: RecordBatch,
-    order: Optional[np.ndarray],
-    ids: List[str],
-    start: np.ndarray,
-    end: np.ndarray,
-) -> Iterator[PickupEvent]:
-    """The events of the canonical row spans ``[start, end]``, each
-    field a slice of one column tuple."""
-    sizes = end - start + 1
-    offsets = np.cumsum(sizes)
-    rows = np.arange(offsets[-1]) + np.repeat(start - offsets + sizes, sizes)
-    if order is not None:
-        rows = order[rows]
-    ts, lon, lat, speed = (
-        tuple(column_view(column)[rows].tolist())
-        for column in (batch.ts, batch.lon, batch.lat, batch.speed)
-    )
-    codes = column_view(batch.state)[rows].tolist()
-    state = tuple(map(STATES_BY_CODE.__getitem__, codes))
-    stop = 0
-    for taxi_id, size in zip(ids, sizes.tolist()):
-        lo, stop = stop, stop + size
-        yield PickupEvent(
-            taxi_id, ts[lo:stop], lon[lo:stop], lat[lo:stop],
-            speed[lo:stop], state[lo:stop],
-        )

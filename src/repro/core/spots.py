@@ -21,7 +21,7 @@ from repro.cluster.centroids import cluster_centroids
 from repro.cluster.dbscan import dbscan
 from repro.cluster.neighbors import NeighborsFactory
 from repro.columnar import RecordBatch
-from repro.core.pea import PickupEvent
+from repro.core.pea import PickupEvent, event_columns
 from repro.core.types import QueueSpot
 from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
@@ -56,26 +56,28 @@ class SpotDetectionResult:
     per_zone_counts: Dict[str, int] = field(default_factory=dict)
     """Detected spots per zone (paper Fig. 8)."""
 
-    _cleaned: Optional[Tuple[weakref.ref, int, RecordBatch]] = field(
+    _cleaned: Optional[Tuple[weakref.ref, RecordBatch]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def keep_cleaned(self, source, cleaned: RecordBatch) -> None:
         """Keep tier 1's cleaned rows for a tier 2 over ``source``.
 
-        ``source`` is the store or batch tier 1 ran on; it is held
-        weakly, so a detection kept around never pins its input.
+        ``source`` is what tier 1 ran on: a store, a batch or a
+        :class:`~repro.core.engine.CleanedDay`.  It is held weakly, so
+        a detection kept around never pins its input.
         """
-        self._cleaned = (weakref.ref(source), len(source), cleaned)
+        self._cleaned = (weakref.ref(source), cleaned)
 
     def cleaned_for(self, data) -> Optional[RecordBatch]:
         """Tier 1's cleaned rows when ``data`` is the very object tier 1
-        ran on, at the same length; None for any other input (another
-        day must be cleaned on its own)."""
+        ran on; None for any other input (another day must be cleaned
+        on its own).  Stores and batches never change, so the same
+        object is the same day."""
         if self._cleaned is None:
             return None
-        source, length, cleaned = self._cleaned
-        if data is not None and source() is data and len(data) == length:
+        source, cleaned = self._cleaned
+        if data is not None and source() is data:
             return cleaned
         return None
 
@@ -88,10 +90,25 @@ class SpotDetectionResult:
 
 
 def pickup_centroids(events: Sequence[PickupEvent]) -> np.ndarray:
-    """The central GPS location of every pickup event, ``(n, 2)`` lon/lat."""
+    """The central GPS location of every pickup event, ``(n, 2)`` lon/lat.
+
+    The one centroid function, for tier 1, W(r) and the stream: the
+    mean of each event's lon and of its lat, each summed by Python's
+    ``sum`` over the event's values in time order.  NumPy sums
+    pairwise and Python 3.12's ``sum`` is compensated, so a different
+    summation would move centroids in the last bit.
+    """
     if not events:
         return np.empty((0, 2), dtype=np.float64)
-    return np.asarray([e.centroid() for e in events], dtype=np.float64)
+    (lon, lat), bounds = event_columns(events, ("lon", "lat"))
+    lon, lat, bounds = lon.tolist(), lat.tolist(), bounds.tolist()
+    return np.array(
+        [
+            (sum(lon[a:b]) / (b - a), sum(lat[a:b]) / (b - a))
+            for a, b in zip(bounds, bounds[1:])
+        ],
+        dtype=np.float64,
+    )
 
 
 def cluster_zone(

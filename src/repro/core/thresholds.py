@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.columnar import RecordBatch
-from repro.columnar.batch import column_view
 from repro.core.wte import WaitEvent
 from repro.geo.zones import ZonePartition
 from repro.states.states import (
@@ -301,9 +300,7 @@ def _home_zones(
     rows = np.repeat(starts, votes) + np.repeat(step, votes) * ordinal
     if order is not None:
         rows = order[rows]
-    zone = zones.classify_or_nearest_array(
-        column_view(batch.lon)[rows], column_view(batch.lat)[rows]
-    )
+    zone = zones.classify_or_nearest_array(batch.lon[rows], batch.lat[rows])
     # Tally per (taxi, zone); each pair's first vote breaks ties.
     pair = np.repeat(np.arange(len(starts)), votes) * len(zones) + zone
     tally = np.bincount(pair, minlength=len(starts) * len(zones))

@@ -59,6 +59,11 @@ SPAN_SCHEMA = {
 }
 
 
+#: Span attributes with a fixed meaning: the process's peak and
+#: current resident set size in MB (see :mod:`repro.obs.tracer`).
+MEMORY_ATTRS = ("hwm_mb", "rss_mb")
+
+
 def validate_span(obj: object) -> List[str]:
     """Check one decoded JSONL line against :data:`SPAN_SCHEMA`.
 
@@ -95,6 +100,16 @@ def validate_span(obj: object) -> List[str]:
                 errors.append(f"{key} must be non-negative")
     if "attrs" in obj and not isinstance(obj["attrs"], dict):
         errors.append("attrs must be an object")
+    elif "attrs" in obj:
+        # The memory a stage or pipeline span records as it closes.
+        for key in MEMORY_ATTRS:
+            value = obj["attrs"].get(key)
+            if key in obj["attrs"] and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or value < 0
+            ):
+                errors.append(f"attrs.{key} must be a non-negative number")
     return errors
 
 

@@ -1,9 +1,11 @@
 """Per-stage digests of a trace file (``taxiqueue trace summarize``).
 
-Groups spans by name and reports count, p50/p95/max latency and — for
-spans carrying a ``records`` attribute — record throughput, answering
-the question the tracing layer exists for: *where does a record batch
-spend its time between ingest and snapshot publish?*
+Groups spans by name and reports count, p50/p95/max latency, — for
+spans carrying a ``records`` attribute — record throughput, and — for
+spans carrying ``hwm_mb`` — the process's peak memory as they closed,
+answering the question the tracing layer exists for: *where does a
+record batch spend its time and memory between ingest and snapshot
+publish?*
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ def summarize_spans(spans: Sequence[dict]) -> Dict[str, dict]:
 
     Returns:
         ``name -> {count, total_s, p50_s, p95_s, max_s, records,
-        records_per_s}`` ordered by descending total time.  ``records``
-        and ``records_per_s`` are None for stages whose spans carry no
-        ``records`` attribute.
+        records_per_s, hwm_mb}`` ordered by descending total time.
+        ``records`` and ``records_per_s`` are None for stages whose
+        spans carry no ``records`` attribute; ``hwm_mb`` is the largest
+        ``hwm_mb`` attribute of the stage's spans, None without one.
     """
     by_name: Dict[str, List[dict]] = {}
     for span in spans:
@@ -54,11 +57,16 @@ def summarize_spans(spans: Sequence[dict]) -> Dict[str, dict]:
         total = sum(durations)
         records = 0
         counted = False
+        hwm = None
         for span in group:
-            value = span.get("attrs", {}).get("records")
+            attrs = span.get("attrs", {})
+            value = attrs.get("records")
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 records += int(value)
                 counted = True
+            value = attrs.get("hwm_mb")
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                hwm = value if hwm is None else max(hwm, value)
         stages[name] = {
             "count": len(group),
             "total_s": total,
@@ -69,6 +77,7 @@ def summarize_spans(spans: Sequence[dict]) -> Dict[str, dict]:
             "records_per_s": (
                 records / total if counted and total > 0 else None
             ),
+            "hwm_mb": hwm,
         }
     return dict(
         sorted(stages.items(), key=lambda item: -item[1]["total_s"])
@@ -89,7 +98,7 @@ def format_summary(stages: Dict[str, dict]) -> str:
     width = max(width, len("stage"))
     header = (
         f"{'stage':<{width}}  {'count':>6}  {'total':>9}  {'p50':>9}  "
-        f"{'p95':>9}  {'max':>9}  {'throughput':>14}"
+        f"{'p95':>9}  {'max':>9}  {'throughput':>14}  {'hwm':>9}"
     )
     lines = [header, "-" * len(header)]
     for name, stats in stages.items():
@@ -97,10 +106,12 @@ def format_summary(stages: Dict[str, dict]) -> str:
             throughput = f"{stats['records_per_s']:10.0f} r/s"
         else:
             throughput = f"{'-':>14}"
+        hwm = stats.get("hwm_mb")
+        memory = f"{'-':>9}" if hwm is None else f"{hwm:6.1f} MB"
         lines.append(
             f"{name:<{width}}  {stats['count']:>6}  "
             f"{_cell(stats['total_s'])}  {_cell(stats['p50_s'])}  "
             f"{_cell(stats['p95_s'])}  {_cell(stats['max_s'])}  "
-            f"{throughput}"
+            f"{throughput}  {memory}"
         )
     return "\n".join(lines)

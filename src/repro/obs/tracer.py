@@ -29,6 +29,13 @@ orphaned fragments.
 Stages timed outside the tracer (the streaming replayer aggregates its
 per-window stage times itself) are recorded as plain :func:`worker_span`
 dicts and emitted as one finished trace with :meth:`Tracer.emit_window`.
+
+Memory: a ``stage.*`` span, or a ``pipeline.*`` root, that the tracer
+times records the process's peak and current resident set size as it
+closes (``hwm_mb`` and ``rss_mb``, from :data:`STATUS_PATH`).  The
+peak only grows, so the ``hwm_mb`` of consecutive stages shows which
+stage raised it.  Where the file does not exist the attributes are
+left out.
 """
 
 from __future__ import annotations
@@ -36,6 +43,32 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any, Dict, Optional, Sequence
+
+
+#: The process's own status file (Linux), read for ``VmHWM``/``VmRSS``.
+STATUS_PATH = "/proc/self/status"
+#: Spans that record memory as they close: the stages and the roots of
+#: the batch pipeline and the serve bootstrap.
+MEMORY_SPANS = ("stage.", "pipeline.")
+
+
+def memory_mb() -> Dict[str, float]:
+    """``{"hwm_mb": ..., "rss_mb": ...}``: this process's peak and
+    current resident set size in MB (``VmHWM`` and ``VmRSS`` of
+    :data:`STATUS_PATH`), or ``{}`` where that file cannot be read."""
+    try:
+        with open(STATUS_PATH, "rb") as fh:
+            status = fh.read()
+    except OSError:
+        return {}
+    memory: Dict[str, float] = {}
+    for key, field in (("hwm_mb", b"\nVmHWM:"), ("rss_mb", b"\nVmRSS:")):
+        at = status.find(field)
+        if at >= 0:
+            # "VmHWM:\t   61234 kB"
+            kib = status[at + len(field):status.find(b"kB", at)]
+            memory[key] = round(int(kib) / 1024.0, 1)
+    return memory
 
 
 def worker_span(
@@ -100,6 +133,8 @@ class Span:
 
     def __exit__(self, *exc) -> bool:
         self.duration_s = time.perf_counter() - self._start_perf
+        if self.name.startswith(MEMORY_SPANS):
+            self.attrs.update(memory_mb())
         self._tracer._finish(self)
         return False
 

@@ -353,8 +353,9 @@ class QueueService:
         ) as root:
             with tracer.span("stage.ingest", mode="store") as span:
                 span.set(records=len(data))
-            detection = engine.detect_spots(data)
-            cleaned = detection.cleaned_for(data)
+            day = engine.clean(data)
+            detection = engine.detect_spots(day)
+            cleaned = day.rows
             if len(cleaned) == 0:
                 raise EmptyDayError("no records left to replay after cleaning")
             if grid is None:
@@ -362,7 +363,7 @@ class QueueService:
                 grid = TimeSlotGrid.covering(
                     lo, hi, engine.config.slot_seconds
                 )
-            analyses = engine.disambiguate(data, detection, grid)
+            analyses = engine.disambiguate(day, detection, grid)
             boot = make_bootstrap(
                 engine, detection, analyses, grid, grace_s=config.grace_s
             )

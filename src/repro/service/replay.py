@@ -53,7 +53,6 @@ from typing import (
 
 from repro.columnar import RecordBatch
 from repro.service.metrics import MetricsRegistry
-from repro.states.states import STATES_BY_CODE
 from repro.stream.monitor import StreamingQueueMonitor
 from repro.trace.record import MdtRecord
 
@@ -71,12 +70,13 @@ MAX_SLEEP_S = 5.0
 class ReplayFeed:
     """A day's rows in replay order, each built when it is pulled.
 
-    Holds the day's batch and a row permutation it owns, no rows and no
-    NumPy view of a column.  ``len()`` is the row count, and every
-    ``iter()`` replays the rows from the first (``warm()`` then
-    ``start()`` replay it twice, and a restored replay fast-forwards
-    through the same order).  It is not a ``Sequence``, so
-    :class:`StreamReplayer` takes it as it is.
+    Holds the day's batch and the ts-order permutation, no rows.
+    ``len()`` is the row count, and every ``iter()`` replays the rows
+    from the first (``warm()`` then ``start()`` replay it twice, and a
+    restored replay fast-forwards through the same order).  Rows come
+    from ``.tolist()`` chunks of the columns
+    (:meth:`RecordBatch.iter_rows`), so they hold Python values.  It is
+    not a ``Sequence``, so :class:`StreamReplayer` takes it as it is.
     """
 
     __slots__ = ("_batch", "_order")
@@ -89,15 +89,7 @@ class ReplayFeed:
         return len(self._order)
 
     def __iter__(self) -> Iterator[MdtRecord]:
-        batch = self._batch
-        ts, lon, lat, speed = batch.ts, batch.lon, batch.lat, batch.speed
-        state, taxi, table = batch.state, batch.taxi, batch.taxi_table
-        states, record = STATES_BY_CODE, MdtRecord
-        for i in self._order.tolist():
-            yield record(
-                ts[i], table[taxi[i]], lon[i], lat[i], speed[i],
-                states[state[i]],
-            )
+        return self._batch.iter_rows(self._order)
 
 
 def replay_order(day: Union[RecordBatch, "MdtLogStore"]) -> ReplayFeed:

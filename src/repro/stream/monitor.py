@@ -9,6 +9,13 @@ QCD thresholds, it consumes a *time-ordered* record stream and emits one
 A grace period delays slot finalization: a pickup whose wait *started*
 inside slot j may complete (POB) early in slot j+1, so slot j is only
 labelled once the stream clock passes ``slot_end + grace``.
+
+Completed pickup events wait in a pending list and are absorbed
+together — one W(r) assignment, one centroid pass and one WTE kernel
+call over all of them — just before a slot is finalized, at the end of
+the stream and before the state is exported.  Nothing reads the
+per-slot buckets in between, so results and checkpoints are those of
+absorbing each event as it completes, in the same order.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.features import AmplificationPolicy, compute_slot_features
 from repro.core.pea import PickupEvent
 from repro.core.qcd import label_slot
-from repro.core.spots import nearest_spots, spots_to_xy
+from repro.core.spots import nearest_spots, pickup_centroids, spots_to_xy
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import QueueSpot, SlotFeatures, SlotLabel, TimeSlotGrid
-from repro.core.wte import WaitEvent, extract_wait_event
+from repro.core.wte import WaitEvent, extract_wait_events
 from repro.geo.point import LocalProjection
 from repro.stream.pea_stream import StreamingPea
 from repro.trace.record import MdtRecord
@@ -69,6 +76,7 @@ class StreamingQueueMonitor:
         self.assign_radius_m = assign_radius_m
         self.grace_s = grace_s
         self._pea = StreamingPea()
+        self._pending: List[PickupEvent] = []
         self._events: Dict[str, Dict[int, List[WaitEvent]]] = {
             spot.spot_id: {} for spot in self.spots
         }
@@ -102,15 +110,15 @@ class StreamingQueueMonitor:
         """Process one record; returns any slots finalized by its clock."""
         pickup = self._pea.feed(record)
         if pickup is not None:
-            self._absorb(pickup)
+            self._pending.append(pickup)
         results = self._advance_clock(record.ts)
         self._publish(results)
         return results
 
     def finish(self) -> List[SlotResult]:
         """End of stream: flush open pickups and finalize every slot."""
-        for pickup in self._pea.flush():
-            self._absorb(pickup)
+        self._pending.extend(self._pea.flush())
+        self._absorb_pending()
         results: List[SlotResult] = []
         for slot in range(self._finalized_through + 1, self.grid.n_slots):
             results.extend(self._finalize_slot(slot))
@@ -126,8 +134,10 @@ class StreamingQueueMonitor:
 
         Subscribers, spots, thresholds and the grid are *configuration*
         — they are rebuilt from the bootstrap on restart — so only the
-        accumulated stream state is exported.
+        accumulated stream state is exported.  Pending events are
+        absorbed first, so the buckets hold every completed wait.
         """
+        self._absorb_pending()
         return {
             "pea": self._pea.export_state(),
             "events": {
@@ -146,6 +156,7 @@ class StreamingQueueMonitor:
         be resumed into).
         """
         self._pea.restore_state(state["pea"])
+        self._pending = []
         self._events = {spot.spot_id: {} for spot in self.spots}
         for spot_id, buckets in state["events"].items():
             if spot_id in self._events:
@@ -156,25 +167,39 @@ class StreamingQueueMonitor:
 
     # -- internals ----------------------------------------------------------------
 
-    def _absorb(self, pickup: PickupEvent) -> None:
-        spot_id = self._assign(pickup)
-        if spot_id is None:
+    def _absorb_pending(self) -> None:
+        """Absorb the pending events in completion order: WTE on the
+        ones W(r) assigns, and each wait into its spot's bucket of the
+        slot it started in."""
+        pending, self._pending = self._pending, []
+        if not pending:
             return
-        wait = extract_wait_event(pickup)
-        if wait is None:
-            return
-        slot = self.grid.slot_of(wait.start_ts)
-        if slot is None:
-            return
-        self._events[spot_id].setdefault(slot, []).append(wait)
+        assigned = [
+            (spot_id, event)
+            for spot_id, event in zip(self._assign(pending), pending)
+            if spot_id is not None
+        ]
+        waits = extract_wait_events([event for _, event in assigned])
+        for (spot_id, _), wait in zip(assigned, waits):
+            if wait is None:
+                continue
+            slot = self.grid.slot_of(wait.start_ts)
+            if slot is None:
+                continue
+            self._events[spot_id].setdefault(slot, []).append(wait)
 
-    def _assign(self, pickup: PickupEvent) -> Optional[str]:
+    def _assign(self, events: Sequence[PickupEvent]) -> List[Optional[str]]:
         """The batch W(r) rule (:func:`~repro.core.spots.nearest_spots`)
-        on one event."""
-        lon, lat = pickup.centroid()
-        event_xy = self.projection.to_xy_array([lon], [lat])
-        j = nearest_spots(event_xy, self._spot_xy, self.assign_radius_m)[0]
-        return None if j < 0 else self.spots[j].spot_id
+        on the events' centroids: each event's spot id, or None."""
+        lonlat = pickup_centroids(events)
+        nearest = nearest_spots(
+            self.projection.to_xy_array(lonlat[:, 0], lonlat[:, 1]),
+            self._spot_xy,
+            self.assign_radius_m,
+        )
+        return [
+            None if j < 0 else self.spots[j].spot_id for j in nearest.tolist()
+        ]
 
     def _advance_clock(self, ts: float) -> List[SlotResult]:
         results: List[SlotResult] = []
@@ -183,6 +208,7 @@ class StreamingQueueMonitor:
             _, end = self.grid.bounds(candidate)
             if ts < end + self.grace_s:
                 break
+            self._absorb_pending()
             results.extend(self._finalize_slot(candidate))
             self._finalized_through = candidate
         return results

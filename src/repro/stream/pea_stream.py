@@ -3,7 +3,9 @@
 :class:`StreamingPea` keeps the two PEA flags and the open candidate per
 taxi and is fed records one at a time (per taxi, in time order).  A
 completed candidate that passes the section-4.2 state constraints is
-returned as a :class:`~repro.core.pea.PickupEvent`.
+returned as a :class:`~repro.core.pea.PickupEvent` over a batch of its
+own rows: the event type the batch kernel emits, so WTE and the
+centroid run the same code on both.
 
 Only the scan is incremental: the constraints are
 :func:`~repro.core.pea.candidate_rejection`, and property tests stream

@@ -111,8 +111,6 @@ def clean_batch(
         order (taxis by sorted id, the table holding only taxis that
         keep a row) and the day's counts.
     """
-    from repro.columnar.batch import column_view
-
     report = CleaningReport(total_in=len(batch))
     order = canonical_order(batch)
 
@@ -156,8 +154,8 @@ def clean_batch(
     boxes = list(inaccessible)
     if city_bbox is not None or boxes:
         source = rows if order is None else order[rows]
-        lon = column_view(batch.lon)[source]
-        lat = column_view(batch.lat)[source]
+        lon = batch.lon[source]
+        lat = batch.lat[source]
         del source
 
         def inside(box: BBox) -> np.ndarray:

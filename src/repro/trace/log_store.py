@@ -43,26 +43,23 @@ class MdtLogStore:
         """A store over a :class:`~repro.columnar.RecordBatch`.
 
         A batch already in canonical order becomes the store's own
-        batch after one linear check, without a copy, so the caller must
-        not change it afterwards.  Any other order is sorted once into a
-        new batch.  :attr:`skipped_lines` comes from the batch.
+        batch after one linear check, without a copy (a batch never
+        changes).  Any other order is sorted once into a new batch.
+        :attr:`skipped_lines` comes from the batch.
         """
         store = cls.__new__(cls)
         store._wrap(batch)
         return store
 
     def _wrap(self, batch) -> None:
-        from repro.columnar.batch import column_view
-
+        self._skipped_lines = batch.skipped_lines
         order = canonical_order(batch)
         if order is not None:
-            ordered = batch.take(order)
-            ordered.skipped_lines = batch.skipped_lines
-            batch = ordered
+            batch = batch.take(order)
         self._batch = batch
         # Canonical order keeps each taxi in one run: its bounds are
         # where the taxi code changes.
-        taxi = column_view(batch.taxi)
+        taxi = batch.taxi
         bounds = np.flatnonzero(np.diff(taxi, prepend=-1, append=-1))
         codes = taxi[bounds[:-1]].tolist()
         bounds = bounds.tolist()
@@ -79,7 +76,7 @@ class MdtLogStore:
     @property
     def skipped_lines(self) -> int:
         """Malformed lines dropped by lenient CSV ingestion."""
-        return self._batch.skipped_lines
+        return self._skipped_lines
 
     @property
     def taxi_ids(self) -> List[str]:
@@ -94,7 +91,7 @@ class MdtLogStore:
     def records_of(self, taxi_id: str) -> List[MdtRecord]:
         """Time-ordered records of one taxi (empty list if unknown)."""
         start, stop = self._runs.get(taxi_id, (0, 0))
-        return list(self._batch.iter_rows(start, stop))
+        return list(self._batch.iter_rows(slice(start, stop)))
 
     def trajectory(self, taxi_id: str) -> Trajectory:
         """The taxi's :class:`~repro.trace.trajectory.Trajectory`."""
@@ -118,17 +115,13 @@ class MdtLogStore:
         """
         if not self._runs:
             raise ValueError("store is empty")
+        starts, stops = np.array(list(self._runs.values())).T
         ts = self._batch.ts
-        return (
-            min(ts[start] for start, _ in self._runs.values()),
-            max(ts[stop - 1] for _, stop in self._runs.values()),
-        )
+        return min(ts[starts].tolist()), max(ts[stops - 1].tolist())
 
     def filter_time(self, start_ts: float, end_ts: float) -> "MdtLogStore":
         """New store holding records with ``start_ts <= ts < end_ts``."""
-        from repro.columnar.batch import column_view
-
-        ts = column_view(self._batch.ts)
+        ts = self._batch.ts
         return MdtLogStore.from_batch(
             self._batch.filter_mask((start_ts <= ts) & (ts < end_ts))
         )
@@ -156,7 +149,7 @@ class MdtLogStore:
 
     def to_batch(self):
         """The store's own :class:`~repro.columnar.RecordBatch`, in
-        canonical order.  Not a copy: treat it as read-only."""
+        canonical order (not a copy; a batch never changes)."""
         return self._batch
 
     def to_csv(self, path) -> None:

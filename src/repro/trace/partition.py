@@ -90,8 +90,6 @@ def canonical_order(batch: RecordBatch) -> Optional[np.ndarray]:
     vectorized check of (taxi-id rank, ts) confirms; otherwise the
     stable ``np.lexsort`` over that pair.
     """
-    from repro.columnar.batch import column_view
-
     # Python ``sorted`` ranks the ids: a NumPy ``U`` array would drop
     # trailing NULs and tie ids such as "A" and "A\0".
     table = batch.taxi_table
@@ -99,22 +97,17 @@ def canonical_order(batch: RecordBatch) -> Optional[np.ndarray]:
     rank_of[sorted(range(len(table)), key=table.__getitem__)] = np.arange(
         len(table), dtype=np.int32
     )
-    ts = column_view(batch.ts)
-    rank = rank_of[column_view(batch.taxi)]
+    ts = batch.ts
+    rank = rank_of[batch.taxi]
     step = np.diff(rank)
     if (step >= 0).all() and ((step > 0) | (ts[1:] >= ts[:-1])).all():
         return None
     return np.lexsort((ts, rank))
 
 
-def ordered_column(column, order: Optional[np.ndarray]) -> np.ndarray:
-    """A column in canonical order: its zero-copy view when ``order``
-    (from :func:`canonical_order`) is None, else a gathered copy.
-
-    A view must not outlive the caller's call (see
-    :func:`~repro.columnar.batch.column_view`).
-    """
-    from repro.columnar.batch import column_view
-
-    view = column_view(column)
-    return view if order is None else view[order]
+def ordered_column(
+    column: np.ndarray, order: Optional[np.ndarray]
+) -> np.ndarray:
+    """A column in canonical order: the column itself when ``order``
+    (from :func:`canonical_order`) is None, else a gathered copy."""
+    return column if order is None else column[order]

@@ -3,9 +3,10 @@
 
 The loop as it stood when a pickup event was a tuple of
 :class:`~repro.trace.record.MdtRecord`: it reads each record's ``state``
-and ``ts``.  The engine now walks the event's ``ts`` and ``state``
-column tuples instead; ``tests/test_object_boundary.py`` pins the two
-to the same wait event.
+and ``ts``.  The engine now runs three searches over the events' row
+ranges as one array kernel (:func:`repro.core.wte.extract_wait_events`);
+``tests/test_object_boundary.py`` and ``tests/test_event_ranges.py``
+pin the two to the same wait event.
 """
 
 from __future__ import annotations

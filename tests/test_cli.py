@@ -65,6 +65,20 @@ class TestParser:
         assert "taxiqueue" in out
         assert repro.__version__ in out
 
+    def test_version_is_looked_up_only_for_the_flag(
+        self, monkeypatch, capsys
+    ):
+        """No command but ``--version`` pays for the metadata lookup:
+        with the lookup broken, ``analyze`` still runs and exits 0."""
+        import repro.cli
+
+        def broken():
+            raise RuntimeError("version looked up")
+
+        monkeypatch.setattr(repro.cli, "_version", broken)
+        assert main(["analyze", GOLDEN_CSV]) == 0
+        assert "C1" in capsys.readouterr().out
+
 
 class TestMissingInput:
     @pytest.mark.parametrize(

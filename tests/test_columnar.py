@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import RecordBatch
+from repro.columnar import BatchBuilder, RecordBatch
 from repro.conformance.oracles import row_pickup_events
 from repro.core.pea import PeaStats, extract_pickup_events_batch
 from repro.core.spots import detect_from_centroids, pickup_centroids
@@ -43,6 +43,7 @@ from repro.trace.record import (
 )
 
 from tests._golden import golden_engine, pipeline_snapshot
+from tests._rows import event_rows
 from tests._row_cleaning import clean_records, clean_store
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_day.csv"
@@ -79,8 +80,11 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_records, max_size=60))
     def test_pickle_round_trip(self, rows):
-        batch = RecordBatch.from_rows(rows)
-        batch.skipped_lines = len(rows)
+        builder = BatchBuilder()
+        for record in rows:
+            builder.append_record(record)
+        builder.skipped_lines = len(rows)
+        batch = builder.build()
         clone = pickle.loads(pickle.dumps(batch))
         assert clone == batch
         assert clone.to_rows() == rows
@@ -123,7 +127,7 @@ class TestPrimitives:
         taken = batch.take([5, 1, 4, 3])
         assert taken.to_rows() == [rows[5], rows[1], rows[4], rows[3]]
         # The table holds the taken taxis in first-appearance order.
-        assert taken.taxi_table == ["T2", "T1", "T0"]
+        assert taken.taxi_table == ("T2", "T1", "T0")
         assert len(batch.take([])) == 0
 
     def test_filter_mask(self):
@@ -152,10 +156,14 @@ class TestPrimitives:
         )
         assert order.tolist() == [2, 3, 0, 1, 4]
         # The permutation is the caller's own array, not a view of the
-        # ts column, so the batch can still grow while it is held.
-        batch.append_row(rows[0])
+        # ts column: a batch grown from the same rows by the builder
+        # sorts on its own and leaves it as it was.
+        builder = BatchBuilder()
+        builder.extend_batch(batch)
+        builder.append_record(rows[0])
+        grown = builder.build()
         assert order.tolist() == [2, 3, 0, 1, 4]
-        assert batch.argsort_ts().tolist() == [2, 3, 0, 1, 4, 5]
+        assert grown.argsort_ts().tolist() == [2, 3, 0, 1, 4, 5]
 
     def test_canonical_order_matches_store_order(self, golden_store):
         grouped = golden_store.to_batch()
@@ -250,7 +258,7 @@ class TestParity:
         assert len(col_events) == len(row_events)
         for col, row in zip(col_events, row_events):
             assert col.taxi_id == row.taxi_id
-            assert list(col) == list(row)
+            assert event_rows(col) == event_rows(row)
 
     def test_pea_stats_parity(self, golden_store):
         """Per taxi, and over the whole day as the sum of the taxis'."""
@@ -262,8 +270,8 @@ class TestParity:
                 RecordBatch.from_rows(trajectory.records)
             )
             assert col_stats == row_stats
-            assert [list(e) for e in col_events] == [
-                list(e) for e in row_events
+            assert [event_rows(e) for e in col_events] == [
+                event_rows(e) for e in row_events
             ]
             day = PeaStats(*(
                 a + b for a, b in zip(astuple(day), astuple(row_stats))
@@ -297,7 +305,7 @@ class TestConformancePin:
         assert len(columnar.pickup_events) == len(row.pickup_events)
         for col, ref in zip(columnar.pickup_events, row.pickup_events):
             assert col.taxi_id == ref.taxi_id
-            assert list(col) == list(ref)
+            assert event_rows(col) == event_rows(ref)
 
     def test_full_pipeline_snapshot_identical_from_batch(
         self, golden_store
@@ -329,7 +337,7 @@ class TestConformancePin:
 
 class TestTier2ReusesTier1Cleaning:
     """Tier 2 reuses tier 1's cleaned rows only for the very same input
-    object at the same length; any other day is cleaned again."""
+    object (a batch never changes); any other day is cleaned again."""
 
     @staticmethod
     def _run(golden_store, tier1_data, tier2_data):
@@ -368,8 +376,10 @@ class TestTier2ReusesTier1Cleaning:
         batch = RecordBatch.from_csv(GOLDEN_CSV)
 
         def grown():
-            batch.append_row(batch.row(len(batch) - 1))
-            return batch
+            builder = BatchBuilder()
+            builder.extend_batch(batch)
+            builder.append_record(batch.to_rows()[-1])
+            return builder.build()
 
         cleans, _ = self._run(golden_store, batch, grown)
         assert cleans == 2

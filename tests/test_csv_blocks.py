@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.columnar.batch as batch_module
-from repro.columnar import RecordBatch
+from repro.columnar import BatchBuilder, RecordBatch
 from repro.columnar.batch import _parse_csv_lines, open_csv
 from repro.states.states import TaxiState
 from repro.trace.record import MdtRecord
@@ -33,14 +33,14 @@ STATES = [state.value for state in TaxiState]
 
 def line_parser_batch(path: Path, on_error: str) -> RecordBatch:
     """The reference: every line through ``_parse_csv_lines``."""
-    batch = RecordBatch()
+    builder = BatchBuilder()
     with open_csv(path) as fh:
         for fields in _parse_csv_lines(fh, on_error):
             if fields is None:
-                batch.skipped_lines += 1
+                builder.skipped_lines += 1
             else:
-                batch.append_fields(*fields)
-    return batch
+                builder.append(*fields)
+    return builder.build()
 
 
 def outcome(parse, path: Path, on_error: str):
@@ -266,7 +266,7 @@ class TestUndecodableLine:
         )
         batch = RecordBatch.from_csv(path, on_error="skip")
         assert batch.skipped_lines == 1
-        assert batch.taxi_table == ["SH0002A"]
+        assert batch.taxi_table == ("SH0002A",)
 
     def test_raise_mode_names_the_line(self, tmp_path):
         path = tmp_path / "latin1.csv"

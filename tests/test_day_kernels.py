@@ -43,6 +43,7 @@ from repro.trace.record import MdtRecord
 from repro.trace.trajectory import Trajectory
 
 from tests._row_cleaning import clean_records
+from tests._rows import event_rows
 from tests.test_loose_ends import _row_zone_ratios
 
 S = TaxiState
@@ -167,7 +168,9 @@ class TestCleaning:
         )
         assert exact(cleaned.to_rows()) == exact(expected)
         assert got == report
-        assert cleaned.taxi_table == sorted({r.taxi_id for r in expected})
+        assert cleaned.taxi_table == tuple(
+            sorted({r.taxi_id for r in expected})
+        )
 
 
 class TestPea:
@@ -185,12 +188,12 @@ class TestPea:
             events, stats = row_pickup_events(
                 Trajectory(taxi_id, taxi), apply_state_filters
             )
-            expected += [(e.taxi_id, exact(e)) for e in events]
+            expected += [(e.taxi_id, exact(event_rows(e))) for e in events]
             totals = [a + b for a, b in zip(totals, astuple(stats))]
         events, stats = extract_pickup_events_batch(
             RecordBatch.from_rows(rows), apply_state_filters
         )
-        assert [(e.taxi_id, exact(e)) for e in events] == expected
+        assert [(e.taxi_id, exact(event_rows(e))) for e in events] == expected
         assert stats == PeaStats(*totals)
 
 

@@ -9,8 +9,9 @@ its reference out here:
 * :func:`~repro.service.replay.replay_order` yields ``sorted(rows,
   key=ts)`` on every ``iter()``, over a batch and over a store;
 * :meth:`PickupEvent.from_records` keeps the rows it is given, and
-  :meth:`PickupEvent.centroid` is the mean of the rows' lon and lat;
-* WTE over an event's ``ts`` and ``state`` tuples equals the row loop
+  :func:`~repro.core.spots.pickup_centroids` gives the mean of the
+  rows' lon and lat;
+* WTE over an event's ``ts`` and ``state`` columns equals the row loop
   of Algorithm 2 kept in ``tests/_row_wte.py``;
 * W(r) given tier 1's centroids equals W(r) computing its own.
 
@@ -33,6 +34,7 @@ from repro.service.replay import replay_order
 from repro.trace.log_store import MdtLogStore
 
 from tests._row_wte import row_wait_event
+from tests._rows import event_rows, event_states
 from tests.test_day_kernels import (
     CITY,
     CITY_POINTS,
@@ -99,14 +101,13 @@ class TestPickupEvent:
     def test_from_records_keeps_the_rows(self, taxi):
         taxi_id, rows = taxi
         event = PickupEvent.from_records(taxi_id, rows)
-        assert event.records == tuple(rows)
-        assert exact(event.records) == exact(rows)
-        assert exact(event) == exact(rows)
+        assert event_rows(event) == rows
+        assert exact(event_rows(event)) == exact(rows)
         assert len(event) == len(rows)
-        assert event.states() == [r.state for r in rows]
+        assert event_states(event) == [r.state for r in rows]
         if rows:
-            assert repr(event.first) == repr(rows[0])
-            assert repr(event.last) == repr(rows[-1])
+            assert repr(event_rows(event)[0]) == repr(rows[0])
+            assert repr(event_rows(event)[-1]) == repr(rows[-1])
         twin = PickupEvent.from_records(taxi_id, iter(rows))
         assert twin == event
         assert hash(twin) == hash(event)
@@ -117,14 +118,15 @@ class TestPickupEvent:
         taxi_id, rows = taxi
         n = len(rows)
         mean = (sum(r.lon for r in rows) / n, sum(r.lat for r in rows) / n)
-        centroid = PickupEvent.from_records(taxi_id, rows).centroid()
+        event = PickupEvent.from_records(taxi_id, rows)
+        centroid = tuple(pickup_centroids([event])[0].tolist())
         assert repr(centroid) == repr(mean)
 
     @settings(max_examples=150, deadline=None)
     @given(days(), st.booleans())
     def test_kernel_events_hold_their_rows(self, rows, filters):
         for event in day_events(rows, filters):
-            records = event.records
+            records = event_rows(event)
             assert PickupEvent.from_records(event.taxi_id, records) == event
             assert {r.taxi_id for r in records} == {event.taxi_id}
             n = len(records)
@@ -132,7 +134,8 @@ class TestPickupEvent:
                 sum(r.lon for r in records) / n,
                 sum(r.lat for r in records) / n,
             )
-            assert repr(event.centroid()) == repr(mean)
+            centroid = tuple(pickup_centroids([event])[0].tolist())
+            assert repr(centroid) == repr(mean)
 
 
 class TestWaitExtraction:
@@ -148,7 +151,7 @@ class TestWaitExtraction:
     def test_kernel_events_equal_row_loop(self, rows, filters):
         for event in day_events(rows, filters):
             assert extract_wait_event(event) == row_wait_event(
-                event.taxi_id, event.records
+                event.taxi_id, event_rows(event)
             )
 
 

@@ -8,6 +8,7 @@ open, the stdlib schema validator and the summary statistics.
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -24,6 +25,7 @@ from repro.obs import (
     validate_span,
     validate_trace_file,
 )
+from repro.obs import tracer as tracer_module
 from repro.obs.tracer import worker_span
 
 
@@ -131,6 +133,39 @@ class TestTracer:
         assert root["name"] == "stream.window"
         assert root["parent_id"] is None
         assert child["parent_id"] == root["span_id"]
+
+    def test_stage_and_pipeline_spans_record_memory(self):
+        if not os.path.exists(tracer_module.STATUS_PATH):
+            pytest.skip("no /proc/self/status on this platform")
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        with tracer.trace("pipeline.batch"):
+            with tracer.span("stage.pea", events=3):
+                pass
+            with tracer.span("tier2.spot:QS001"):
+                pass
+        by_name = {span["name"]: span["attrs"] for span in sink.traces[0]}
+        for name in ("pipeline.batch", "stage.pea"):
+            attrs = by_name[name]
+            assert attrs["hwm_mb"] >= attrs["rss_mb"] > 0
+        assert by_name["stage.pea"]["events"] == 3
+        assert by_name["tier2.spot:QS001"] == {}
+
+    def test_memory_left_out_without_status_file(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            tracer_module, "STATUS_PATH", str(tmp_path / "no-such-file")
+        )
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        with tracer.trace("pipeline.batch", command="analyze"):
+            with tracer.span("stage.clean"):
+                pass
+        assert [span["attrs"] for span in sink.traces[0]] == [
+            {},
+            {"command": "analyze"},
+        ]
 
     def test_emit_window_respects_sampling(self):
         sink = InMemorySink()
@@ -268,10 +303,17 @@ class TestSchema:
             {"duration_s": -1.0},
             {"attrs": []},
             {"extra_field": 1},
+            {"attrs": {"hwm_mb": -1.0}},
+            {"attrs": {"rss_mb": "62 MB"}},
+            {"attrs": {"hwm_mb": True}},
         ],
     )
     def test_bad_values_rejected(self, overrides):
         assert validate_span(self.make_span(**overrides)) != []
+
+    def test_memory_attributes_accepted(self):
+        span = self.make_span(attrs={"hwm_mb": 61.5, "rss_mb": 58, "n": -1})
+        assert validate_span(span) == []
 
     def test_non_object_rejected(self):
         assert validate_span([1, 2]) != []
@@ -336,6 +378,23 @@ class TestSummary:
         assert "stage.pea" in text
         assert "stage.clean" in text
         assert "p95" in text
+
+    def test_hwm_is_the_largest_recorded(self):
+        spans = [
+            self.make("stage.pea", 1.0, hwm_mb=60.5),
+            self.make("stage.pea", 1.0, hwm_mb=61.0),
+            self.make("stage.pea", 1.0),
+            self.make("tier2.spot:QS001", 1.0),
+        ]
+        stages = summarize_spans(spans)
+        assert stages["stage.pea"]["hwm_mb"] == 61.0
+        assert stages["tier2.spot:QS001"]["hwm_mb"] is None
+        lines = format_summary(stages).splitlines()
+        assert lines[0].split()[-1] == "hwm"
+        row = next(line for line in lines if line.startswith("stage.pea"))
+        assert row.endswith("61.0 MB")
+        row = next(line for line in lines if line.startswith("tier2"))
+        assert row.endswith("-")
 
     def test_empty(self):
         assert summarize_spans([]) == {}

@@ -25,6 +25,8 @@ from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 from repro.trace.trajectory import Trajectory
 
+from tests._rows import event_rows
+
 S = TaxiState
 LOW, HIGH = 5.0, 40.0
 TAXI = "SH0001A"
@@ -42,21 +44,21 @@ def row_scan(records, apply_state_filters=True):
     events, stats = row_pickup_events(
         Trajectory(TAXI, records), apply_state_filters
     )
-    return [list(e) for e in events], stats
+    return [event_rows(e) for e in events], stats
 
 
 def column_scan(records, apply_state_filters=True):
     events, stats = extract_pickup_events_batch(
         RecordBatch.from_rows(records), apply_state_filters
     )
-    return [list(e) for e in events], stats
+    return [event_rows(e) for e in events], stats
 
 
 def stream_scan(records):
     pea = StreamingPea()
     events = [e for e in map(pea.feed, records) if e is not None]
     events.extend(pea.flush())
-    return [list(e) for e in events]
+    return [event_rows(e) for e in events]
 
 
 def extract(*pairs, apply_state_filters=True):
@@ -215,8 +217,8 @@ class TestMultipleEvents:
         assert len(events) == 2
         assert stats.candidates == stats.kept == 2
         assert {e.taxi_id for e in events} == {"A", "B"}
-        assert [list(e) for e in events] == [
-            list(e)
+        assert [event_rows(e) for e in events] == [
+            event_rows(e)
             for trajectory in store.iter_trajectories()
             for e in row_pickup_events(trajectory)[0]
         ]

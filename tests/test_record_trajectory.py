@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pea import PickupEvent
+from repro.core.spots import pickup_centroids
 from repro.states.states import TaxiState
 from repro.trace.record import (
     MdtRecord,
@@ -105,6 +106,6 @@ class TestPickupEvent:
                 rec(ts=60.0, lon=103.84, lat=1.34, state=TaxiState.POB),
             ),
         )
-        lon, lat = event.centroid()
+        lon, lat = pickup_centroids([event])[0].tolist()
         assert lon == pytest.approx(103.82)
         assert lat == pytest.approx(1.32)

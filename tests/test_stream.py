@@ -5,7 +5,7 @@ import pytest
 from repro.conformance.oracles import row_pickup_events
 from repro.core.features import AmplificationPolicy
 from repro.core.qcd import label_slot
-from repro.core.spots import assign_events_to_spots
+from repro.core.spots import assign_events_to_spots, pickup_centroids
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import QueueSpot, QueueType, TimeSlotGrid
 from repro.geo.point import LocalProjection
@@ -13,6 +13,8 @@ from repro.states.states import TaxiState
 from repro.stream import StreamingPea, StreamingQueueMonitor
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
+
+from tests._rows import event_rows, event_states
 
 S = TaxiState
 LON, LAT = 103.8, 1.33
@@ -69,11 +71,11 @@ class TestStreamingPea:
         event = None
         for r in recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB)):
             event = pea.feed(r) or event
-        lon, lat = event.centroid()
+        lon, lat = pickup_centroids([event])[0].tolist()
         assert lon == pytest.approx(LON)
-        assert event.first.state is S.FREE
-        assert event.last.state is S.POB
-        assert event.states() == [S.FREE, S.POB]
+        assert event_rows(event)[0].state is S.FREE
+        assert event_rows(event)[-1].state is S.POB
+        assert event_states(event) == [S.FREE, S.POB]
 
 
 def _thresholds():
@@ -293,7 +295,7 @@ class TestStreamAgainstBatchOnSimData:
         streamed.extend(pea.flush())
 
         def order(event):
-            return event.taxi_id, event.first.ts
+            return event.taxi_id, event.ts[0]
 
         assert sorted(streamed, key=order) == sorted(reference, key=order)
 
@@ -314,6 +316,6 @@ class TestStreamAgainstBatchOnSimData:
             for event in events
         }
         assert batch_spot  # the day has W(r) members
-        assert [monitor._assign(e) for e in reference] == [
+        assert monitor._assign(reference) == [
             batch_spot.get(id(e)) for e in reference
         ]

@@ -8,6 +8,8 @@ from repro.core.wte import extract_wait_event, extract_wait_times
 from repro.states.states import TaxiState
 from repro.trace.record import MdtRecord
 
+from tests._rows import event_rows
+
 S = TaxiState
 
 
@@ -159,7 +161,7 @@ class TestWteInvariants:
             return
         inside = [
             r
-            for r in segment
+            for r in event_rows(segment)
             if event.start_ts < r.ts < event.end_ts
             and r.state is TaxiState.PAYMENT
         ]
@@ -171,6 +173,6 @@ class TestWteInvariants:
         event = extract_wait_event(segment)
         if event is None:
             return
-        timestamps = {r.ts for r in segment}
+        timestamps = {r.ts for r in event_rows(segment)}
         assert event.start_ts in timestamps
         assert event.end_ts in timestamps
