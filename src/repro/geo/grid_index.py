@@ -39,9 +39,6 @@ class GridIndex:
         for i in range(len(self.points)):
             self._cells[(int(keys_x[i]), int(keys_y[i]))].append(i)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def query_radius(self, x: float, y: float, radius: float) -> np.ndarray:
         """Indices of points within ``radius`` metres of ``(x, y)``.
 

@@ -1,7 +1,8 @@
 """Threaded HTTP/JSON API over a :class:`SnapshotStore`.
 
-Stdlib only (``http.server.ThreadingHTTPServer``); the endpoint set
-mirrors what the paper's frontend queries (section 7.1):
+Stdlib only: a minimal HTTP/1.1 GET reader on a bounded
+thread-per-connection ``socketserver.ThreadingTCPServer``.  The
+endpoint set mirrors what the paper's frontend queries (section 7.1):
 
 * ``GET /v1/spots`` — every spot with its current queue context;
 * ``GET /v1/spots/{id}/slots`` — one spot's finalized slot history;
@@ -27,9 +28,22 @@ path *plus query string*.
 
 Snapshot-derived endpoints carry a strong ``ETag`` equal to the snapshot
 version; a conditional ``If-None-Match`` request is answered ``304 Not
-Modified`` until new slot results advance the version.  Serialized bodies
-are cached per endpoint with a TTL, keyed on the version, so a hot
-endpoint serves bytes without re-serializing under load.
+Modified`` until new slot results advance the version.  Each cached 200
+holds its rendered status line, headers and body, keyed on the version,
+so a hot endpoint answers with one cache lookup and one socket write.
+
+**The wire.**  Each connection thread reads request heads with bounded
+``readline`` calls: a request or header line may hold
+:data:`MAX_LINE` bytes (a longer request line is answered 414, a longer
+header line 431), a request at most :data:`MAX_HEADERS` header lines
+(431 past that), and only ``If-None-Match`` and ``Connection`` are
+read.  HTTP/1.1 keeps the connection open unless the client sends
+``Connection: close``; HTTP/1.0 closes it after the answer unless the
+client sends ``Connection: keep-alive``.  Any method other than GET is
+answered 405 with ``Allow: GET``, a request line that is not
+``<method> <target> HTTP/1.<n>`` 400 (``HTTP/2.0`` included); each of
+these closes the connection.  Every answer goes out in one
+``sendall``.
 
 **Degraded serving.**  Read endpoints never answer 5xx: the server
 remembers the last successfully serialized body per path and, when a
@@ -56,17 +70,20 @@ thread parses anything.  See ``docs/load.md`` for the full contract.
 from __future__ import annotations
 
 import json
+import re
+import socket
+import socketserver
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
 from repro.service.admission import AdmissionController
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import Counter, Histogram, MetricsRegistry
 from repro.service.snapshot import SnapshotStore
 
 #: Routes never subjected to admission control: liveness probes must
@@ -75,6 +92,12 @@ ADMISSION_EXEMPT_ROUTES = frozenset({"healthz"})
 
 #: Default bound on distinct cached bodies (see :class:`ResponseCache`).
 DEFAULT_CACHE_ENTRIES = 1024
+
+#: Longest request or header line read, line break included.
+MAX_LINE = 65536
+
+#: Most header lines one request may carry.
+MAX_HEADERS = 100
 
 
 class _BadQuery(ValueError):
@@ -94,13 +117,44 @@ def _query_int(params: Dict[str, list], name: str, default=None):
 
 @dataclass
 class Response:
-    """One materialized HTTP response."""
+    """One materialized HTTP response.
+
+    :meth:`head` renders the status line and headers once; a response
+    kept in the :class:`ResponseCache` is rendered when it is stored,
+    so every hit writes bytes that already exist.
+    """
 
     status: int
     body: bytes = b""
     etag: Optional[str] = None
     content_type: str = "application/json"
     headers: Dict[str, str] = field(default_factory=dict)
+    _head: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def head(self) -> bytes:
+        """Status line and headers, each ending in CRLF; the connection
+        adds ``Date``, ``Connection`` and the blank line."""
+        if self._head is None:
+            lines = [_STATUS_LINES[self.status]]
+            if self.etag is not None:
+                lines.append(f"ETag: {self.etag}\r\n")
+            for name, value in self.headers.items():
+                lines.append(f"{name}: {value}\r\n")
+            if self.body:
+                lines.append(f"Content-Type: {self.content_type}\r\n")
+            lines.append(f"Content-Length: {len(self.body)}\r\n")
+            self._head = "".join(lines).encode("latin-1")
+        return self._head
+
+
+#: Status code -> its status line and ``Server`` header, as rendered.
+_STATUS_LINES: Dict[int, str] = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    "Server: taxiqueue\r\n"
+    for status in HTTPStatus
+}
 
 
 def _json_body(payload: dict) -> bytes:
@@ -108,15 +162,18 @@ def _json_body(payload: dict) -> bytes:
 
 
 class ResponseCache:
-    """Bounded per-path TTL cache of serialized response bodies.
+    """Bounded per-path TTL cache of rendered responses.
 
     An entry is served only while (a) the snapshot version it was built
     from is still current and (b) its TTL has not expired; either
-    condition failing falls through to re-serialization.
+    condition failing falls through to re-serialization.  The cache
+    does not look inside what it holds: the server stores 200
+    :class:`Response` objects whose :meth:`~Response.head` is already
+    rendered.
 
     Keys include the query string for history routes, so hostile or
     merely diverse query mixes would grow the table without bound; the
-    cache therefore holds at most ``max_entries`` bodies and evicts
+    cache therefore holds at most ``max_entries`` entries and evicts
     least-recently-used ones, reporting each eviction through
     ``on_evict`` (the server counts them in ``http.cache_evictions``).
     """
@@ -134,27 +191,28 @@ class ResponseCache:
         self.ttl_s = float(ttl_s)
         self.max_entries = int(max_entries)
         self._on_evict = on_evict
-        self._entries: "OrderedDict[str, Tuple[int, float, bytes]]" = (
+        self._entries: "OrderedDict[str, Tuple[int, float, object]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
         self.evictions = 0
 
-    def get(self, path: str, version: int) -> Optional[bytes]:
+    def get(self, path: str, version: int):
+        """The entry stored for ``path`` at ``version``, or None."""
         if self.ttl_s == 0:
             return None
         with self._lock:
             entry = self._entries.get(path)
             if entry is None:
                 return None
-            cached_version, expires, body = entry
+            cached_version, expires, value = entry
             if cached_version != version or time.monotonic() >= expires:
                 del self._entries[path]
                 return None
             self._entries.move_to_end(path)
-            return body
+            return value
 
-    def put(self, path: str, version: int, body: bytes) -> None:
+    def put(self, path: str, version: int, value) -> None:
         if self.ttl_s == 0:
             return
         evicted = 0
@@ -162,7 +220,7 @@ class ResponseCache:
             self._entries[path] = (
                 version,
                 time.monotonic() + self.ttl_s,
-                body,
+                value,
             )
             self._entries.move_to_end(path)
             while len(self._entries) > self.max_entries:
@@ -177,60 +235,108 @@ class ResponseCache:
             return len(self._entries)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin shim: delegates to :meth:`QueueStateServer.respond`."""
+# -- the wire ------------------------------------------------------------------
 
-    protocol_version = "HTTP/1.1"
-    server_version = "taxiqueue"
-    # Headers and body go out as separate writes; without TCP_NODELAY the
-    # Nagle/delayed-ACK interaction stalls keep-alive throughput at
-    # ~25 req/s per connection.
-    disable_nagle_algorithm = True
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        app: "QueueStateServer" = self.server.app  # type: ignore[attr-defined]
-        response = app.respond(
-            self.path, if_none_match=self.headers.get("If-None-Match")
-        )
-        self.send_response(response.status)
-        if response.etag is not None:
-            self.send_header("ETag", response.etag)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        if response.status == 304:
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        self.wfile.write(response.body)
 
-    def send_error(self, code, message=None, explain=None) -> None:
-        """Answer the requests the stdlib rejects itself without a 5xx.
+class _DateLine:
+    """The ``Date`` header line (RFC 9110 IMF-fixdate), rendered at
+    most once per second.  Connection threads share one; a race renders
+    the same second twice, never a wrong line."""
 
-        ``BaseHTTPRequestHandler`` answers a method with no ``do_*``
-        handler with 501, and an HTTP/2+ request line with a 505 page
-        that has no status line, because it rejects the version before
-        recording it.  Here any method other than GET gets 405 with
-        ``Allow: GET``, and an unsupported version gets an HTTP/1.1
-        400.  Both close the connection; other errors keep the stdlib
-        answer.
-        """
-        if code == HTTPStatus.NOT_IMPLEMENTED:
-            self.send_response(HTTPStatus.METHOD_NOT_ALLOWED)
-            self.send_header("Allow", "GET")
-            self.send_header("Content-Length", "0")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            return
-        if code == HTTPStatus.HTTP_VERSION_NOT_SUPPORTED:
-            self.request_version = self.protocol_version
-            code = HTTPStatus.BAD_REQUEST
-        super().send_error(code, message, explain)
+    def __init__(self):
+        self._rendered: Tuple[int, bytes] = (-1, b"")
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr logging; metrics cover it."""
+    def __call__(self) -> bytes:
+        now = int(time.time())
+        second, line = self._rendered
+        if second != now:
+            t = time.gmtime(now)
+            line = (
+                f"Date: {_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} "
+                f"{_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+                f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT\r\n"
+            ).encode("ascii")
+            self._rendered = (now, line)
+        return line
+
+
+#: The request-line versions this server speaks: ``HTTP/1.<minor>``.
+_VERSION = re.compile(rb"HTTP/1\.(\d{1,10})")
+
+#: What ends a response's head, by whether the connection stays open
+#: and whether the request was HTTP/1.0.
+_CONNECTION = {
+    (False, False): b"Connection: close\r\n\r\n",
+    (False, True): b"Connection: close\r\n\r\n",
+    (True, False): b"\r\n",
+    (True, True): b"Connection: keep-alive\r\n\r\n",
+}
+
+
+def _rejection(status: int, error: str) -> Response:
+    return Response(status, _json_body({"error": error}))
+
+
+_NOT_GET = Response(405, headers={"Allow": "GET"})
+_URI_TOO_LONG = _rejection(414, "request line too long")
+_HEADERS_TOO_LARGE = _rejection(431, "request header fields too large")
+_BAD_REQUEST = _rejection(400, "malformed request line")
+
+
+def _read_request(
+    reader,
+) -> Union[None, Response, Tuple[str, Optional[str], bool, bool]]:
+    """One request head from ``reader``.
+
+    Returns None at end of input, a rejection :class:`Response` to
+    answer before closing, or ``(path, if_none_match, keep_alive,
+    http10)`` for a GET.
+    """
+    line = reader.readline(MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE:
+        return _URI_TOO_LONG
+    words = line.split()
+    if len(words) != 3:
+        return _BAD_REQUEST
+    method, target, version = words
+    match = _VERSION.fullmatch(version)
+    if match is None:
+        return _BAD_REQUEST
+    http10 = int(match.group(1)) == 0
+    if_none_match = connection = None
+    for _ in range(MAX_HEADERS + 1):
+        line = reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            return _HEADERS_TOO_LARGE
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"if-none-match" and if_none_match is None:
+            if_none_match = value.strip().decode("latin-1")
+        elif name == b"connection" and connection is None:
+            connection = value.lower()
+    else:
+        return _HEADERS_TOO_LARGE
+    if method != b"GET":
+        return _NOT_GET
+    tokens = [t.strip() for t in connection.split(b",")] if connection else ()
+    if b"close" in tokens:
+        keep_alive = False
+    else:
+        keep_alive = not http10 or b"keep-alive" in tokens
+    path = target.decode("latin-1")
+    if path.startswith("//"):
+        path = "/" + path.lstrip("/")
+    return path, if_none_match, keep_alive, http10
 
 
 #: Raw shed answer for connections over the connection budget; sent
@@ -243,20 +349,59 @@ _CONNECTION_SHED = (
 )
 
 
-class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
-    """A listener with a hard cap on concurrent connection threads.
+class _Listener(socketserver.ThreadingTCPServer):
+    """A thread-per-connection listener with a hard cap on concurrent
+    connection threads.
 
-    ``ThreadingHTTPServer`` spawns one thread per accepted connection
+    ``ThreadingTCPServer`` spawns one thread per accepted connection
     and never says no; with keep-alive clients that is an unbounded
     thread budget.  When the owning server sets ``connection_slots``,
     a connection that finds no free slot is answered with a canned 429
-    and closed *before* a handler is constructed — the accept loop
-    never blocks and thread count stays bounded.
+    and closed *before* anything is read — the accept loop never
+    blocks and thread count stays bounded.
     """
 
+    allow_reuse_address = True
     daemon_threads = True
     request_queue_size = 128  # listen(2) backlog
     connection_slots: Optional[threading.BoundedSemaphore] = None
+
+    def __init__(self, address, app: "QueueStateServer"):
+        self.app = app
+        self.date_line = _DateLine()
+        super().__init__(address, None)
+
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        """Answer the requests of one connection until either side
+        closes it (see "The wire" in the module docstring)."""
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with request.makefile("rb") as reader:
+            # respond() turns every routing fault into an answer, so an
+            # OSError here is the client going away mid-exchange.
+            try:
+                while True:
+                    parsed = _read_request(reader)
+                    if parsed is None:
+                        return
+                    if isinstance(parsed, Response):
+                        response, keep_alive, http10 = parsed, False, False
+                    else:
+                        path, if_none_match, keep_alive, http10 = parsed
+                        response = self.app.respond(path, if_none_match)
+                    request.sendall(
+                        b"".join(
+                            (
+                                response.head(),
+                                self.date_line(),
+                                _CONNECTION[keep_alive, http10],
+                                response.body,
+                            )
+                        )
+                    )
+                    if not keep_alive:
+                        return
+            except OSError:
+                return
 
     def process_request_thread(self, request, client_address):
         slots = self.connection_slots
@@ -264,10 +409,8 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
             super().process_request_thread(request, client_address)
             return
         if not slots.acquire(blocking=False):
-            app = getattr(self, "app", None)
-            if app is not None:
-                app.metrics.counter("http.shed").inc()
-                app.metrics.counter("http.shed.connection").inc()
+            self.app.metrics.counter("http.shed").inc()
+            self.app.metrics.counter("http.shed.connection").inc()
             try:
                 request.sendall(_CONNECTION_SHED)
             except OSError:
@@ -278,6 +421,18 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
             super().process_request_thread(request, client_address)
         finally:
             slots.release()
+
+
+class _Counters(dict):
+    """A registry's counters by name, each looked up once."""
+
+    def __init__(self, metrics: MetricsRegistry):
+        super().__init__()
+        self.metrics = metrics
+
+    def __missing__(self, name: str) -> Counter:
+        counter = self[name] = self.metrics.counter(name)
+        return counter
 
 
 class QueueStateServer:
@@ -305,7 +460,7 @@ class QueueStateServer:
             second's worth of tokens).
         max_connections: bound on concurrent connection-handling
             threads; excess connections get a canned 429 and are
-            closed unparsed (None = unbounded, stdlib behaviour).
+            closed unparsed (None = unbounded).
         tracer: optional :class:`repro.obs.Tracer`; when set, each
             request runs under an ``http.request`` trace carrying the
             route, status and shed reason.
@@ -357,14 +512,13 @@ class QueueStateServer:
         # path -> (query the body answers, None for any query; body)
         self._last_good: Dict[str, Tuple[Optional[str], bytes]] = {}
         self._last_good_lock = threading.Lock()
-        self._httpd = _BoundedThreadingHTTPServer((host, port), _Handler)
+        if max_connections is not None and max_connections < 1:
+            raise ValueError("max_connections must be >= 1")
+        self._httpd = _Listener((host, port), self)
         if max_connections is not None:
-            if max_connections < 1:
-                raise ValueError("max_connections must be >= 1")
             self._httpd.connection_slots = threading.BoundedSemaphore(
                 max_connections
             )
-        self._httpd.app = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._started_at = time.monotonic()
 
@@ -395,31 +549,54 @@ class QueueStateServer:
         self._thread.start()
 
     def stop(self) -> None:
-        """Shut the listener down and join the serving thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Shut the listener down and join the serving thread; a server
+        that was never started only releases its socket."""
         if self._thread is not None:
+            # shutdown() waits for serve_forever() to return, so it is
+            # called only while that loop runs.
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.server_close()
 
     # -- routing -----------------------------------------------------------------
+
+    # Bound on first use, not in __init__: an instrument enters the
+    # registry (and /v1/metrics) only once it records, as before, and a
+    # server assembled without __init__ (the chaos suite's) still works.
+    @cached_property
+    def _counters(self) -> _Counters:
+        return _Counters(self.metrics)
+
+    @cached_property
+    def _request_seconds(self) -> Histogram:
+        return self.metrics.histogram("http.request_seconds")
 
     def respond(
         self, path: str, if_none_match: Optional[str] = None
     ) -> Response:
         """Materialize the response for one GET (socket-free, testable)."""
+        # Bound before routing, so the first request's /v1/metrics
+        # already lists the latency histogram.
+        request_seconds = self._request_seconds
+        start = time.perf_counter()
         path, _, query = path.partition("?")
         path = path.rstrip("/") or "/"
         route = self._route_name(path)
-        with self.metrics.time("http.request_seconds"), self.tracer.trace(
-            "http.request", route=route
-        ) as span:
+        if self.tracer.enabled:
+            with self.tracer.trace("http.request", route=route) as span:
+                response = self._admitted_route(
+                    path, route, if_none_match, query
+                )
+                span.set(status=response.status)
+                if response.status == 429:
+                    span.set(shed=response.headers.get("X-Shed-Reason"))
+        else:
             response = self._admitted_route(path, route, if_none_match, query)
-            span.set(status=response.status)
-            if response.status == 429:
-                span.set(shed=response.headers.get("X-Shed-Reason"))
-        self.metrics.counter(f"http.requests.{route}").inc()
-        self.metrics.counter(f"http.responses.{response.status}").inc()
+        request_seconds.observe(time.perf_counter() - start)
+        counters = self._counters
+        counters[f"http.requests.{route}"].inc()
+        counters[f"http.responses.{response.status}"].inc()
         return response
 
     def _admitted_route(
@@ -592,14 +769,14 @@ class QueueStateServer:
         if if_none_match is not None and etag in (
             tag.strip() for tag in if_none_match.split(",")
         ):
-            self.metrics.counter("http.not_modified").inc()
+            self._counters["http.not_modified"].inc()
             return Response(304, etag=etag)
         cache_key = f"{path}?{query}" if query else path
-        body = self.cache.get(cache_key, version)
-        if body is not None:
-            self.metrics.counter("http.cache_hits").inc()
-            return Response(200, body, etag=etag)
-        self.metrics.counter("http.cache_misses").inc()
+        cached = self.cache.get(cache_key, version)
+        if cached is not None:
+            self._counters["http.cache_hits"].inc()
+            return cached
+        self._counters["http.cache_misses"].inc()
         try:
             payload = payload_fn()
         except _BadQuery as exc:
@@ -611,11 +788,12 @@ class QueueStateServer:
             return Response(
                 404, _json_body({"error": "spot unknown to the history"})
             )
-        body = _json_body(payload)
-        self.cache.put(cache_key, version, body)
+        response = self._cached_ok(
+            cache_key, version, etag, _json_body(payload)
+        )
         with self._last_good_lock:
-            self._last_good[path] = (query, body)
-        return Response(200, body, etag=etag)
+            self._last_good[path] = (query, response.body)
+        return response
 
     def _metrics_response(self, query: str) -> Response:
         """``/v1/metrics``: JSON by default, ``?format=prometheus`` for
@@ -655,13 +833,13 @@ class QueueStateServer:
         if if_none_match is not None and etag in (
             tag.strip() for tag in if_none_match.split(",")
         ):
-            self.metrics.counter("http.not_modified").inc()
+            self._counters["http.not_modified"].inc()
             return Response(304, etag=etag)
-        body = self.cache.get(path, version)
-        if body is not None:
-            self.metrics.counter("http.cache_hits").inc()
-            return Response(200, body, etag=etag)
-        self.metrics.counter("http.cache_misses").inc()
+        cached = self.cache.get(path, version)
+        if cached is not None:
+            self._counters["http.cache_hits"].inc()
+            return cached
+        self._counters["http.cache_misses"].inc()
         try:
             payload = payload_fn()
             if payload is None:
@@ -670,10 +848,22 @@ class QueueStateServer:
         except Exception:
             return self._degraded_response(path)
         built_version = payload.get("snapshot", version)
-        self.cache.put(path, built_version, body)
+        response = self._cached_ok(
+            path, built_version, f'"{built_version}"', body
+        )
         with self._last_good_lock:
             self._last_good[path] = (None, body)
-        return Response(200, body, etag=f'"{built_version}"')
+        return response
+
+    def _cached_ok(
+        self, key: str, version: int, etag: str, body: bytes
+    ) -> Response:
+        """A 200 for ``body``, rendered now and cached under ``key`` at
+        ``version``: every hit writes these bytes as they are."""
+        response = Response(200, body, etag=etag)
+        response.head()
+        self.cache.put(key, version, response)
+        return response
 
     def _degraded_response(self, path: str, query: str = "") -> Response:
         """Serve the last-good body for ``path`` and ``query`` (or an

@@ -17,10 +17,7 @@ from repro.states.states import (
 )
 from repro.states.machine import (
     ALLOWED_TRANSITIONS,
-    TransitionError,
     is_valid_transition,
-    validate_sequence,
-    transition_violations,
     STREET_JOB_SEQUENCE,
     BOOKING_JOB_SEQUENCE,
 )
@@ -34,10 +31,7 @@ __all__ = [
     "is_unoccupied",
     "is_non_operational",
     "ALLOWED_TRANSITIONS",
-    "TransitionError",
     "is_valid_transition",
-    "validate_sequence",
-    "transition_violations",
     "STREET_JOB_SEQUENCE",
     "BOOKING_JOB_SEQUENCE",
 ]

@@ -13,13 +13,9 @@ detects and removes (section 6.1.1 error class 1).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.states.states import STATES_BY_CODE, TaxiState
-
-
-class TransitionError(ValueError):
-    """Raised when a state sequence violates the canonical diagram."""
 
 
 def _table() -> Dict[TaxiState, FrozenSet[TaxiState]]:
@@ -102,55 +98,3 @@ def _code_matrix() -> Tuple[bytes, ...]:
 #: over whole state columns, so it never materializes
 #: :class:`TaxiState` objects.
 TRANSITION_CODE_MATRIX: Tuple[bytes, ...] = _code_matrix()
-
-
-def validate_sequence(states: Sequence[TaxiState]) -> None:
-    """Assert that a state sequence walks the canonical diagram.
-
-    Raises:
-        TransitionError: on the first illegal transition, reporting its
-            position and the offending pair of states.
-    """
-    for i in range(1, len(states)):
-        if not is_valid_transition(states[i - 1], states[i]):
-            raise TransitionError(
-                f"illegal transition {states[i - 1]} -> {states[i]} "
-                f"at position {i}"
-            )
-
-
-def transition_violations(
-    states: Iterable[TaxiState],
-) -> List[Tuple[int, TaxiState, TaxiState]]:
-    """Return every illegal transition in a state sequence.
-
-    Each violation is reported as ``(index, previous_state, state)`` where
-    ``index`` is the position of the *second* state of the illegal pair.
-    It counts error class 1 of section 6.1.1 (improper/missing taxi
-    states); the cleaning tests check that cleaning reduces the count.
-    The cleaning kernel reads :data:`TRANSITION_CODE_MATRIX`.
-    """
-    violations: List[Tuple[int, TaxiState, TaxiState]] = []
-    prev: TaxiState | None = None
-    for i, state in enumerate(states):
-        if prev is not None and not is_valid_transition(prev, state):
-            violations.append((i, prev, state))
-        prev = state
-    return violations
-
-
-def reachable_states(start: TaxiState) -> FrozenSet[TaxiState]:
-    """Return all states reachable from ``start`` along diagram edges.
-
-    The diagram of Fig. 3 is strongly connected on its operational core;
-    this helper exists mainly for tests and documentation tooling.
-    """
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop()
-        for nxt in ALLOWED_TRANSITIONS[state]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)

@@ -217,7 +217,7 @@ class TestOnSimulatedData:
         missing-state gap in the kept stream, which is exactly how real
         MDT logs look after preprocessing.
         """
-        from repro.states.machine import transition_violations
+        from tests._machine import transition_violations
 
         city = small_day.city
         batch, _ = clean_batch(

@@ -279,10 +279,11 @@ class TestResilienceFlags:
 
 
 class TestImportFootprint:
-    def test_analyze_loads_no_serving_code(self):
-        """Every command imports ``repro.obs`` for its tracer, and
-        ``repro.obs`` depends on no ``repro.service`` module, so a batch
-        command never loads the serving stack or ``http.server``."""
+    @staticmethod
+    def run_and_list(argv, watched: str) -> str:
+        """Run ``main(argv)`` in a fresh interpreter; the last line it
+        prints: the exit code and the loaded modules ``watched`` (a
+        Python expression over ``name``) selects."""
         import os
         import subprocess
         import sys
@@ -293,12 +294,8 @@ class TestImportFootprint:
         script = (
             "import sys\n"
             "from repro.cli import main\n"
-            f"code = main(['analyze', {GOLDEN_CSV!r}])\n"
-            "loaded = sorted(\n"
-            "    name for name in sys.modules\n"
-            "    if name == 'http.server'\n"
-            "    or name.split('.')[:2] == ['repro', 'service']\n"
-            ")\n"
+            f"code = main({argv!r})\n"
+            f"loaded = sorted(name for name in sys.modules if {watched})\n"
             "print('exit', code, 'loaded', loaded)\n"
         )
         path = os.pathsep.join(
@@ -312,4 +309,28 @@ class TestImportFootprint:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "exit 0 loaded []"
+        return done.stdout.splitlines()[-1]
+
+    def test_analyze_loads_no_serving_code(self):
+        """Every command imports ``repro.obs`` for its tracer, and
+        ``repro.obs`` depends on no ``repro.service`` module, so a batch
+        command never loads the serving stack or ``http.server``."""
+        last = self.run_and_list(
+            ["analyze", GOLDEN_CSV],
+            "name == 'http.server'"
+            " or name.split('.')[:2] == ['repro', 'service']",
+        )
+        assert last == "exit 0 loaded []"
+
+    def test_serve_loads_no_stdlib_http_server(self):
+        """``serve`` answers through its own request reader: neither
+        ``http.server`` nor what it pulls in (``http.client`` and the
+        ``email`` header parser) is imported from start-up to the end
+        of the replay."""
+        last = self.run_and_list(
+            ["serve", GOLDEN_CSV, "--port", "0", "--speedup", "0",
+             "--max-seconds", "60"],
+            "name in ('http.server', 'http.client')"
+            " or name.split('.')[0] == 'email'",
+        )
+        assert last == "exit 0 loaded []"

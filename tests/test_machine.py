@@ -6,13 +6,15 @@ from repro.states.machine import (
     ALLOWED_TRANSITIONS,
     BOOKING_JOB_SEQUENCE,
     STREET_JOB_SEQUENCE,
-    TransitionError,
     is_valid_transition,
+)
+from repro.states.states import TaxiState
+from tests._machine import (
+    TransitionError,
     reachable_states,
     transition_violations,
     validate_sequence,
 )
-from repro.states.states import TaxiState
 
 
 class TestDiagramStructure:
