@@ -24,22 +24,12 @@ Quickstart::
     )
     detection = engine.detect_spots(out.store)
     analyses = engine.disambiguate(out.store, detection)
-"""
 
-from repro.core import (
-    EngineConfig,
-    QueueAnalyticEngine,
-    QueueSpot,
-    QueueType,
-    SlotFeatures,
-    SlotLabel,
-    SpotAnalysis,
-    SpotDetectionParams,
-    SpotDetectionResult,
-    TimeSlotGrid,
-)
-from repro.sim import City, SimulationConfig, SimulationOutput, simulate_day
-from repro.trace import MdtLogStore, MdtRecord
+Importing ``repro`` loads no subpackage: each name below is imported
+from its subpackage the first time it is read (PEP 562), so a command
+such as ``taxiqueue --version`` loads neither the engine, the
+simulator nor NumPy.
+"""
 
 __version__ = "1.0.0"
 
@@ -62,3 +52,40 @@ __all__ = [
     "MdtRecord",
     "__version__",
 ]
+
+#: The subpackage each re-exported name is imported from.
+_SOURCES = {
+    "EngineConfig": "repro.core",
+    "QueueAnalyticEngine": "repro.core",
+    "QueueSpot": "repro.core",
+    "QueueType": "repro.core",
+    "SlotFeatures": "repro.core",
+    "SlotLabel": "repro.core",
+    "SpotAnalysis": "repro.core",
+    "SpotDetectionParams": "repro.core",
+    "SpotDetectionResult": "repro.core",
+    "TimeSlotGrid": "repro.core",
+    "City": "repro.sim",
+    "SimulationConfig": "repro.sim",
+    "SimulationOutput": "repro.sim",
+    "simulate_day": "repro.sim",
+    "MdtLogStore": "repro.trace",
+    "MdtRecord": "repro.trace",
+}
+
+
+def __getattr__(name: str):
+    """Import a re-exported name on first access and bind it here, so
+    later reads are plain attribute lookups."""
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(source), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

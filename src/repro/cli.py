@@ -32,6 +32,12 @@ way: one clear message on stderr and exit code 2, before any pipeline
 work runs.  So do a ``--coverage`` outside (0, 1], a ``--bbox`` that is
 not four finite numbers ``west,south,east,north`` with west <= east and
 south <= north, and an ``export --outdir`` that cannot be created.
+
+Start-up: this module imports only the standard library when it loads.
+Each ``cmd_*`` imports the pipeline it runs when it starts, before it
+opens a trace root, and so do the helpers it calls; ``--version`` loads
+neither the engine, the simulator nor NumPy, and no span times an
+import.
 """
 
 from __future__ import annotations
@@ -42,37 +48,22 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.columnar import RecordBatch
-from repro.columnar.batch import column_extent
-from repro.core.engine import CleanedDay, EngineConfig, QueueAnalyticEngine
-from repro.core.reports import (
-    citywide_proportions,
-    format_proportions,
-    format_transition_report,
-)
-from repro.core.types import TimeSlotGrid
-from repro.geo.bbox import BBox
-from repro.geo.zones import four_zone_partition
-from repro.geo.point import LocalProjection
-from repro.sim.city import DEFAULT_CITY_BBOX
-from repro.sim.config import SimulationConfig
-from repro.sim.fleet import simulate_day
-from repro.trace.log_store import MdtLogStore
+if TYPE_CHECKING:
+    from repro.columnar import RecordBatch
+    from repro.core.engine import CleanedDay, QueueAnalyticEngine
+    from repro.core.types import TimeSlotGrid
+    from repro.geo.bbox import BBox
+    from repro.sim.config import SimulationConfig
 
 
 def _version() -> str:
-    """The installed distribution version, falling back to the package's
-    own ``__version__`` when running from a source tree."""
-    try:
-        from importlib.metadata import version
+    """``repro.__version__``, the one version string: ``pyproject.toml``
+    reads the distribution's version from it."""
+    from repro import __version__
 
-        return version("repro")
-    except Exception:
-        from repro import __version__
-
-        return __version__
+    return __version__
 
 
 class _VersionAction(argparse.Action):
@@ -100,6 +91,8 @@ def _load_batch(path_str: str) -> Optional[RecordBatch]:
     one-line message and a non-zero exit instead of a traceback.
     Malformed lines are skipped and counted in ``skipped_lines``.
     """
+    from repro.columnar import RecordBatch
+
     path = Path(path_str)
     if not path.is_file():
         print(
@@ -153,6 +146,8 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
         from repro.sim.scenarios import build_scenario
 
         return build_scenario(args.scenario, seed=args.seed)
+    from repro.sim.config import SimulationConfig
+
     return SimulationConfig(
         seed=args.seed,
         fleet_size=args.fleet,
@@ -164,6 +159,10 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
 def _engine_for_bbox(
     bbox: BBox, observed_fraction: float, tracer=None
 ) -> QueueAnalyticEngine:
+    from repro.core.engine import EngineConfig, QueueAnalyticEngine
+    from repro.geo.point import LocalProjection
+    from repro.geo.zones import four_zone_partition
+
     zones = four_zone_partition(bbox)
     lon, lat = bbox.center
     return QueueAnalyticEngine(
@@ -229,6 +228,8 @@ def _close_tracer(writer) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.sim.fleet import simulate_day
+
     config = _build_config(args)
     output = simulate_day(config)
     out_path = Path(args.output)
@@ -253,6 +254,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    # Before the trace root opens, so no span times the import.
+    import repro.core.engine  # noqa: F401
+
     tracer, trace_writer = _build_tracer(args)
     if tracer is None:
         return 2
@@ -278,7 +282,8 @@ def _clean_input(
     """The traced CSV ingest and cleaning of ``detect``/``analyze``:
     the engine over the input's bbox and the cleaned day (None when the
     input is missing).  The raw batch is not returned, so it is freed
-    as soon as it is cleaned."""
+    as soon as it is cleaned.  Callers import the engine before they
+    open the trace root, so the helpers' imports find it loaded."""
     with tracer.span("stage.ingest", mode="csv") as span:
         batch = _load_batch(args.input)
         if batch is None:
@@ -301,6 +306,14 @@ def _print_detection(detection, top: int) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # Loads the engine too, before the trace root opens, so no span
+    # times the import.
+    from repro.core.reports import (
+        citywide_proportions,
+        format_proportions,
+        format_transition_report,
+    )
+
     tracer, trace_writer = _build_tracer(args)
     if tracer is None:
         return 2
@@ -339,6 +352,8 @@ def _tier2_grid(
     """The grid tier 2 runs and the CLI labels on: it covers the
     cleaned rows, or the raw day's span when cleaning left no row
     (None for a day with no rows at all)."""
+    from repro.core.types import TimeSlotGrid
+
     span = day.rows.time_span if len(day.rows) else day.raw_span
     if span is None:
         return None
@@ -405,6 +420,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core.engine import EngineConfig, QueueAnalyticEngine
+    from repro.core.reports import (
+        citywide_proportions,
+        format_proportions,
+        format_transition_report,
+    )
+    from repro.sim.config import SimulationConfig
+    from repro.sim.fleet import simulate_day
+
     config = SimulationConfig(
         seed=args.seed, fleet_size=300, n_queue_spots=15, n_decoy_landmarks=8
     )
@@ -492,6 +516,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         grid = None
         source = args.input
     else:
+        from repro.core.engine import EngineConfig, QueueAnalyticEngine
+        from repro.sim.fleet import simulate_day
+
         config = _build_config(args)
         print("no input CSV given; simulating a day ...")
         output = simulate_day(config)
@@ -842,6 +869,7 @@ def _conformance_inputs(args: argparse.Namespace):
     """``(cases, store, bootstrap)`` from run/shrink arguments, or None
     after printing a usage error (exit 2 at the caller)."""
     from repro.conformance.matrix import csv_case, default_matrix
+    from repro.trace.log_store import MdtLogStore
 
     if not 0.0 < args.kill_frac < 1.0:
         print("error: --kill-frac must be in (0, 1)", file=sys.stderr)
@@ -1065,6 +1093,8 @@ def _coverage_arg(text: str) -> float:
 
 def _bbox_arg(text: str) -> BBox:
     """``--bbox``: ``west,south,east,north`` in degrees."""
+    from repro.geo.bbox import BBox
+
     try:
         values = [float(x) for x in text.split(",")]
         if len(values) != 4 or not all(map(math.isfinite, values)):
@@ -1083,7 +1113,12 @@ def _bbox_from_args(args: argparse.Namespace, batch: RecordBatch) -> BBox:
     if args.bbox is not None:
         return args.bbox
     if len(batch) == 0:
+        from repro.sim.city import DEFAULT_CITY_BBOX
+
         return DEFAULT_CITY_BBOX
+    from repro.columnar.batch import column_extent
+    from repro.geo.bbox import BBox
+
     west, east = column_extent(batch.lon)
     south, north = column_extent(batch.lat)
     return BBox(west, south, east, north).expanded(0.01)

@@ -4,9 +4,9 @@ The :class:`LatencyRecorder` is the measuring half of the harness:
 drivers feed it one ``(status, latency)`` observation per completed
 request (plus transport errors), and :meth:`LatencyRecorder.report`
 reduces everything to a :class:`LoadReport` — nearest-rank
-p50/p95/p99/max latency (same quantile semantics as the server's own
-histograms, via :func:`repro.service.metrics.nearest_rank`),
-throughput, per-status counts, shed (429) and error counts.
+p50/p95/p99/max latency (the server's own histograms use the same
+:func:`repro.obs.summary.nearest_rank`), throughput, per-status
+counts, shed (429) and error counts.
 
 **What counts as an error.**  Transport failures and any 5xx do; a
 429 does *not* — shedding is the server honouring its admission
@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.service.metrics import nearest_rank
+from repro.obs.summary import nearest_rank
 
 
 @dataclass

@@ -60,8 +60,9 @@ SPAN_SCHEMA = {
 
 
 #: Span attributes with a fixed meaning: the process's peak and
-#: current resident set size in MB (see :mod:`repro.obs.tracer`).
-MEMORY_ATTRS = ("hwm_mb", "rss_mb")
+#: current resident set size in MB, and its age in seconds when a root
+#: opened (see :mod:`repro.obs.tracer`).
+PROCESS_ATTRS = ("hwm_mb", "rss_mb", "startup_s")
 
 
 def validate_span(obj: object) -> List[str]:
@@ -101,8 +102,8 @@ def validate_span(obj: object) -> List[str]:
     if "attrs" in obj and not isinstance(obj["attrs"], dict):
         errors.append("attrs must be an object")
     elif "attrs" in obj:
-        # The memory a stage or pipeline span records as it closes.
-        for key in MEMORY_ATTRS:
+        # What a stage or pipeline span records of the process.
+        for key in PROCESS_ATTRS:
             value = obj["attrs"].get(key)
             if key in obj["attrs"] and (
                 isinstance(value, bool)

@@ -36,10 +36,16 @@ closes (``hwm_mb`` and ``rss_mb``, from :data:`STATUS_PATH`).  The
 peak only grows, so the ``hwm_mb`` of consecutive stages shows which
 stage raised it.  Where the file does not exist the attributes are
 left out.
+
+Start-up: a ``pipeline.*`` root records how long the process had run
+when it opened (``startup_s``, from :data:`STAT_PATH`), which names the
+interpreter start and the imports that ran before it.  Where that
+cannot be read the attribute is left out.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any, Dict, Optional, Sequence
@@ -47,9 +53,13 @@ from typing import Any, Dict, Optional, Sequence
 
 #: The process's own status file (Linux), read for ``VmHWM``/``VmRSS``.
 STATUS_PATH = "/proc/self/status"
+#: The process's own stat file (Linux), read for its start time.
+STAT_PATH = "/proc/self/stat"
 #: Spans that record memory as they close: the stages and the roots of
 #: the batch pipeline and the serve bootstrap.
 MEMORY_SPANS = ("stage.", "pipeline.")
+#: Roots that record the process's age as they open.
+STARTUP_ROOTS = ("pipeline.",)
 
 
 def memory_mb() -> Dict[str, float]:
@@ -69,6 +79,24 @@ def memory_mb() -> Dict[str, float]:
             kib = status[at + len(field):status.find(b"kB", at)]
             memory[key] = round(int(kib) / 1024.0, 1)
     return memory
+
+
+def startup_s() -> Dict[str, float]:
+    """``{"startup_s": ...}``: how long this process has run, in
+    seconds: its start time in :data:`STAT_PATH` (clock ticks since
+    boot) against ``CLOCK_BOOTTIME``.  ``{}`` where either cannot be
+    read."""
+    try:
+        with open(STAT_PATH, "rb") as fh:
+            stat = fh.read()
+        # "pid (comm) state ...": field 22 is the start time; split
+        # after the command name, which may hold spaces, at field 3.
+        ticks = int(stat[stat.rindex(b")") + 1:].split()[19])
+        now = time.clock_gettime(time.CLOCK_BOOTTIME)
+        hz = os.sysconf("SC_CLK_TCK")
+    except (OSError, ValueError, IndexError, AttributeError):
+        return {}
+    return {"startup_s": round(now - ticks / hz, 3)}
 
 
 def worker_span(
@@ -276,6 +304,8 @@ class Tracer:
             # know when the (null) root closes.
             return _DroppedRoot(self, state)
         span = Span(self, trace_id, self._next_span_id(), None, name, dict(attrs))
+        if name.startswith(STARTUP_ROOTS):
+            span.attrs.update(startup_s())
         state["stack"].append(span)
         return span
 

@@ -282,8 +282,9 @@ class TestImportFootprint:
     @staticmethod
     def run_and_list(argv, watched: str) -> str:
         """Run ``main(argv)`` in a fresh interpreter; the last line it
-        prints: the exit code and the loaded modules ``watched`` (a
-        Python expression over ``name``) selects."""
+        prints: the exit code (of a ``SystemExit`` too) and the loaded
+        modules ``watched`` (a Python expression over ``name``)
+        selects."""
         import os
         import subprocess
         import sys
@@ -294,7 +295,10 @@ class TestImportFootprint:
         script = (
             "import sys\n"
             "from repro.cli import main\n"
-            f"code = main({argv!r})\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
             f"loaded = sorted(name for name in sys.modules if {watched})\n"
             "print('exit', code, 'loaded', loaded)\n"
         )
@@ -334,3 +338,47 @@ class TestImportFootprint:
             " or name.split('.')[0] == 'email'",
         )
         assert last == "exit 0 loaded []"
+
+    def test_version_loads_only_the_cli(self):
+        """``--version`` loads no subpackage of ``repro`` and no NumPy:
+        the package root resolves its re-exports on first access, and
+        ``repro.cli`` imports only the standard library."""
+        last = self.run_and_list(
+            ["--version"], "name.split('.')[0] in ('numpy', 'repro')"
+        )
+        assert last == "exit 0 loaded ['repro', 'repro.cli']"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", GOLDEN_CSV],
+            ["serve", GOLDEN_CSV, "--port", "0", "--speedup", "0",
+             "--max-seconds", "60"],
+        ],
+        ids=["analyze", "serve"],
+    )
+    def test_commands_on_a_csv_load_no_simulator(self, argv):
+        """Only ``simulate``, ``demo`` and a ``serve`` without a CSV
+        import ``repro.sim``."""
+        last = self.run_and_list(
+            argv, "name.split('.')[:2] == ['repro', 'sim']"
+        )
+        assert last == "exit 0 loaded []"
+
+    def test_loadtest_loads_no_engine(self):
+        """The load client needs neither NumPy nor the engine nor the
+        server: against an address where nothing listens it exits 2
+        having loaded none of them."""
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        last = self.run_and_list(
+            ["loadtest", "--url", f"http://127.0.0.1:{port}",
+             "--duration", "1"],
+            "name.split('.')[0] == 'numpy'"
+            " or name.split('.')[:2] in (['repro', 'core'],"
+            " ['repro', 'service'])",
+        )
+        assert last == "exit 2 loaded []"

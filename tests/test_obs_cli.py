@@ -10,11 +10,16 @@ server, and the ``?format=prometheus`` content negotiation on
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.obs import load_spans
 from repro.obs.export import validate_trace_file
 from repro.service.http import QueueStateServer
 from repro.service.metrics import MetricsRegistry
@@ -64,6 +69,33 @@ class TestTraceOut:
         assert code == 0
         assert "wrote" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+    def test_root_records_startup(self, tmp_path):
+        """The ``pipeline.batch`` root of a traced ``analyze`` records
+        how long its process ran before the root opened: more than
+        nothing, less than the whole run as measured from outside."""
+        if not os.path.exists("/proc/self/stat"):
+            pytest.skip("no /proc/self/stat on this platform")
+        import repro
+
+        trace_path = tmp_path / "trace.jsonl"
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", GOLDEN_CSV,
+             "--trace-out", str(trace_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        wall = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        (root,) = [
+            span for span in load_spans(trace_path)
+            if span["name"] == "pipeline.batch"
+        ]
+        assert 0 < root["attrs"]["startup_s"] < wall
 
 
 class TestFailFast:

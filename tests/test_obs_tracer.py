@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -157,6 +158,9 @@ class TestTracer:
         monkeypatch.setattr(
             tracer_module, "STATUS_PATH", str(tmp_path / "no-such-file")
         )
+        monkeypatch.setattr(
+            tracer_module, "STAT_PATH", str(tmp_path / "no-such-file")
+        )
         sink = InMemorySink()
         tracer = Tracer(sink)
         with tracer.trace("pipeline.batch", command="analyze"):
@@ -166,6 +170,54 @@ class TestTracer:
             {},
             {"command": "analyze"},
         ]
+
+    def test_pipeline_roots_record_startup(self):
+        if not os.path.exists(tracer_module.STAT_PATH):
+            pytest.skip("no /proc/self/stat on this platform")
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        with tracer.trace("pipeline.batch"):
+            with tracer.span("stage.pea"):
+                pass
+            # A nested root is a child span: no start-up of its own.
+            with tracer.trace("pipeline.bootstrap"):
+                pass
+        with tracer.trace("stream.window"):
+            pass
+        spans = [span for trace in sink.traces for span in trace]
+        by_name = {span["name"]: span["attrs"] for span in spans}
+        assert 0 < by_name["pipeline.batch"]["startup_s"] < 86400 * 365
+        for name in ("stage.pea", "pipeline.bootstrap", "stream.window"):
+            assert "startup_s" not in by_name[name]
+
+    def test_startup_is_the_process_age(self, monkeypatch, tmp_path):
+        """Field 22 of the stat file, in clock ticks since boot, read
+        after a command name that holds spaces and parentheses."""
+        hz = os.sysconf("SC_CLK_TCK")
+        now = time.clock_gettime(time.CLOCK_BOOTTIME)
+        start_ticks = int((now - 42.0) * hz)
+        fields = ["S"] + ["0"] * 18 + [str(start_ticks), "0", "0"]
+        stat = tmp_path / "stat"
+        stat.write_text("123 (odd) name (x)) " + " ".join(fields) + "\n")
+        monkeypatch.setattr(tracer_module, "STAT_PATH", str(stat))
+        age = tracer_module.startup_s()["startup_s"]
+        assert 42.0 <= age < 42.0 + 2.0 / hz + 5.0
+
+    @pytest.mark.parametrize("content", [None, "", "123 (comm) S 1 2\n"])
+    def test_startup_left_out_when_unreadable(
+        self, monkeypatch, tmp_path, content
+    ):
+        stat = tmp_path / "stat"
+        if content is not None:
+            stat.write_text(content)
+        monkeypatch.setattr(tracer_module, "STAT_PATH", str(stat))
+        assert tracer_module.startup_s() == {}
+        sink = InMemorySink()
+        with Tracer(sink).trace("pipeline.batch", command="detect"):
+            pass
+        (root,) = sink.traces[0]
+        assert "startup_s" not in root["attrs"]
+        assert root["attrs"]["command"] == "detect"
 
     def test_emit_window_respects_sampling(self):
         sink = InMemorySink()
@@ -306,6 +358,7 @@ class TestSchema:
             {"attrs": {"hwm_mb": -1.0}},
             {"attrs": {"rss_mb": "62 MB"}},
             {"attrs": {"hwm_mb": True}},
+            {"attrs": {"startup_s": -0.1}},
         ],
     )
     def test_bad_values_rejected(self, overrides):

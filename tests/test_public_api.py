@@ -51,3 +51,35 @@ def test_all_names_resolve(name):
         n for n in getattr(package, "__all__", ()) if not hasattr(package, n)
     ]
     assert missing == []
+
+
+def test_root_dir_lists_all():
+    """``repro`` imports its re-exports on first access (PEP 562); in a
+    fresh interpreter, before any is read, ``dir(repro)`` lists every
+    name in ``__all__`` all the same."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    script = (
+        "import repro\n"
+        "print(sorted(set(repro.__all__) - set(dir(repro))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_root_binds_each_name_once():
+    value = repro.QueueAnalyticEngine
+    assert vars(repro)["QueueAnalyticEngine"] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
