@@ -56,9 +56,9 @@ def row_pickup_events(
     """Algorithm 1 over one taxi's records, one row at a time.
 
     The oracle's reference PEA.  It keeps its own copy of the
-    section-4.2 constraints on :class:`TaxiState` sets and never calls
-    the engine's :func:`~repro.core.pea.candidate_rejection`, so a bug
-    in the shared rule shows up as a divergence.
+    section-4.2 constraints on :class:`TaxiState` sets and shares no
+    code with the engine's scan (:func:`~repro.core.pea.pea_scan`), so
+    a bug in the scan shows up as a divergence.
     """
     records = trajectory.records
     events: List[PickupEvent] = []

@@ -13,22 +13,20 @@ The algorithm keeps two flags while scanning:
 Records with a non-operational state (BREAK/OFFLINE/POWEROFF) reset the
 scan (the paper's TAG1).  When speed rises back above the threshold with a
 candidate open, the candidate is kept unless one of the three state
-constraints of section 4.2 rejects it (:func:`candidate_rejection`):
+constraints of section 4.2 rejects it:
 
 1. it starts occupied and ends unoccupied (a passenger-alight event);
 2. it starts FREE and ends ONCALL (the taxi left for a booking elsewhere);
 3. its state never changes (a traffic jam or red light).
 
-Two implementations apply the constraints:
-:func:`extract_pickup_events_batch` finds every candidate of a day at
-once with array passes over its columns (the batch engine), and
-:class:`~repro.stream.pea_stream.StreamingPea` is fed one record at a
-time (the live monitor).  Both emit :class:`PickupEvent`, a row range
-of a batch: the kernel's events are ranges of the cleaned day, the
-stream's are its candidate rows packed into a batch of their own.  The
-stream calls :func:`candidate_rejection`, and the batch kernel applies
-the same three rules to the first and last state of each candidate and
-to a count of its state changes.
+One scan, :func:`pea_scan`, applies TAG1 and the constraints with array
+passes over rows grouped by taxi.  It has two callers: the batch
+engine's :func:`extract_pickup_events_batch` runs it over a whole day
+in canonical order, and the live monitor
+(:class:`~repro.stream.monitor.StreamingQueueMonitor`) over the rows
+it has buffered, each taxi's in arrival order, behind the runs it held
+at its last absorb.  Both emit :class:`PickupEvent`, a row range of
+the batch the scan read.
 
 Two deliberate clarifications of the published pseudocode, documented in
 DESIGN.md: the candidate state is fully reset after a keep decision (the
@@ -47,11 +45,9 @@ import numpy as np
 from repro.columnar import RecordBatch
 from repro.states.states import (
     NON_OPERATIONAL_STATES,
-    OCCUPIED_CODES,
     OCCUPIED_STATES,
     STATE_CODES,
     TaxiState,
-    UNOCCUPIED_CODES,
     UNOCCUPIED_STATES,
     code_mask,
 )
@@ -84,9 +80,11 @@ class PickupEvent:
     """A slow pickup event: one taxi's kept candidate, as the row range
     ``[lo, hi)`` of ``day``.
 
-    ``day`` is a :class:`~repro.columnar.RecordBatch` in canonical order
-    (the cleaned day, for the PEA kernel), so the range holds the
-    taxi's rows in time order.  A batch never changes, so the range's
+    ``day`` is the :class:`~repro.columnar.RecordBatch` that
+    :func:`pea_scan` read, grouped by taxi, so the range holds the
+    taxi's rows in scan order: for the PEA kernel, the cleaned day in
+    canonical order (time order); for the live monitor, the batch one
+    absorb scanned (arrival order).  A batch never changes, so the range's
     fields — ``ts``, ``lon``, ``lat``, ``speed`` and the ``state`` codes
     — are views of its columns that stay valid for as long as the event
     is held.  WTE reads ``ts`` and ``state``
@@ -198,35 +196,15 @@ def event_columns(
     ], bounds
 
 
-def candidate_rejection(codes: Sequence[int]) -> Optional[str]:
-    """The section-4.2 constraint a PEA candidate fails.
-
-    Args:
-        codes: the candidate's state codes in time order (at least two).
-
-    Returns:
-        The :class:`PeaStats` counter the candidate fails — ``"alight"``,
-        ``"oncall_leave"`` or ``"no_transition"`` — or None to keep it.
-    """
-    first, last = codes[0], codes[-1]
-    if first in OCCUPIED_CODES and last in UNOCCUPIED_CODES:
-        return "alight"
-    if first == _FREE and last == _ONCALL:
-        return "oncall_leave"
-    if all(code == first for code in codes):
-        return "no_transition"
-    return None
-
-
-def extract_pickup_events_batch(
-    batch: RecordBatch,
+def pea_scan(
+    taxi: np.ndarray,
+    speed: np.ndarray,
+    state: np.ndarray,
     apply_state_filters: bool = True,
-) -> Tuple[List[PickupEvent], PeaStats]:
-    """Algorithm 1 over every taxi of a day (the multi-taxi set W), in
-    any row order.
-
-    The scan's outcome is found with array passes over the columns in
-    canonical order:
+    hold_open: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, PeaStats, Optional[np.ndarray]]:
+    """Algorithm 1 over rows grouped by taxi, each taxi's rows in scan
+    order, by array passes over their columns:
 
     * a candidate is a maximal run of at least two consecutive rows of
       one taxi that are low speed (at most
@@ -236,6 +214,77 @@ def extract_pickup_events_batch(
     * a run that ends at a fast operational row or at the taxi's last
       row is judged by the section-4.2 rules, where "no transition"
       means no state change inside the run.
+
+    With ``hold_open``, a run that reaches its taxi's last row is held
+    instead, a one-row run included: the scan cannot yet tell how it
+    ends, so it is neither judged nor counted.
+
+    Args:
+        taxi, speed, state: the rows' taxi codes, speeds and state codes.
+        apply_state_filters: disable to ablate the three state-transition
+            constraints (bench ``ablation_state_filters``).
+        hold_open: hold the runs that reach their taxi's last row.
+
+    Returns:
+        ``(start, end, stats, held)``: the first and last row of each
+        kept candidate, in row order; the counts; and, with
+        ``hold_open``, a mask of the held runs' rows (else None).
+    """
+    same = taxi[1:] == taxi[:-1]  # row i + 1 continues row i's taxi
+    low = speed <= DEFAULT_SPEED_THRESHOLD_KMH
+    low &= _OPERATIONAL[state]
+    joined = low[1:] & low[:-1] & same  # rows i and i + 1 share a run
+    begins, ends = low.copy(), low
+    begins[1:] &= ~joined
+    ends[:-1] &= ~joined
+    start, end = np.flatnonzero(begins), np.flatnonzero(ends)
+    del begins, ends, low, joined
+    held = None
+    if hold_open:
+        follows = end < len(state) - 1
+        follows[follows] = same[end[follows]]  # the taxi has a row after it
+        edges = np.zeros(len(state) + 1, dtype=np.int8)
+        edges[start[~follows]] = 1
+        edges[end[~follows] + 1] -= 1
+        held = np.cumsum(edges[:-1]) > 0
+        start, end = start[follows], end[follows]
+    candidate = end > start
+    start, end = start[candidate], end[candidate]
+    # TAG1: the taxi's next row is non-operational.
+    cut = end < len(state) - 1
+    cut[cut] = same[end[cut]] & ~_OPERATIONAL[state[end[cut] + 1]]
+    start, end = start[~cut], end[~cut]
+    del same
+
+    first, last = state[start], state[end]
+    changes = np.zeros(len(state), dtype=np.int32)
+    np.cumsum(state[1:] != state[:-1], out=changes[1:])
+    # The three rules exclude each other: the first two need a state
+    # change, and FREE is not occupied.
+    alight = _OCCUPIED[first] & _UNOCCUPIED[last]
+    oncall_leave = (first == _FREE) & (last == _ONCALL)
+    no_transition = changes[end] == changes[start]
+    del first, last, changes
+    if not apply_state_filters:
+        stats = PeaStats(candidates=len(start), kept=len(start))
+        return start, end, stats, held
+    kept = ~(alight | oncall_leave | no_transition)
+    stats = PeaStats(
+        candidates=len(start),
+        kept=int(np.count_nonzero(kept)),
+        rejected_alight=int(np.count_nonzero(alight)),
+        rejected_oncall_leave=int(np.count_nonzero(oncall_leave)),
+        rejected_no_transition=int(np.count_nonzero(no_transition)),
+    )
+    return start[kept], end[kept], stats, held
+
+
+def extract_pickup_events_batch(
+    batch: RecordBatch,
+    apply_state_filters: bool = True,
+) -> Tuple[List[PickupEvent], PeaStats]:
+    """Algorithm 1 over every taxi of a day (the multi-taxi set W), in
+    any row order: :func:`pea_scan` over the day in canonical order.
 
     Each kept event is a row range of the day in canonical order: of
     ``batch`` itself when it is in that order (the cleaned day always
@@ -256,44 +305,12 @@ def extract_pickup_events_batch(
     """
     order = canonical_order(batch)
     taxi = ordered_column(batch.taxi, order)
-    state = ordered_column(batch.state, order)
-    same = taxi[1:] == taxi[:-1]  # row i + 1 continues row i's taxi
-    low = ordered_column(batch.speed, order) <= DEFAULT_SPEED_THRESHOLD_KMH
-    low &= _OPERATIONAL[state]
-    joined = low[1:] & low[:-1] & same  # rows i and i + 1 share a run
-    begins, ends = low.copy(), low
-    begins[1:] &= ~joined
-    ends[:-1] &= ~joined
-    start, end = np.flatnonzero(begins), np.flatnonzero(ends)
-    del begins, ends, low, joined
-    candidate = end > start
-    start, end = start[candidate], end[candidate]
-    # TAG1: the taxi's next row is non-operational.
-    cut = end < len(state) - 1
-    cut[cut] = same[end[cut]] & ~_OPERATIONAL[state[end[cut] + 1]]
-    start, end = start[~cut], end[~cut]
-
-    first, last = state[start], state[end]
-    changes = np.zeros(len(state), dtype=np.int32)
-    np.cumsum(state[1:] != state[:-1], out=changes[1:])
-    # The three rules exclude each other: the first two need a state
-    # change, and FREE is not occupied.
-    alight = _OCCUPIED[first] & _UNOCCUPIED[last]
-    oncall_leave = (first == _FREE) & (last == _ONCALL)
-    no_transition = changes[end] == changes[start]
-    del first, last, changes, state, same
-    if apply_state_filters:
-        kept = ~(alight | oncall_leave | no_transition)
-        stats = PeaStats(
-            candidates=len(start),
-            kept=int(np.count_nonzero(kept)),
-            rejected_alight=int(np.count_nonzero(alight)),
-            rejected_oncall_leave=int(np.count_nonzero(oncall_leave)),
-            rejected_no_transition=int(np.count_nonzero(no_transition)),
-        )
-        start, end = start[kept], end[kept]
-    else:
-        stats = PeaStats(candidates=len(start), kept=len(start))
+    start, end, stats, _ = pea_scan(
+        taxi,
+        ordered_column(batch.speed, order),
+        ordered_column(batch.state, order),
+        apply_state_filters,
+    )
     table = batch.taxi_table
     ids = [table[code] for code in taxi[start].tolist()]
     del taxi

@@ -1,8 +1,8 @@
 """Atomic checkpoint/restore of the live streaming state.
 
 A crash of ``taxiqueue serve`` used to lose everything the
-:class:`~repro.stream.StreamingQueueMonitor` had accumulated — open PEA
-candidates, bucketed wait events, finalized-slot progress and the
+:class:`~repro.stream.StreamingQueueMonitor` had accumulated — the
+held PEA runs, bucketed wait events, finalized-slot progress and the
 :class:`~repro.service.snapshot.SnapshotStore` version.  This module
 makes that state durable:
 
@@ -249,6 +249,9 @@ class ServiceCheckpointer:
     def restore_latest(self) -> Optional[int]:
         """Restore the newest good checkpoint into the live objects.
 
+        A checkpoint whose monitor state is in an older layout (without
+        the held scan tails) is passed over, like one of another kind.
+
         Returns:
             The stream position to resume from (records of the source
             already consumed), or None when no usable checkpoint
@@ -256,6 +259,7 @@ class ServiceCheckpointer:
         """
         payload = self.manager.find(
             lambda entry: entry.get("kind") == "service"
+            and "tails" in entry["monitor"]
         )
         if payload is None:
             return None
@@ -263,9 +267,6 @@ class ServiceCheckpointer:
         self.store.restore_state(payload["store"])
         if self.reorder is not None and payload["reorder"] is not None:
             self.reorder.restore_state(payload["reorder"])
-        # ``.get``: checkpoints written before the history subsystem
-        # existed have no "history" slice and must keep restoring.
-        history_state = payload.get("history")
-        if self.history is not None and history_state is not None:
-            self.history.restore_state(history_state)
+        if self.history is not None and payload["history"] is not None:
+            self.history.restore_state(payload["history"])
         return int(payload["stream_pos"])

@@ -14,7 +14,9 @@ within each taxi — has its one implementation here:
 :class:`~repro.columnar.RecordBatch` into it, or None when the batch is
 already in it.  :class:`~repro.trace.log_store.MdtLogStore` keeps its
 batch in this order, and the whole-day kernels (cleaning, PEA, the job
-counts) read their columns through it.
+counts) read their columns through it.  :func:`grouped_order` groups
+the taxis the same way but keeps each taxi's rows in arrival order: the
+live monitor scans its buffered rows in it.
 """
 
 from __future__ import annotations
@@ -81,6 +83,18 @@ def split_by_day(store: MdtLogStore) -> List[DayPartition]:
 # -- the canonical order of columnar batches --------------------------------
 
 
+def _taxi_ranks(batch: RecordBatch) -> np.ndarray:
+    """Each row's taxi-id rank: where its id falls in sorted order."""
+    # Python ``sorted`` ranks the ids: a NumPy ``U`` array would drop
+    # trailing NULs and tie ids such as "A" and "A\0".
+    table = batch.taxi_table
+    rank_of = np.empty(len(table), dtype=np.int32)
+    rank_of[sorted(range(len(table)), key=table.__getitem__)] = np.arange(
+        len(table), dtype=np.int32
+    )
+    return rank_of[batch.taxi]
+
+
 def canonical_order(batch: RecordBatch) -> Optional[np.ndarray]:
     """The row permutation that puts ``batch`` in canonical order:
     taxis by sorted id, stable by timestamp within each taxi (ts ties
@@ -90,19 +104,19 @@ def canonical_order(batch: RecordBatch) -> Optional[np.ndarray]:
     vectorized check of (taxi-id rank, ts) confirms; otherwise the
     stable ``np.lexsort`` over that pair.
     """
-    # Python ``sorted`` ranks the ids: a NumPy ``U`` array would drop
-    # trailing NULs and tie ids such as "A" and "A\0".
-    table = batch.taxi_table
-    rank_of = np.empty(len(table), dtype=np.int32)
-    rank_of[sorted(range(len(table)), key=table.__getitem__)] = np.arange(
-        len(table), dtype=np.int32
-    )
     ts = batch.ts
-    rank = rank_of[batch.taxi]
+    rank = _taxi_ranks(batch)
     step = np.diff(rank)
     if (step >= 0).all() and ((step > 0) | (ts[1:] >= ts[:-1])).all():
         return None
     return np.lexsort((ts, rank))
+
+
+def grouped_order(batch: RecordBatch) -> np.ndarray:
+    """The row permutation that groups ``batch`` by taxi, taxis by
+    sorted id, and keeps each taxi's rows in input order: the order a
+    live feed's rows are scanned in, which need not be time order."""
+    return np.argsort(_taxi_ranks(batch), kind="stable")
 
 
 def ordered_column(

@@ -37,7 +37,6 @@ from repro.core.spots import pickup_centroids
 from repro.core.wte import extract_wait_event, extract_wait_times
 from repro.service.replay import replay_order
 from repro.states.states import TaxiState
-from repro.stream import StreamingPea
 from repro.trace.cleaning import clean_batch
 from repro.trace.log_store import MdtLogStore
 from repro.trace.partition import canonical_order
@@ -47,6 +46,7 @@ from repro.trace.trajectory import Trajectory
 from tests._golden import golden_engine
 from tests._row_wte import row_wait_event
 from tests._rows import event_rows
+from tests._stream import stream_events
 from tests.test_day_kernels import CITY, by_taxi, days, exact, rec
 
 S = TaxiState
@@ -183,16 +183,17 @@ class TestCentroids:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(days())
-    def test_stream_events_are_the_row_mean(self, rows):
-        pea = StreamingPea()
-        events = [e for e in map(pea.feed, sorted(rows, key=lambda r: r.ts))
-                  if e is not None]
-        events.extend(pea.flush())
-        # Each stream event is the whole of a batch of its own.
-        assert all(
-            (event.lo, event.hi) == (0, len(event.day)) for event in events
+    @given(days(), st.sampled_from([1, 7, 4096]))
+    def test_stream_events_are_the_row_mean(self, rows, absorb_every):
+        events = stream_events(
+            sorted(rows, key=lambda r: r.ts), absorb_every
         )
+        # Each stream event is one taxi's range of the batch its absorb
+        # scanned.
+        for event in events:
+            codes = event.day.taxi[event.lo:event.hi].tolist()
+            table = event.day.taxi_table
+            assert {table[code] for code in codes} == {event.taxi_id}
         got = [tuple(c) for c in pickup_centroids(events).tolist()]
         assert repr(got) == repr(
             [row_mean(event_rows(e)) for e in events]

@@ -1,13 +1,15 @@
 """Tests for Algorithm 1 — the Pickup Extraction Algorithm.
 
-Every case runs on the three PEA scans: the oracle's row reference
+Every case runs on the oracle's row reference
 (:func:`repro.conformance.oracles.row_pickup_events`, its own copy of
-the section-4.2 constraints), the engine's whole-day array kernel
-(:func:`repro.core.pea.extract_pickup_events_batch`) and the streaming
-scan (which calls :func:`repro.core.pea.candidate_rejection`).  Events
-are compared as record lists, and :class:`PeaStats` on the two scans
-that count.  The streaming scan has no ``apply_state_filters`` option,
-so cases with the filters off run on the other two.
+the section-4.2 constraints) and on both callers of the one scan
+(:func:`repro.core.pea.pea_scan`): the engine's whole-day kernel
+(:func:`repro.core.pea.extract_pickup_events_batch`) and the live
+monitor, which absorbs after every row here and so holds and resumes
+each run at every step.  Events are compared as record lists, and
+:class:`PeaStats` on the two that count.  The monitor has no
+``apply_state_filters`` option, so cases with the filters off run on
+the other two.
 """
 
 from hypothesis import example, given, settings
@@ -20,12 +22,12 @@ from repro.states.states import (
     NON_OPERATIONAL_STATES,
     TaxiState,
 )
-from repro.stream import StreamingPea
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 from repro.trace.trajectory import Trajectory
 
 from tests._rows import event_rows
+from tests._stream import stream_events
 
 S = TaxiState
 LOW, HIGH = 5.0, 40.0
@@ -55,10 +57,7 @@ def column_scan(records, apply_state_filters=True):
 
 
 def stream_scan(records):
-    pea = StreamingPea()
-    events = [e for e in map(pea.feed, records) if e is not None]
-    events.extend(pea.flush())
-    return [event_rows(e) for e in events]
+    return [event_rows(e) for e in stream_events(records)]
 
 
 def extract(*pairs, apply_state_filters=True):

@@ -184,6 +184,35 @@ class TestServiceCheckpointer:
         _, _, checkpointer2 = self._stack(tmp_path)
         assert checkpointer2.restore_latest() == len(records)
 
+    def test_restore_skips_the_old_monitor_layout(self, tmp_path):
+        monitor, store, checkpointer = self._stack(tmp_path)
+        # The last taxi's pickup is still open: its scan state is held.
+        for record in pickup_stream(0.0, 10)[:-1]:
+            monitor.feed(record)
+        checkpointer.manager.save(old_layout_payload(monitor, store, 39))
+        _, _, checkpointer2 = self._stack(tmp_path)
+        assert checkpointer2.restore_latest() is None
+
+
+def old_layout_payload(monitor, store, stream_pos):
+    """A service checkpoint as written while the monitor scanned one
+    record at a time: its state held every seen taxi's ``(phi1,
+    candidate rows, previous row)`` under ``"pea"``, and no held
+    tails."""
+    state = monitor.export_state()
+    tails = state.pop("tails")
+    return {
+        "kind": "service",
+        "stream_pos": stream_pos,
+        "monitor": {
+            "pea": {row.taxi_id: (True, None, row) for row in tails.iter_rows()},
+            **state,
+        },
+        "store": store.export_state(),
+        "reorder": None,
+        "history": None,
+    }
+
 
 @pytest.fixture(scope="module")
 def golden_boot():

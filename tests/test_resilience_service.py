@@ -28,6 +28,7 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.replay import StreamReplayer
 from repro.service.snapshot import SnapshotStore
 from tests.test_resilience_chaos import make_monitor, pickup_stream
+from tests.test_resilience_checkpoint import old_layout_payload
 
 ENDPOINTS = [
     "/v1/spots",
@@ -397,6 +398,23 @@ class TestQueueServiceResume:
         assert second.store.version > 0  # restored, not cold
         second.warm()
         assert streaming_state(second.store) == reference
+
+    def test_checkpoint_in_the_old_monitor_layout_is_a_cold_start(
+        self, tmp_path, small_day, small_engine
+    ):
+        from repro.service.app import QueueService
+
+        config = self._config(tmp_path)
+        monitor, store = make_store()
+        for record in pickup_stream(0.0, 10)[:-1]:
+            monitor.feed(record)
+        CheckpointManager(config.checkpoint_dir).save(
+            old_layout_payload(monitor, store, 39)
+        )
+        service = QueueService.from_day(
+            small_day.store, small_engine, config, small_day.ground_truth.grid
+        )
+        assert service.resumed_from is None
 
     def test_without_checkpoint_dir_nothing_is_written(
         self, tmp_path, small_day, small_engine

@@ -1,20 +1,28 @@
-"""Tests for the streaming engine (incremental PEA + live monitor)."""
+"""Tests for the streaming engine: the live monitor, its Algorithm 1
+scan over buffered rows, and its absorb points."""
+
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.conformance.oracles import row_pickup_events
 from repro.core.features import AmplificationPolicy
+from repro.core.pea import PickupEvent
 from repro.core.qcd import label_slot
 from repro.core.spots import assign_events_to_spots, pickup_centroids
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import QueueSpot, QueueType, TimeSlotGrid
 from repro.geo.point import LocalProjection
 from repro.states.states import TaxiState
-from repro.stream import StreamingPea, StreamingQueueMonitor
+from repro.stream import StreamingQueueMonitor
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
 from tests._rows import event_rows, event_states
+from tests._stream import record_scans, recording_monitor, stream_events
+from tests.test_day_kernels import CITY_POINTS, days
 
 S = TaxiState
 LON, LAT = 103.8, 1.33
@@ -28,54 +36,63 @@ def recs(*pairs, taxi="A", step=30.0):
     ]
 
 
-class TestStreamingPea:
+class TestMonitorScan:
+    """The monitor's Algorithm 1 scan, absorbing after every row."""
+
     def test_simple_pickup(self):
-        pea = StreamingPea()
-        events = []
-        for r in recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB)):
-            event = pea.feed(r)
-            if event:
-                events.append(event)
+        events = stream_events(
+            recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB))
+        )
         assert len(events) == 1
         assert events[0].taxi_id == "A"
         assert len(events[0]) == 2
 
-    def test_flush_emits_open_candidate(self):
-        pea = StreamingPea()
+    def test_open_candidate_judged_at_finish(self):
+        monitor, events = recording_monitor()
         for r in recs((40, S.FREE), (5, S.FREE), (5, S.POB)):
-            assert pea.feed(r) is None
-        flushed = pea.flush()
-        assert len(flushed) == 1
+            monitor.feed(r)
+            monitor.export_state()
+        assert events == []
+        monitor.finish()
+        assert len(events) == 1
 
-    def test_flush_is_idempotent(self):
-        pea = StreamingPea()
+    def test_finish_twice(self):
+        monitor, events = recording_monitor()
         for r in recs((40, S.FREE), (5, S.FREE), (5, S.POB)):
-            pea.feed(r)
-        assert len(pea.flush()) == 1
-        assert pea.flush() == []
+            monitor.feed(r)
+        monitor.finish()
+        assert len(events) == 1
+        assert monitor.finish() == []
+        assert len(events) == 1
 
     def test_interleaved_taxis(self):
-        pea = StreamingPea()
         a = recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB), taxi="A")
         b = recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB), taxi="B")
-        events = []
-        for ra, rb in zip(a, b):
-            for r in (ra, rb):
-                event = pea.feed(r)
-                if event:
-                    events.append(event)
-        assert {e.taxi_id for e in events} == {"A", "B"}
+        events = stream_events([r for pair in zip(a, b) for r in pair])
+        assert [e.taxi_id for e in events] == ["A", "B"]
 
-    def test_pickup_event_duck_type(self):
-        pea = StreamingPea()
-        event = None
-        for r in recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB)):
-            event = pea.feed(r) or event
+    def test_pickup_event_type(self):
+        (event,) = stream_events(
+            recs((40, S.FREE), (5, S.FREE), (5, S.POB), (40, S.POB))
+        )
+        assert isinstance(event, PickupEvent)
         lon, lat = pickup_centroids([event])[0].tolist()
         assert lon == pytest.approx(LON)
         assert event_rows(event)[0].state is S.FREE
         assert event_rows(event)[-1].state is S.POB
         assert event_states(event) == [S.FREE, S.POB]
+
+    def test_held_tails_are_the_open_runs(self):
+        """Only the runs that reach their taxi's last row are carried:
+        a lone low row (the paper's phi1) or an open candidate."""
+        monitor, _ = recording_monitor()
+        a = recs((5, S.POB), (40, S.POB), (5, S.FREE), taxi="A")
+        b = recs((40, S.FREE), (5, S.FREE), (5, S.POB), taxi="B")
+        c = recs((5, S.FREE), (5, S.FREE), (40, S.FREE), taxi="C")
+        for r in sorted(c + b + a, key=lambda r: r.ts):
+            monitor.feed(r)
+        tails = monitor.export_state()["tails"]
+        assert tails.to_rows() == [a[2], b[1], b[2]]
 
 
 def _thresholds():
@@ -244,6 +261,122 @@ class TestStreamingQueueMonitor:
         assert results[0].features.n_arrivals == 20  # 10 observed x 2
 
 
+#: One-minute slots over the span of a random day, finalized 20 s after
+#: they end, so several slots close while its rows are fed.
+DAY_GRID = TimeSlotGrid(0.0, 900.0, 60.0)
+
+
+@st.composite
+def fed_days(draw):
+    """A random day over a few points in feed order (by ts, or shuffled
+    and fed without a reorder buffer), and spots at some of its points."""
+    points = draw(st.lists(
+        st.sampled_from(CITY_POINTS), min_size=1, max_size=3, unique=True
+    ))
+    rows = draw(days(points))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    else:
+        rows = sorted(rows, key=lambda r: r.ts)
+    spots = [
+        QueueSpot(f"QS{k:03d}", lon, lat, "Central", 1, 5.0)
+        for k, (lon, lat) in enumerate(
+            draw(st.lists(st.sampled_from(points), min_size=1, unique=True))
+        )
+    ]
+    return rows, spots
+
+
+def day_monitor(spots):
+    """A monitor over :data:`DAY_GRID`; every other spot has thresholds."""
+    return StreamingQueueMonitor(
+        spots=spots,
+        thresholds={spot.spot_id: _thresholds() for spot in spots[::2]},
+        grid=DAY_GRID,
+        projection=PROJ,
+        grace_s=20.0,
+    )
+
+
+def replay(spots, rows, export_every=None):
+    """Feed ``rows`` to a fresh monitor, exporting its state after every
+    ``export_every`` rows: the lists ``feed`` and ``finish`` return, each
+    export pickled, by the number of rows fed (``"end"`` after
+    ``finish``), and the pickup events in the order they were absorbed."""
+    monitor = day_monitor(spots)
+    events = record_scans(monitor)
+    batches, states = [], {}
+
+    def feed(i, row):
+        batches.append(monitor.feed(row))
+        if export_every and i % export_every == 0:
+            states[i] = pickle.dumps(monitor.export_state())
+
+    if fed_through(feed, rows, monitor.finish, batches):
+        states["end"] = pickle.dumps(monitor.export_state())
+    return batches, states, events
+
+
+def fed_through(feed, rows, finish, batches):
+    """Call ``feed(i, row)`` on each row, counting from 1, then append
+    what ``finish()`` returns to ``batches``; True if it returned.
+
+    Keeping each taxi's rows in time order is the feed's task, not the
+    monitor's: a shuffled taxi's wait can end before it starts, and the
+    slot it lands in then fails on its negative mean wait.  That
+    ValueError is appended to ``batches`` as the run's last outcome.
+    """
+    try:
+        for i, row in enumerate(rows, 1):
+            feed(i, row)
+        batches.append(finish())
+    except ValueError as error:
+        batches.append(repr(error))
+        return False
+    return True
+
+
+class TestAbsorbPoints:
+    """Each ``export_state()`` absorbs the buffered rows.  Where the
+    absorbs fall changes neither what the monitor publishes nor what it
+    exports."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fed_days())
+    def test_cadence_changes_nothing(self, fed):
+        rows, spots = fed
+        batches, states, events = replay(spots, rows, export_every=1)
+        for every in (2, 7, 4096):
+            got_batches, got_states, got_events = replay(spots, rows, every)
+            assert got_events == events
+            assert repr(got_batches) == repr(batches)
+            for i, state in got_states.items():
+                assert state == states[i], (every, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fed_days(), st.data())
+    def test_kill_and_restore_at_any_row(self, fed, data):
+        """Export after any row, restore into a fresh monitor and go on:
+        the run publishes and ends in what an uninterrupted one does."""
+        rows, spots = fed
+        kill = data.draw(st.integers(min(1, len(rows)), len(rows)))
+        monitor = day_monitor(spots)
+        batches = []
+
+        def feed(i, row):
+            nonlocal monitor
+            batches.append(monitor.feed(row))
+            if i == kill:
+                saved = pickle.dumps(monitor.export_state())
+                monitor = day_monitor(spots)
+                monitor.restore_state(pickle.loads(saved))
+
+        expected, states, _ = replay(spots, rows)
+        if fed_through(feed, rows, lambda: monitor.finish(), batches):
+            assert monitor.export_state() == pickle.loads(states["end"])
+        assert repr(batches) == repr(expected)
+
+
 class TestStreamAgainstBatchOnSimData:
     def test_stream_reproduces_batch_wait_counts(self, small_day, small_engine, small_detection):
         """Feeding the whole day through the monitor matches the batch
@@ -279,9 +412,10 @@ class TestStreamAgainstBatchOnSimData:
     def test_stream_events_and_assignment_match_batch(
         self, small_day, small_engine, small_detection
     ):
-        """Over a whole day, the streaming scan emits the row
-        reference's events, and the monitor puts each event in the spot
-        of its batch W(r) bucket."""
+        """Over a whole day, the monitor's scan (absorbing every 997
+        rows and at its slot deadlines) emits the row reference's
+        events, and the monitor puts each event in the spot of its
+        batch W(r) bucket."""
         cleaned = small_detection.cleaned_for(small_day.store)
         store = MdtLogStore.from_batch(cleaned)
         reference = [
@@ -289,10 +423,8 @@ class TestStreamAgainstBatchOnSimData:
             for trajectory in store.iter_trajectories()
             for event in row_pickup_events(trajectory)[0]
         ]
-        pea = StreamingPea()
         stream = sorted(cleaned.iter_rows(), key=lambda r: r.ts)
-        streamed = [e for e in map(pea.feed, stream) if e is not None]
-        streamed.extend(pea.flush())
+        streamed = stream_events(stream, absorb_every=997)
 
         def order(event):
             return event.taxi_id, event.ts[0]
